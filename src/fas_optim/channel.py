@@ -21,32 +21,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .scenario import UserStats
-
-
-def user_direction(user: UserStats) -> np.ndarray:
-    """Unit-free direction pair (sin e cos a, cos e) for one user."""
-    return np.array(
-        [np.sin(user.elevation) * np.cos(user.azimuth), np.cos(user.elevation)]
-    )
-
 
 def user_directions(users) -> np.ndarray:
-    """Stack `user_direction` over users into a (K, 2) array."""
-    return np.stack([user_direction(u) for u in users])
-
-
-def phase_offset(layout: np.ndarray, elevation: float, azimuth: float) -> np.ndarray:
-    """Path difference rho(t) in meters for every antenna, shape (..., M)."""
-    layout = np.asarray(layout, dtype=float)
-    d = np.array([np.sin(elevation) * np.cos(azimuth), np.cos(elevation)])
-    return np.einsum("d,...dm->...m", d, layout)
-
-
-def los_vector(layout: np.ndarray, user: UserStats, wavelength: float) -> np.ndarray:
-    """Line-of-sight response for one user, unit-modulus entries, (..., M)."""
-    rho = phase_offset(layout, user.elevation, user.azimuth)
-    return np.exp(2j * np.pi / wavelength * rho)
+    """Unit-free direction pairs (sin e cos a, cos e), shape (K, 2)."""
+    elevation = np.array([u.elevation for u in users])
+    azimuth = np.array([u.azimuth for u in users])
+    return np.stack([np.sin(elevation) * np.cos(azimuth), np.cos(elevation)], axis=-1)
 
 
 def los_matrix(layout: np.ndarray, users, wavelength: float) -> np.ndarray:

@@ -90,7 +90,8 @@ def _cmd_lemmas(args) -> int:
     )
     print(f"bilinear:     |{report.bilinear_abs:.3e}| vs 4 se = {4 * report.bilinear_se:.3e}")
     print(
-        f"quad form:    diag rel err {report.quad_diag_rel_err:.2e}, "
+        f"quad form:    diag max {report.quad_diag_sigmas:.2f} se "
+        f"(rel err {report.quad_diag_rel_err:.2e}), "
         f"offdiag max {report.quad_offdiag_sigmas:.2f} se"
     )
     print("PASS" if report.ok else "FAIL")

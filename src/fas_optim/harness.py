@@ -130,24 +130,6 @@ def fpa_layout(scn: Scenario) -> np.ndarray:
         raise ScenarioError(f"UPA does not fit: {exc}") from None
 
 
-def fpa_baseline(scn: Scenario) -> ResultRow:
-    """Closed-form min rate of the half-wavelength grid as a ResultRow."""
-    start = time.perf_counter()
-    layout = fpa_layout(scn)
-    value = rate.min_rate(layout, scn)
-    wall_ms = (time.perf_counter() - start) * 1e3
-    return ResultRow(
-        axis="none",
-        axis_value=0.0,
-        repeat=0,
-        algorithm="fpa",
-        scenario_seed=scn.hyper.seed,
-        min_rate=value,
-        iterations=0,
-        wall_ms=wall_ms,
-    )
-
-
 def _run_task(task) -> ResultRow:
     (scn, axis, value, repeat, algorithm, scn_seed, opt_seed, mc_trials, mc_seed) = task
     start = time.perf_counter()
@@ -366,13 +348,13 @@ def validate_closed_form(
         raise ScenarioError(f"validation needs at least 10000 trials, got {trials}")
     if layout is None:
         layout = fpa_layout(scn)
-    report = rate.rate_report(layout, scn)
+    ctx = rate.closed_form_context(scn)
     est = rate.mc_uatf_sinr(layout, scn, trials, seed=seed)
     closed = {
-        "desired": report.e_signal,
-        "leak": report.e_leak,
-        "interf": report.interference.sum(axis=-1),
-        "noise": report.e_noise,
+        "desired": ctx.e_signal,
+        "leak": ctx.e_leak,
+        "interf": rate._interference_sum(ctx, layout),
+        "noise": ctx.e_noise,
     }
     mc = {
         "desired": est.desired,
@@ -395,7 +377,7 @@ def validate_closed_form(
                 sig = 0.0 if diff == 0.0 else float("inf")
             rows.append(TermCheck(k, term, float(cf), float(sim), float(se), rel, sig))
     sinr_mc = rate.mc_sinr(est, scn)
-    sinr_closed = report.sinr
+    sinr_closed = rate.sinr_for(ctx, layout)
     rel_err = np.abs(sinr_closed - sinr_mc) / sinr_closed
     ok = all(r.sigmas <= 4.0 for r in rows)
     return ValidationReport(

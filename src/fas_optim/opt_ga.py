@@ -26,85 +26,61 @@ CONVERGE_WINDOW = 20
 CONVERGE_TOL = 1e-3
 
 
-def violation_set(layout: np.ndarray, d_min: float) -> list[tuple[int, int]]:
-    """Antenna index pairs strictly closer than `d_min`.
+def _violation_mask(layouts: np.ndarray, d_min: float) -> np.ndarray:
+    """Upper-triangle mask of antenna pairs strictly closer than `d_min`.
 
     Distances are compared squared, so a grid at pitch exactly `d_min`
-    yields no violations.
+    yields no violations.  Shape (..., M, M).
     """
-    layout = np.asarray(layout, dtype=float)
-    diff = layout[:, :, None] - layout[:, None, :]
-    dist_sq = np.sum(diff**2, axis=0)
-    m = layout.shape[1]
-    pairs = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            if dist_sq[i, j] < d_min * d_min:
-                pairs.append((i, j))
-    return pairs
-
-
-def violation_counts(layouts: np.ndarray, d_min: float) -> np.ndarray:
-    """Number of violating pairs for a batch of layouts, shape (...,)."""
     layouts = np.asarray(layouts, dtype=float)
     diff = layouts[..., :, :, None] - layouts[..., :, None, :]
     dist_sq = np.sum(diff**2, axis=-3)
     m = layouts.shape[-1]
     upper = np.triu(np.ones((m, m), dtype=bool), k=1)
-    return np.sum((dist_sq < d_min * d_min) & upper, axis=(-2, -1))
+    return (dist_sq < d_min * d_min) & upper
 
 
-def fitness(layout: np.ndarray, scn: Scenario) -> float:
-    """Min rate minus the spacing penalty for one layout."""
-    ctx = rate.closed_form_context(scn)
-    return float(_fitness_batch(ctx, np.asarray(layout), scn)[()])
+def violation_set(layout: np.ndarray, d_min: float) -> list[tuple[int, int]]:
+    """Antenna index pairs (i < j) of one layout closer than `d_min`."""
+    rows, cols = np.nonzero(_violation_mask(layout, d_min))
+    return [(int(i), int(j)) for i, j in zip(rows, cols)]
 
 
-def _fitness_batch(ctx, layouts: np.ndarray, scn: Scenario) -> np.ndarray:
-    min_rates = rate.rates_for(ctx, layouts).min(axis=-1)
+def violation_counts(layouts: np.ndarray, d_min: float) -> np.ndarray:
+    """Number of violating pairs for a batch of layouts, shape (...,)."""
+    return np.sum(_violation_mask(layouts, d_min), axis=(-2, -1))
+
+
+def _score(layouts: np.ndarray, scn: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Penalized fitness and violation count of every layout in a batch."""
     counts = violation_counts(layouts, scn.d_min)
-    return min_rates - scn.hyper.omega * counts
-
-
-@dataclass
-class Individual:
-    layout: np.ndarray
-    fitness: float
-    violations: int
+    min_rates = rate.rates_for(rate.closed_form_context(scn), layouts).min(axis=-1)
+    return min_rates - scn.hyper.omega * counts, counts
 
 
 @dataclass
 class GaState:
-    """Population snapshot plus the running best and the RNG stream."""
+    """Population arrays, the best feasible layout so far, and the RNG stream.
 
-    population: list[Individual]
-    generation: int
-    best: Individual
-    best_feasible: Individual | None
+    The elite survives every generation, so `fits.max()` is also the best
+    fitness seen so far.
+    """
+
+    layouts: np.ndarray             # (N, 2, M)
+    fits: np.ndarray                # (N,) penalized fitness
+    best_layout: np.ndarray | None  # best spacing-feasible layout seen
+    best_fit: float
     rng: np.random.Generator
-    history: list[float]
+    history: list[float]            # best fitness, one entry per generation
 
 
-def _make_individuals(layouts: np.ndarray, ctx, scn: Scenario) -> list[Individual]:
-    fits = _fitness_batch(ctx, layouts, scn)
-    counts = violation_counts(layouts, scn.d_min)
-    return [
-        Individual(layouts[i].copy(), float(fits[i]), int(counts[i]))
-        for i in range(layouts.shape[0])
-    ]
-
-
-def _track_best(state_best, state_feasible, individuals):
-    best = state_best
-    feasible = state_feasible
-    for ind in individuals:
-        if best is None or ind.fitness > best.fitness:
-            best = ind
-        if ind.violations == 0 and (
-            feasible is None or ind.fitness > feasible.fitness
-        ):
-            feasible = ind
-    return best, feasible
+def _best_feasible(best_fit, best_layout, layouts, fits, counts):
+    """Running best feasible layout; ties keep the earlier one."""
+    feasible = np.where(counts == 0, fits, -np.inf)
+    i = int(np.argmax(feasible))
+    if feasible[i] > best_fit:
+        return float(feasible[i]), layouts[i]
+    return best_fit, best_layout
 
 
 def init_population(scn: Scenario, rng: np.random.Generator) -> GaState:
@@ -121,29 +97,27 @@ def init_population(scn: Scenario, rng: np.random.Generator) -> GaState:
             layouts[i] = seed_layout
     except ScenarioError:
         pass  # grid does not fit; start from random layouts only
-    ctx = rate.closed_form_context(scn)
-    population = _make_individuals(layouts, ctx, scn)
-    best, feasible = _track_best(None, None, population)
+    fits, counts = _score(layouts, scn)
+    best_fit, best_layout = _best_feasible(-np.inf, None, layouts, fits, counts)
     return GaState(
-        population=population,
-        generation=0,
-        best=best,
-        best_feasible=feasible,
+        layouts=layouts,
+        fits=fits,
+        best_layout=best_layout,
+        best_fit=best_fit,
         rng=rng,
-        history=[best.fitness],
+        history=[float(fits.max())],
     )
 
 
 def evolve(state: GaState, scn: Scenario) -> GaState:
     """Advance the population by one generation."""
     rng = state.rng
-    n = len(state.population)
+    pop, fits = state.layouts, state.fits
+    n = len(fits)
     m = scn.m_antennas
     half = scn.region_size / 2.0
-    pop = np.stack([ind.layout for ind in state.population])
-    fits = np.array([ind.fitness for ind in state.population])
 
-    elite = state.population[int(np.argmax(fits))]
+    elite = int(np.argmax(fits))
     nc = n - 1
     contenders = rng.integers(0, n, (2, nc, TOURNAMENT))
     winners = np.take_along_axis(
@@ -160,18 +134,18 @@ def evolve(state: GaState, scn: Scenario) -> GaState:
     jitter = rng.normal(0.0, scn.wavelength / 10.0, (nc, 2, m))
     children = np.clip(children + jitter_mask * jitter, -half, half)
 
-    ctx = rate.closed_form_context(scn)
-    offspring = _make_individuals(children, ctx, scn)
-    population = [elite] + offspring
-    best, feasible = _track_best(state.best, state.best_feasible, offspring)
-    history = state.history + [best.fitness]
+    child_fits, counts = _score(children, scn)
+    best_fit, best_layout = _best_feasible(
+        state.best_fit, state.best_layout, children, child_fits, counts
+    )
+    fits = np.concatenate([fits[elite : elite + 1], child_fits])
     return GaState(
-        population=population,
-        generation=state.generation + 1,
-        best=best,
-        best_feasible=feasible,
+        layouts=np.concatenate([pop[elite : elite + 1], children]),
+        fits=fits,
+        best_layout=best_layout,
+        best_fit=best_fit,
         rng=rng,
-        history=history,
+        history=state.history + [float(fits.max())],
     )
 
 
@@ -194,6 +168,6 @@ def run_ga(scn: Scenario, seed=None) -> tuple[np.ndarray, list[float]]:
             and hist[-1] - hist[-1 - CONVERGE_WINDOW] < CONVERGE_TOL
         ):
             break
-    if state.best_feasible is None:
+    if state.best_layout is None:
         raise RuntimeError("genetic search found no layout meeting the spacing limit")
-    return state.best_feasible.layout.copy(), state.history
+    return state.best_layout.copy(), state.history

@@ -22,7 +22,6 @@ the ascent from random feasible layouts and keeps the best outcome.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,12 +75,6 @@ def _sinr_gradients(ctx: rate.ClosedFormContext, layout: np.ndarray) -> np.ndarr
     return -(p**2) * ctx.e_signal[:, None, None] * dinterf / (denom**2)[:, None, None]
 
 
-def sinr_gradient(layout: np.ndarray, scn: Scenario, k: int) -> np.ndarray:
-    """Derivative of user k's SINR w.r.t. positions, shape (2, M)."""
-    ctx = rate.closed_form_context(scn)
-    return _sinr_gradients(ctx, layout)[k]
-
-
 def objective_gradient(
     layout: np.ndarray, scn: Scenario, mu: float | None = None
 ) -> np.ndarray:
@@ -114,25 +107,20 @@ def next_momentum(l_cur: float) -> float:
     return (1.0 + math.sqrt(4.0 * l_cur**2 + 1.0)) / 2.0
 
 
-@dataclass
-class GradState:
-    """One iterate of the ascent: current point, momentum anchors, traces."""
-
-    t_curr: np.ndarray
-    v_prev: np.ndarray
-    v_curr: np.ndarray
-    l: float
-    step: float
-    iter: int
-    g_history: list[float] = field(default_factory=list)
-    best_g: float = -math.inf
-    best_layout: np.ndarray | None = None
-
-
 def _line_search(
     point: np.ndarray, grad: np.ndarray, scn: Scenario, g_value: float
 ) -> tuple[float, np.ndarray, int]:
-    """Shared core of `backtrack_step`; also returns the trial layout."""
+    """Largest geometric step passing the increase and spacing tests.
+
+    Candidates are ``wavelength * kappa**n``, n = 0, 1, ...; a candidate
+    is accepted when the projected trial point improves the objective
+    `g_value` at `point` by at least ``varpi * zeta * ||grad||^2`` and has
+    no spacing violations.  All candidates are checked in one vectorized
+    batch, which picks the same step as the sequential shrink loop.
+    Returns the step, the accepted trial layout and its candidate index;
+    raises `LineSearchExhausted` once steps fall below
+    ``1e-8 * wavelength``.
+    """
     hyp = scn.hyper
     ctx = rate.closed_form_context(scn)
     grad_sq = float(np.sum(grad**2))
@@ -151,22 +139,6 @@ def _line_search(
         )
     idx = int(passing[0])
     return float(zetas[idx]), trials[idx], idx
-
-
-def backtrack_step(state: GradState, grad: np.ndarray, scn: Scenario) -> float:
-    """Largest geometric step passing the increase and spacing tests.
-
-    Candidates are ``wavelength * kappa**n``, n = 0, 1, ...; a candidate
-    is accepted when the projected trial point improves the objective by
-    at least ``varpi * zeta * ||grad||^2`` and has no spacing
-    violations.  All candidates are checked in one vectorized batch,
-    which picks the same step as the sequential shrink loop.  Raises
-    `LineSearchExhausted` once steps fall below ``1e-8 * wavelength``.
-    """
-    point = np.asarray(state.t_curr, dtype=float)
-    g_value = smoothed_objective(point, scn)
-    zeta, _, _ = _line_search(point, grad, scn, g_value)
-    return zeta
 
 
 INIT_SLACK = 1.2  # grid pitch margin over d_min so the first steps stay feasible
@@ -199,69 +171,52 @@ def run_gradient(
     up, or at `hyper.grad_max_iter`.  Returns the best feasible layout
     seen (momentum overshoots never count) and the objective trace.
     """
-    ctx = rate.closed_form_context(scn)
     hyp = scn.hyper
     point = project(default_init(scn) if init is None else init, scn.region_size)
-    if violation_set(point, scn.d_min):
-        raise ScenarioError("initial layout violates the antenna spacing limit")
+    pairs = violation_set(point, scn.d_min)
+    if pairs:
+        raise ScenarioError(
+            f"initial layout violates the antenna spacing limit at pairs {pairs}"
+        )
 
-    def g_of(lay: np.ndarray) -> float:
-        return float(_soft_min(rate.rates_for(ctx, lay), hyp.mu))
-
-    g_cur = g_of(point)
-    state = GradState(
-        t_curr=point,
-        v_prev=point.copy(),
-        v_curr=point.copy(),
-        l=0.5,
-        step=scn.wavelength,
-        iter=0,
-        g_history=[g_cur],
-        best_g=g_cur,
-        best_layout=point.copy(),
-    )
-
+    g_cur = smoothed_objective(point, scn)
+    history = [g_cur]
+    best_g, best_layout = g_cur, point.copy()
+    t_curr, v_prev, l_cur = point, point, 0.5
     for _ in range(hyp.grad_max_iter):
-        grad = objective_gradient(state.t_curr, scn)
+        grad = objective_gradient(t_curr, scn)
         try:
-            zeta, v_cur, _ = _line_search(state.t_curr, grad, scn, g_cur)
+            _, v_cur, _ = _line_search(t_curr, grad, scn, g_cur)
         except LineSearchExhausted:
             break  # no usable ascent step left; treat as converged
-        g_v = g_of(v_cur)
-        if g_v > state.best_g:  # line-search points are always feasible
-            state.best_g, state.best_layout = g_v, v_cur.copy()
+        g_v = smoothed_objective(v_cur, scn)
+        if g_v > best_g:  # line-search points are always feasible
+            best_g, best_layout = g_v, v_cur.copy()
 
-        l_next = next_momentum(state.l)
+        l_next = next_momentum(l_cur)
         if accelerated:
             # extrapolate against the previously accepted point v^(i-1)
-            momentum = (state.l - 1.0) / l_next
-            t_next = project(
-                v_cur + momentum * (v_cur - state.v_curr), scn.region_size
-            )
+            momentum = (l_cur - 1.0) / l_next
+            t_next = project(v_cur + momentum * (v_cur - v_prev), scn.region_size)
         else:
             l_next = 1.0  # momentum weight stays zero
             t_next = v_cur
-        g_next = g_of(t_next)
+        g_next = smoothed_objective(t_next, scn)
         if (
             t_next is not v_cur
-            and g_next > state.best_g
-            and not violation_set(t_next, scn.d_min)
+            and g_next > best_g
+            and violation_counts(t_next, scn.d_min) == 0
         ):
-            state.best_g, state.best_layout = g_next, t_next.copy()
+            best_g, best_layout = g_next, t_next.copy()
 
-        state.v_prev = state.v_curr
-        state.v_curr = v_cur
-        state.t_curr = t_next
-        state.l = l_next
-        state.step = zeta
-        state.iter += 1
-        state.g_history.append(g_next)
+        t_curr, v_prev, l_cur = t_next, v_cur, l_next
+        history.append(g_next)
         converged = abs(g_next - g_cur) < hyp.grad_tol
         g_cur = g_next
         if converged:
             break
 
-    return state.best_layout, state.g_history
+    return best_layout, history
 
 
 SAMPLE_ATTEMPTS = 200  # per-antenna budget when drawing random layouts
@@ -309,7 +264,6 @@ def run_multistart(
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    ctx = rate.closed_form_context(scn)
     rng = np.random.default_rng(seed)
     inits: list[np.ndarray | None] = [None]
     inits += [random_feasible_layout(scn, rng) for _ in range(restarts - 1)]
@@ -320,7 +274,7 @@ def run_multistart(
     for init in inits:
         layout, hist = run_gradient(scn, init=init, accelerated=accelerated)
         histories.append(hist)
-        g_fin = float(_soft_min(rate.rates_for(ctx, layout), scn.hyper.mu))
+        g_fin = smoothed_objective(layout, scn)
         if g_fin > best_g:
             best_g, best_layout = g_fin, layout
     return best_layout, histories

@@ -33,7 +33,7 @@ as independent checks on each other.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,7 +120,13 @@ class ClosedFormContext:
     i_coupling: np.ndarray  # (K, K) weight on |hbar_k^H hbar_i|^2, zero diagonal
 
 
+@functools.lru_cache(maxsize=8)
 def closed_form_context(scn: Scenario) -> ClosedFormContext:
+    """The closed-form evaluator of `scn`, built once and shared.
+
+    Memoised per (hashable, frozen) scenario, so every caller asking for
+    the same scenario gets the same object; its arrays are read-only.
+    """
     m = scn.m_antennas
     c = np.array([u.nlos_power for u in scn.users])
     eps = np.array([u.rician for u in scn.users])
@@ -152,17 +158,22 @@ def closed_form_context(scn: Scenario) -> ClosedFormContext:
     )
     i_coupling = ck * ci * ek * ei
     off = 1.0 - np.eye(len(c))
-    return ClosedFormContext(
-        wavelength=scn.wavelength,
-        tx_power=scn.tx_power,
-        noise_power=scn.noise_power,
-        prelog=scn.prelog,
+    arrays = dict(
         dirs=channel.user_directions(scn.users),
         e_signal=e_signal,
         e_noise=e_noise,
         e_leak=e_leak,
         i_const=i_const * off,
         i_coupling=i_coupling * off,
+    )
+    for arr in arrays.values():
+        arr.flags.writeable = False
+    return ClosedFormContext(
+        wavelength=scn.wavelength,
+        tx_power=scn.tx_power,
+        noise_power=scn.noise_power,
+        prelog=scn.prelog,
+        **arrays,
     )
 
 
@@ -174,17 +185,15 @@ def los_cross(ctx: ClosedFormContext, layouts: np.ndarray) -> np.ndarray:
     return np.einsum("...km,...im->...ki", steer.conj(), steer)
 
 
-def f_sq(layout: np.ndarray, users, wavelength: float) -> np.ndarray:
-    """Squared LoS cross-correlations |hbar_k^H hbar_i|^2, shape (K, K)."""
-    hbar = channel.los_matrix(layout, users, wavelength)
-    gram = hbar.conj().T @ hbar
-    return np.abs(gram) ** 2
+def _interference_sum(ctx: ClosedFormContext, layouts: np.ndarray) -> np.ndarray:
+    """Interference each user sees, sum_i I_ki, for a batch of layouts, (..., K)."""
+    fsq = np.abs(los_cross(ctx, layouts)) ** 2
+    return np.sum(ctx.i_const + ctx.i_coupling * fsq, axis=-1)
 
 
 def sinr_for(ctx: ClosedFormContext, layouts: np.ndarray) -> np.ndarray:
     """Closed-form SINR of every user for a batch of layouts, (..., K)."""
-    fsq = np.abs(los_cross(ctx, layouts)) ** 2
-    interf = np.sum(ctx.i_const + ctx.i_coupling * fsq, axis=-1)
+    interf = _interference_sum(ctx, layouts)
     p = ctx.tx_power
     return p * ctx.e_signal / (p * ctx.e_leak + p * interf + ctx.noise_power * ctx.e_noise)
 
@@ -192,54 +201,6 @@ def sinr_for(ctx: ClosedFormContext, layouts: np.ndarray) -> np.ndarray:
 def rates_for(ctx: ClosedFormContext, layouts: np.ndarray) -> np.ndarray:
     """Per-user rate lower bound in bit/s/Hz for a batch of layouts."""
     return ctx.prelog * np.log2(1.0 + sinr_for(ctx, layouts))
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """Closed-form SINR ingredients, optionally completed to rates."""
-
-    e_signal: np.ndarray        # (K,)
-    e_leak: np.ndarray          # (K,)
-    e_noise: np.ndarray         # (K,)
-    interference: np.ndarray    # (K, K), zero diagonal
-    f_sq: np.ndarray            # (K, K), diagonal M^2
-    sinr: np.ndarray | None = None
-    rate: np.ndarray | None = None
-    min_rate: float | None = None
-
-
-def closed_form_terms(layout: np.ndarray, scn: Scenario) -> RateReport:
-    """Evaluate the four closed-form terms for one layout."""
-    ctx = closed_form_context(scn)
-    fsq = np.abs(los_cross(ctx, layout)) ** 2
-    interference = ctx.i_const + ctx.i_coupling * fsq
-    return RateReport(
-        e_signal=ctx.e_signal,
-        e_leak=ctx.e_leak,
-        e_noise=ctx.e_noise,
-        interference=interference,
-        f_sq=fsq,
-    )
-
-
-def sinr_and_rate(report: RateReport, scn: Scenario) -> RateReport:
-    """Fill in SINR, rate, and min rate on a term report."""
-    p = scn.tx_power
-    denom = (
-        p * report.e_leak
-        + p * report.interference.sum(axis=-1)
-        + scn.noise_power * report.e_noise
-    )
-    sinr = p * report.e_signal / denom
-    rate = scn.prelog * np.log2(1.0 + sinr)
-    return dataclasses.replace(
-        report, sinr=sinr, rate=rate, min_rate=float(rate.min())
-    )
-
-
-def rate_report(layout: np.ndarray, scn: Scenario) -> RateReport:
-    """Closed-form terms and rates in one call."""
-    return sinr_and_rate(closed_form_terms(layout, scn), scn)
 
 
 def min_rate(layout: np.ndarray, scn: Scenario) -> float:
@@ -357,7 +318,8 @@ class LemmaReport:
     quartic_se: float
     bilinear_abs: float        # |E{(u1^H htilde)(u2^H htilde)}|
     bilinear_se: float
-    quad_diag_rel_err: float   # E{X A X^H} diagonal vs tr(A)
+    quad_diag_rel_err: float   # E{X A X^H} diagonal vs tr(A), relative to |tr(A)|
+    quad_diag_sigmas: float    # diagonal deviation from tr(A) in SEs
     quad_offdiag_sigmas: float # off-diagonal deviation from 0 in SEs
     ok: bool
 
@@ -404,7 +366,9 @@ def lemma_checks(m: int, trials: int, seed=0) -> LemmaReport:
     quad_mean = s_quad.mean
     quad_se = s_quad.sem()
     diag = np.abs(np.diagonal(quad_mean) - trace_a)
+    # reported only: tr(A) of a random Hermitian A can sit near zero
     diag_rel = float(diag.max() / np.abs(trace_a))
+    diag_sig = float((diag / np.diagonal(quad_se)).max())
     off_mask = ~np.eye(m, dtype=bool)
     if m > 1:
         off_sig = float(
@@ -419,7 +383,7 @@ def lemma_checks(m: int, trials: int, seed=0) -> LemmaReport:
     ok = (
         abs(quartic_mean - expected) <= 0.01 * expected
         and bilinear_abs <= 4.0 * bilinear_se
-        and diag_rel <= 0.01
+        and diag_sig <= 4.0
         and off_sig <= 4.0
     )
     return LemmaReport(
@@ -431,6 +395,7 @@ def lemma_checks(m: int, trials: int, seed=0) -> LemmaReport:
         bilinear_abs=bilinear_abs,
         bilinear_se=bilinear_se,
         quad_diag_rel_err=diag_rel,
+        quad_diag_sigmas=diag_sig,
         quad_offdiag_sigmas=off_sig,
         ok=ok,
     )

@@ -139,7 +139,6 @@ class HyperParams:
     ga_max_iter: int = 500
     grad_max_iter: int = 1000
     grad_tol: float = 1e-4
-    mc_trials: int = 100_000
     seed: int = 1
 
 
@@ -169,8 +168,20 @@ class Scenario:
         return (self.coherence_len - self.pilot_len) / self.coherence_len
 
 
+def _require_finite(obj, prefix: str = "") -> None:
+    """Reject a NaN or infinite float field of a dataclass, naming it."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ScenarioError(f"{prefix}{f.name} must be finite, got {value}")
+
+
 def validate_scenario(scn: Scenario) -> Scenario:
     """Check scenario invariants, raising `ScenarioError` naming the field."""
+    _require_finite(scn)
+    for k, u in enumerate(scn.users):
+        _require_finite(u, f"user {k}: ")
+    _require_finite(scn.hyper)
     if scn.m_antennas < 1:
         raise ScenarioError(f"m_antennas must be >= 1, got {scn.m_antennas}")
     if scn.k_users < 1:
@@ -217,6 +228,12 @@ def validate_scenario(scn: Scenario) -> Scenario:
         raise ScenarioError(f"varpi must lie in (0, 1), got {h.varpi}")
     if h.ga_pop < 2:
         raise ScenarioError(f"ga_pop must be >= 2, got {h.ga_pop}")
+    if h.ga_max_iter < 1:
+        raise ScenarioError(f"ga_max_iter must be >= 1, got {h.ga_max_iter}")
+    if h.grad_max_iter < 1:
+        raise ScenarioError(f"grad_max_iter must be >= 1, got {h.grad_max_iter}")
+    if h.grad_tol <= 0:
+        raise ScenarioError(f"grad_tol must be positive, got {h.grad_tol}")
     return scn
 
 
@@ -314,18 +331,8 @@ _USER_SHARED_KEYS = {
     "d_min_m",
     "d_max_m",
 }
-_HYPER_KEYS = {
-    "mu",
-    "omega",
-    "kappa",
-    "varpi",
-    "ga_pop",
-    "ga_max_iter",
-    "grad_max_iter",
-    "grad_tol",
-    "mc_trials",
-    "seed",
-}
+# [hyper] keys and their converters, one per `HyperParams` field
+_HYPER_KEYS = {f.name: type(f.default) for f in dataclasses.fields(HyperParams)}
 
 
 def load_scenario(path) -> Scenario:
@@ -456,15 +463,9 @@ def load_scenario(path) -> Scenario:
         for key in hyp_sec:
             if key not in _HYPER_KEYS:
                 raise ScenarioError(f"unknown key in [hyper]: {key}")
-        kwargs = {}
-        for key, conv in (
-            ("mu", float), ("omega", float), ("kappa", float), ("varpi", float),
-            ("ga_pop", int), ("ga_max_iter", int), ("grad_max_iter", int),
-            ("grad_tol", float), ("mc_trials", int), ("seed", int),
-        ):
-            if key in hyp_sec:
-                kwargs[key] = _num("hyper", key, conv)
-        hyper = HyperParams(**kwargs)
+        hyper = HyperParams(
+            **{key: _num("hyper", key, _HYPER_KEYS[key]) for key in hyp_sec}
+        )
 
     scn = Scenario(
         m_antennas=m_antennas,

@@ -1,0 +1,50 @@
+"""The documented library entry points and the names the benchmark relies on."""
+
+import dataclasses
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fas_optim import harness, rate  # noqa: F401  (loads every module the tracer patches)
+from conftest import SCENARIO_DIR
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def test_readme_python_example_runs(monkeypatch, capsys):
+    blocks = re.findall(r"```python\n(.*?)```", (REPO / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    monkeypatch.chdir(REPO)
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()
+
+
+def test_benchmark_names_and_micro_cases(monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO / "benchmarks"))
+    import micro
+    from tracer import Tracer
+
+    tracer = Tracer()
+    try:
+        tracer.install()  # getattr of every pinned name; fails if one is gone
+    finally:
+        tracer.uninstall()
+    samples = micro.run_cases(SCENARIO_DIR / "table1_k5.ini", repeats=1)
+    assert samples and all(len(v) == 1 and v[0] > 0.0 for v in samples.values())
+
+
+def test_closed_form_context_is_memoised(table1_k5):
+    ctx = rate.closed_form_context(table1_k5)
+    assert rate.closed_form_context(table1_k5) is ctx
+    arrays = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 6
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+    louder = dataclasses.replace(table1_k5, tx_power=2.0 * table1_k5.tx_power)
+    other = rate.closed_form_context(louder)
+    assert other is not ctx
+    assert other.tx_power == 2.0 * ctx.tx_power

@@ -1,5 +1,6 @@
 """Array response geometry and Rician channel sampling."""
 
+import cmath
 import math
 
 import numpy as np
@@ -8,10 +9,7 @@ import pytest
 from fas_optim.channel import (
     complex_normal,
     los_matrix,
-    los_vector,
-    phase_offset,
     sample_channel,
-    user_direction,
     user_directions,
 )
 from fas_optim.scenario import derive_user
@@ -26,14 +24,20 @@ def users_at(angles, distance=55.0, rician=6.0):
     )
 
 
-def test_user_direction_components():
-    d = user_direction(derive_user(50.0, math.pi / 2, 0.0, noise_over_taup=Q))
-    np.testing.assert_allclose(d, [1.0, 0.0], atol=1e-15)
-    d = user_direction(derive_user(50.0, 0.0, 1.0, noise_over_taup=Q))
-    np.testing.assert_allclose(d, [0.0, 1.0], atol=1e-15)
-    d = user_direction(derive_user(50.0, math.pi / 4, math.pi / 3, noise_over_taup=Q))
+def los_column(layout, user, wavelength):
+    """LoS response of one user, shape (M,)."""
+    return los_matrix(layout, (user,), wavelength)[:, 0]
+
+
+def test_user_directions_components():
+    def direction(e, a):
+        return user_directions((derive_user(50.0, e, a, noise_over_taup=Q),))[0]
+
+    np.testing.assert_allclose(direction(math.pi / 2, 0.0), [1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(direction(0.0, 1.0), [0.0, 1.0], atol=1e-15)
     np.testing.assert_allclose(
-        d, [math.sin(math.pi / 4) * math.cos(math.pi / 3), math.cos(math.pi / 4)]
+        direction(math.pi / 4, math.pi / 3),
+        [math.sin(math.pi / 4) * math.cos(math.pi / 3), math.cos(math.pi / 4)],
     )
 
 
@@ -42,55 +46,66 @@ def test_user_directions_stacks_rows():
     dirs = user_directions(users)
     assert dirs.shape == (3, 2)
     for k, u in enumerate(users):
-        np.testing.assert_allclose(dirs[k], user_direction(u))
+        want = [math.sin(u.elevation) * math.cos(u.azimuth), math.cos(u.elevation)]
+        np.testing.assert_allclose(dirs[k], want)
 
 
-def test_phase_offset_examples():
+def test_los_phase_examples():
+    # with wavelength 1 every offset here stays below half a turn, so the
+    # phase angle over 2 pi recovers the path difference rho(t)
     layout = np.array([[0.0, 0.07, 0.0], [0.0, 0.0, 0.11]])
+
+    def rho(e, a):
+        user = derive_user(50.0, e, a, noise_over_taup=Q)
+        return np.angle(los_column(layout, user, 1.0)) / (2.0 * math.pi)
+
     # antenna at the origin has zero offset for any arrival direction
-    rho = phase_offset(layout, 1.1, 2.3)
-    assert rho.shape == (3,)
-    assert rho[0] == pytest.approx(0.0, abs=1e-15)
+    r = rho(1.1, 2.3)
+    assert r.shape == (3,)
+    assert r[0] == pytest.approx(0.0, abs=1e-15)
     # horizontal arrival picks out the x coordinate
-    rho = phase_offset(layout, math.pi / 2, 0.0)
-    np.testing.assert_allclose(rho, [0.0, 0.07, 0.0], atol=1e-15)
+    np.testing.assert_allclose(rho(math.pi / 2, 0.0), [0.0, 0.07, 0.0], atol=1e-15)
     # vertical arrival picks out the y coordinate
-    rho = phase_offset(layout, 0.0, 0.5)
-    np.testing.assert_allclose(rho, [0.0, 0.0, 0.11], atol=1e-15)
+    np.testing.assert_allclose(rho(0.0, 0.5), [0.0, 0.0, 0.11], atol=1e-15)
 
 
-def test_los_vector_unit_modulus_and_norm():
+def test_los_unit_modulus_and_norm():
     rng = np.random.default_rng(3)
     layout = rng.uniform(-0.3, 0.3, (2, 6))
     user = derive_user(60.0, 0.9, 1.7, noise_over_taup=Q)
-    v = los_vector(layout, user, 0.1)
+    v = los_column(layout, user, 0.1)
     np.testing.assert_allclose(np.abs(v), 1.0, atol=1e-12)
     assert np.vdot(v, v).real == pytest.approx(6.0, rel=1e-12)
 
 
-def test_los_vector_collocated_array_is_ones():
+def test_los_collocated_array_is_ones():
     layout = np.zeros((2, 5))
     user = derive_user(60.0, 0.9, 1.7, noise_over_taup=Q)
-    np.testing.assert_allclose(los_vector(layout, user, 0.1), np.ones(5), atol=1e-15)
+    np.testing.assert_allclose(los_column(layout, user, 0.1), np.ones(5), atol=1e-15)
 
 
-def test_los_vector_half_wavelength_flip():
+def test_los_half_wavelength_flip():
     # an antenna half a wavelength along the arrival direction is inverted
     wavelength = 0.1
     layout = np.array([[0.0, wavelength / 2.0], [0.0, 0.0]])
     user = derive_user(60.0, math.pi / 2, 0.0, noise_over_taup=Q)
-    v = los_vector(layout, user, wavelength)
+    v = los_column(layout, user, wavelength)
     np.testing.assert_allclose(v, [1.0, -1.0], atol=1e-12)
 
 
-def test_los_matrix_matches_vectors():
+def test_los_matrix_matches_formula():
     rng = np.random.default_rng(5)
     layout = rng.uniform(-0.3, 0.3, (2, 4))
     users = users_at([(0.3, 0.4), (1.2, 2.0)])
     mat = los_matrix(layout, users, 0.1)
     assert mat.shape == (4, 2)
     for k, u in enumerate(users):
-        np.testing.assert_allclose(mat[:, k], los_vector(layout, u, 0.1))
+        for m in range(4):
+            x, y = layout[:, m]
+            rho = x * math.sin(u.elevation) * math.cos(u.azimuth)
+            rho += y * math.cos(u.elevation)
+            want = cmath.exp(2j * math.pi * rho / 0.1)
+            assert mat[m, k] == pytest.approx(want, rel=1e-12)
 
 
 def test_los_cross_products_translation_invariant():

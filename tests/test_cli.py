@@ -65,6 +65,17 @@ def test_run_bad_sweeps(tmp_path, capsys, monkeypatch):
         assert "error:" in capsys.readouterr().err
 
 
+def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
+    ini = write_ini(tmp_path, m_antennas=4, k_users=2)
+    ini.write_text(ini.read_text().replace("mu = 100", "mu = inf"))
+    code = cli.main(
+        ["run", "--scenario", str(ini), "--algos", "grad", "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    assert "mu must be finite" in capsys.readouterr().err
+
+
 def test_run_bad_algorithm(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
     ini = write_ini(tmp_path, m_antennas=4, k_users=2)
@@ -136,6 +147,7 @@ def test_lemmas_failure_exit_code(capsys, monkeypatch):
         bilinear_abs=0.0,
         bilinear_se=0.1,
         quad_diag_rel_err=0.0,
+        quad_diag_sigmas=0.0,
         quad_offdiag_sigmas=0.0,
         ok=False,
     )

@@ -36,7 +36,7 @@ def test_violation_counts_matches_pairs():
 
 def test_fitness_is_min_rate_when_feasible(table1_k3):
     layout = upa_layout(9, 0.05, 0.6)
-    assert opt_ga.fitness(layout, table1_k3) == pytest.approx(
+    assert opt_ga._score(layout, table1_k3)[0] == pytest.approx(
         rate.min_rate(layout, table1_k3), rel=1e-12
     )
 
@@ -45,7 +45,7 @@ def test_fitness_penalty_per_pair(table1_k3):
     layout = upa_layout(9, 0.05, 0.6).copy()
     layout[:, 1] = layout[:, 0] + [0.01, 0.0]  # one violating pair
     clean = rate.min_rate(layout, table1_k3)
-    assert opt_ga.fitness(layout, table1_k3) == pytest.approx(
+    assert opt_ga._score(layout, table1_k3)[0] == pytest.approx(
         clean - table1_k3.hyper.omega, rel=1e-9
     )
 
@@ -54,50 +54,46 @@ def test_penalty_dominates_any_feasible_rate(table1_k3):
     # omega = 10 exceeds the best achievable min rate here, so a single
     # violation ranks below every feasible layout
     rng = np.random.default_rng(1)
-    feasible_fit = opt_ga.fitness(upa_layout(9, 0.05, 0.6), table1_k3)
+    feasible_fit = opt_ga._score(upa_layout(9, 0.05, 0.6), table1_k3)[0]
     for _ in range(20):
         layout = rng.uniform(-0.3, 0.3, (2, 9))
         bad = layout.copy()
         bad[:, 1] = bad[:, 0]
-        assert opt_ga.fitness(bad, table1_k3) < 0.0 < feasible_fit
+        assert opt_ga._score(bad, table1_k3)[0] < 0.0 < feasible_fit
 
 
 def test_init_population_seeds_grid(table1_k3):
     rng = np.random.default_rng(2)
     state = opt_ga.init_population(table1_k3, rng)
-    assert len(state.population) == table1_k3.hyper.ga_pop
+    assert len(state.layouts) == len(state.fits) == table1_k3.hyper.ga_pop
     n_seeded = max(1, table1_k3.hyper.ga_pop // opt_ga.SEED_DIVISOR)
     grid = upa_layout(9, 0.05, 0.6)
     for i in range(n_seeded):
-        np.testing.assert_array_equal(state.population[i].layout, grid)
-        assert state.population[i].violations == 0
-        assert state.population[i].fitness > 0.0
+        np.testing.assert_array_equal(state.layouts[i], grid)
+        assert opt_ga.violation_counts(state.layouts[i], table1_k3.d_min) == 0
+        assert state.fits[i] > 0.0
     half = table1_k3.region_size / 2.0
-    for ind in state.population:
-        assert np.all(np.abs(ind.layout) <= half + 1e-12)
-    assert state.best_feasible is not None
-    assert state.history == [state.best.fitness]
+    assert np.all(np.abs(state.layouts) <= half + 1e-12)
+    assert state.best_layout is not None
+    assert state.history == [state.fits.max()]
 
 
 def test_init_population_deterministic(table1_k3):
     a = opt_ga.init_population(table1_k3, np.random.default_rng(3))
     b = opt_ga.init_population(table1_k3, np.random.default_rng(3))
-    for x, y in zip(a.population, b.population):
-        np.testing.assert_array_equal(x.layout, y.layout)
-        assert x.fitness == y.fitness
+    np.testing.assert_array_equal(a.layouts, b.layouts)
+    np.testing.assert_array_equal(a.fits, b.fits)
 
 
 def test_evolve_keeps_best_monotone(table1_k3):
     state = opt_ga.init_population(table1_k3, np.random.default_rng(4))
     half = table1_k3.region_size / 2.0
     for _ in range(10):
-        prev_best = state.best.fitness
+        prev_best = state.fits.max()
         state = opt_ga.evolve(state, table1_k3)
-        assert len(state.population) == table1_k3.hyper.ga_pop
-        assert state.best.fitness >= prev_best
-        for ind in state.population:
-            assert np.all(np.abs(ind.layout) <= half + 1e-12)
-    assert state.generation == 10
+        assert len(state.layouts) == len(state.fits) == table1_k3.hyper.ga_pop
+        assert state.fits.max() >= prev_best
+        assert np.all(np.abs(state.layouts) <= half + 1e-12)
     assert len(state.history) == 11
     assert state.history == sorted(state.history)
 

@@ -164,6 +164,19 @@ def test_validate_rejects_bad_numbers(table1_k3):
         ({"hyper": HyperParams(kappa=1.0)}, "kappa"),
         ({"hyper": HyperParams(varpi=0.0)}, "varpi"),
         ({"hyper": HyperParams(ga_pop=1)}, "ga_pop"),
+        ({"hyper": HyperParams(ga_max_iter=-5)}, "ga_max_iter"),
+        ({"hyper": HyperParams(grad_max_iter=0)}, "grad_max_iter"),
+        ({"hyper": HyperParams(grad_tol=0.0)}, "grad_tol"),
+        ({"hyper": HyperParams(mu=math.inf)}, "mu must be finite"),
+        ({"hyper": HyperParams(grad_tol=math.nan)}, "grad_tol must be finite"),
+        ({"region_size": math.nan}, "region_size must be finite"),
+        ({"wavelength": math.inf}, "wavelength must be finite"),
+        ({"tx_power": math.inf}, "tx_power must be finite"),
+        (
+            {"users": (dataclasses.replace(table1_k3.users[0], elevation=math.nan),)
+             + table1_k3.users[1:]},
+            "user 0: elevation must be finite",
+        ),
     ]
     for changes, needle in cases:
         bad = dataclasses.replace(table1_k3, **changes)
@@ -244,6 +257,27 @@ def test_load_rejects_unknown_key(tmp_path):
     path.write_text(path.read_text().replace("[users]", "[users]\nbogus = 1"))
     with pytest.raises(ScenarioError, match="unknown key"):
         load_scenario(path)
+    # the old, never-read Monte Carlo budget knob is not a hyper key
+    path = write_ini(tmp_path)
+    path.write_text(path.read_text().replace("[hyper]", "[hyper]\nmc_trials = 1000"))
+    with pytest.raises(ScenarioError, match=r"unknown key in \[hyper\]: mc_trials"):
+        load_scenario(path)
+
+
+def test_load_every_hyper_key(tmp_path):
+    path = write_ini(tmp_path)
+    path.write_text(
+        path.read_text().replace(
+            "[hyper]",
+            "[hyper]\nga_pop = 40\nga_max_iter = 7\ngrad_max_iter = 9\ngrad_tol = 1e-6",
+        )
+    )
+    hyper = load_scenario(path).hyper
+    assert hyper == HyperParams(
+        mu=100.0, omega=10.0, kappa=0.8, varpi=0.5, ga_pop=40, ga_max_iter=7,
+        grad_max_iter=9, grad_tol=1e-6, seed=1,
+    )
+    assert type(hyper.ga_pop) is int and type(hyper.grad_tol) is float
 
 
 def test_load_rejects_missing_file(tmp_path):
