@@ -29,7 +29,7 @@ def los_column(layout, user, wavelength):
     return los_matrix(layout, (user,), wavelength)[:, 0]
 
 
-def test_user_directions_components():
+def test_user_direction_components():
     def direction(e, a):
         return user_directions((derive_user(50.0, e, a, noise_over_taup=Q),))[0]
 
@@ -50,7 +50,7 @@ def test_user_directions_stacks_rows():
         np.testing.assert_allclose(dirs[k], want)
 
 
-def test_los_phase_examples():
+def test_phase_offset_examples():
     # with wavelength 1 every offset here stays below half a turn, so the
     # phase angle over 2 pi recovers the path difference rho(t)
     layout = np.array([[0.0, 0.07, 0.0], [0.0, 0.0, 0.11]])
@@ -69,7 +69,7 @@ def test_los_phase_examples():
     np.testing.assert_allclose(rho(0.0, 0.5), [0.0, 0.0, 0.11], atol=1e-15)
 
 
-def test_los_unit_modulus_and_norm():
+def test_los_vector_unit_modulus_and_norm():
     rng = np.random.default_rng(3)
     layout = rng.uniform(-0.3, 0.3, (2, 6))
     user = derive_user(60.0, 0.9, 1.7, noise_over_taup=Q)
@@ -78,13 +78,13 @@ def test_los_unit_modulus_and_norm():
     assert np.vdot(v, v).real == pytest.approx(6.0, rel=1e-12)
 
 
-def test_los_collocated_array_is_ones():
+def test_los_vector_collocated_array_is_ones():
     layout = np.zeros((2, 5))
     user = derive_user(60.0, 0.9, 1.7, noise_over_taup=Q)
     np.testing.assert_allclose(los_column(layout, user, 0.1), np.ones(5), atol=1e-15)
 
 
-def test_los_half_wavelength_flip():
+def test_los_vector_half_wavelength_flip():
     # an antenna half a wavelength along the arrival direction is inverted
     wavelength = 0.1
     layout = np.array([[0.0, wavelength / 2.0], [0.0, 0.0]])
@@ -93,7 +93,7 @@ def test_los_half_wavelength_flip():
     np.testing.assert_allclose(v, [1.0, -1.0], atol=1e-12)
 
 
-def test_los_matrix_matches_formula():
+def test_los_matrix_matches_vectors():
     rng = np.random.default_rng(5)
     layout = rng.uniform(-0.3, 0.3, (2, 4))
     users = users_at([(0.3, 0.4), (1.2, 2.0)])

@@ -125,7 +125,7 @@ def test_fpa_layout_rejects_small_region(table1_k3):
         harness.fpa_layout(tiny)
 
 
-def test_fpa_task_row(table1_k3):
+def test_fpa_baseline_row(table1_k3):
     task = (table1_k3, "none", 0.0, 0, "fpa", table1_k3.hyper.seed, 0, 0, 0)
     row = harness._run_task(task)
     assert row.algorithm == "fpa"

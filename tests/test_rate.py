@@ -87,7 +87,7 @@ def pair_interference(ctx, layout):
     return ctx.i_const + ctx.i_coupling * np.abs(rate.los_cross(ctx, layout)) ** 2
 
 
-def test_los_cross_diagonal_and_symmetry():
+def test_f_sq_diagonal_and_symmetry():
     users = users_at([(0.4, 0.9), (1.3, 2.2), (2.1, 0.3)])
     ctx = rate.closed_form_context(small_scenario(users, m=5))
     layout = np.random.default_rng(2).uniform(-0.3, 0.3, (2, 5))
@@ -96,7 +96,7 @@ def test_los_cross_diagonal_and_symmetry():
     np.testing.assert_allclose(fsq, fsq.T, rtol=1e-12)
 
 
-def test_los_cross_aligned_users_hit_m_squared():
+def test_f_sq_aligned_users_hit_m_squared():
     users = users_at([(0.8, 1.1), (0.8, 1.1)], distances=[50.0, 70.0])
     ctx = rate.closed_form_context(small_scenario(users, m=6))
     layout = np.random.default_rng(3).uniform(-0.3, 0.3, (2, 6))
@@ -105,7 +105,7 @@ def test_los_cross_aligned_users_hit_m_squared():
     )
 
 
-def test_los_cross_destructive_pair():
+def test_f_sq_destructive_pair():
     # quarter-wavelength offset between opposite arrivals cancels exactly
     users = users_at([(math.pi / 2, 0.0), (math.pi / 2, math.pi)])
     ctx = rate.closed_form_context(small_scenario(users, m=2))
@@ -231,7 +231,7 @@ def test_sinr_for_batches_match_loop(table1_k3):
     )
 
 
-def test_min_rate_matches_rates(table1_k3):
+def test_min_rate_matches_report(table1_k3):
     layout = upa_layout(9, 0.05, 0.6)
     rates = rate.rates_for(rate.closed_form_context(table1_k3), layout)
     assert rate.min_rate(layout, table1_k3) == pytest.approx(rates.min(), rel=1e-12)
