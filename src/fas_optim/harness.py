@@ -68,8 +68,15 @@ def validate_sweep(spec: SweepSpec) -> SweepSpec:
         raise ScenarioError(f"unknown sweep axis {spec.axis!r}, want one of {AXES}")
     if len(spec.values) == 0:
         raise ScenarioError("sweep values must be non-empty")
-    if list(spec.values) != sorted(spec.values):
-        raise ScenarioError(f"sweep values must be sorted, got {spec.values}")
+    if any(a >= b for a, b in zip(spec.values, spec.values[1:])):
+        raise ScenarioError(
+            f"sweep values must be sorted and distinct, got {spec.values}"
+        )
+    integer_axis = spec.axis in ("k_users", "m_antennas")
+    if integer_axis and not all(float(v).is_integer() and v >= 1 for v in spec.values):
+        raise ScenarioError(
+            f"{spec.axis} sweep values must be positive integers, got {spec.values}"
+        )
     if spec.repeats < 1:
         raise ScenarioError(f"repeats must be >= 1, got {spec.repeats}")
     if len(spec.algorithms) == 0:

@@ -40,6 +40,12 @@ def _violation_mask(layouts: np.ndarray, d_min: float) -> np.ndarray:
     return (dist_sq < d_min * d_min) & upper
 
 
+def project(layout: np.ndarray, region_size: float) -> np.ndarray:
+    """Clamp every coordinate into the movement box, entry by entry."""
+    half = region_size / 2.0
+    return np.clip(np.asarray(layout, dtype=float), -half, half)
+
+
 def violation_set(layout: np.ndarray, d_min: float) -> list[tuple[int, int]]:
     """Antenna index pairs (i < j) of one layout closer than `d_min`."""
     rows, cols = np.nonzero(_violation_mask(layout, d_min))
@@ -115,7 +121,6 @@ def evolve(state: GaState, scn: Scenario) -> GaState:
     pop, fits = state.layouts, state.fits
     n = len(fits)
     m = scn.m_antennas
-    half = scn.region_size / 2.0
 
     elite = int(np.argmax(fits))
     nc = n - 1
@@ -132,7 +137,7 @@ def evolve(state: GaState, scn: Scenario) -> GaState:
 
     jitter_mask = rng.random((nc, 2, m)) < MUTATION_P
     jitter = rng.normal(0.0, scn.wavelength / 10.0, (nc, 2, m))
-    children = np.clip(children + jitter_mask * jitter, -half, half)
+    children = project(children + jitter_mask * jitter, scn.region_size)
 
     child_fits, counts = _score(children, scn)
     best_fit, best_layout = _best_feasible(

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from . import rate
-from .opt_ga import violation_counts, violation_set
+from .opt_ga import project, violation_counts, violation_set
 from .scenario import Scenario, ScenarioError, upa_layout
 
 ZETA_MIN_FACTOR = 1e-8  # line search gives up below this fraction of wavelength
@@ -43,11 +43,10 @@ def _soft_min(rates: np.ndarray, mu: float) -> np.ndarray:
     return rmin - np.log(spread.sum(axis=-1)) / mu
 
 
-def smoothed_objective(layout: np.ndarray, scn: Scenario, mu: float | None = None) -> float:
-    """Soft-min of the per-user rates; `mu` defaults to `hyper.mu`."""
-    mu = scn.hyper.mu if mu is None else mu
+def smoothed_objective(layout: np.ndarray, scn: Scenario) -> float:
+    """Soft-min of the per-user rates at sharpness `hyper.mu`."""
     ctx = rate.closed_form_context(scn)
-    return float(_soft_min(rate.rates_for(ctx, np.asarray(layout)), mu))
+    return float(_soft_min(rate.rates_for(ctx, np.asarray(layout)), scn.hyper.mu))
 
 
 def _sinr_gradients(ctx: rate.ClosedFormContext, layout: np.ndarray) -> np.ndarray:
@@ -60,6 +59,7 @@ def _sinr_gradients(ctx: rate.ClosedFormContext, layout: np.ndarray) -> np.ndarr
     layout = np.asarray(layout, dtype=float)
     wavenum = 2.0 * np.pi / ctx.wavelength
     steer = np.exp(1j * wavenum * np.einsum("kd,dm->km", ctx.dirs, layout))
+    # not rate.los_cross: its einsum differs in the last bits and changes trajectories
     gram = steer.conj() @ steer.T  # (K, K) LoS cross terms
     fsq = np.abs(gram) ** 2
 
@@ -75,9 +75,7 @@ def _sinr_gradients(ctx: rate.ClosedFormContext, layout: np.ndarray) -> np.ndarr
     return -(p**2) * ctx.e_signal[:, None, None] * dinterf / (denom**2)[:, None, None]
 
 
-def objective_gradient(
-    layout: np.ndarray, scn: Scenario, mu: float | None = None
-) -> np.ndarray:
+def objective_gradient(layout: np.ndarray, scn: Scenario) -> np.ndarray:
     """Gradient of the smoothed objective w.r.t. positions, shape (2, M).
 
     Soft-min weights are exponentials of the (shifted) rates, so each
@@ -85,21 +83,14 @@ def objective_gradient(
     ((1 + SINR_k) ln 2) times the pilot-overhead prelog, normalized by
     the weight sum.
     """
-    mu = scn.hyper.mu if mu is None else mu
     ctx = rate.closed_form_context(scn)
     sinr = rate.sinr_for(ctx, np.asarray(layout))
     rates = ctx.prelog * np.log2(1.0 + sinr)
-    weights = np.exp(-mu * (rates - rates.min()))
+    weights = np.exp(-scn.hyper.mu * (rates - rates.min()))
     weights = weights / weights.sum()
     dsinr = _sinr_gradients(ctx, layout)
     coeff = ctx.prelog * weights / ((1.0 + sinr) * math.log(2.0))
     return np.einsum("k,kdm->dm", coeff, dsinr)
-
-
-def project(layout: np.ndarray, region_size: float) -> np.ndarray:
-    """Clamp every coordinate into the movement box, entry by entry."""
-    half = region_size / 2.0
-    return np.clip(np.asarray(layout, dtype=float), -half, half)
 
 
 def next_momentum(l_cur: float) -> float:
@@ -109,7 +100,7 @@ def next_momentum(l_cur: float) -> float:
 
 def _line_search(
     point: np.ndarray, grad: np.ndarray, scn: Scenario, g_value: float
-) -> tuple[float, np.ndarray, int]:
+) -> tuple[float, np.ndarray, float]:
     """Largest geometric step passing the increase and spacing tests.
 
     Candidates are ``wavelength * kappa**n``, n = 0, 1, ...; a candidate
@@ -117,7 +108,7 @@ def _line_search(
     `g_value` at `point` by at least ``varpi * zeta * ||grad||^2`` and has
     no spacing violations.  All candidates are checked in one vectorized
     batch, which picks the same step as the sequential shrink loop.
-    Returns the step, the accepted trial layout and its candidate index;
+    Returns the step, the accepted trial layout and its objective value;
     raises `LineSearchExhausted` once steps fall below
     ``1e-8 * wavelength``.
     """
@@ -138,7 +129,7 @@ def _line_search(
             f"no step in [{zetas[-1]:.3e}, {zetas[0]:.3e}] improved the objective"
         )
     idx = int(passing[0])
-    return float(zetas[idx]), trials[idx], idx
+    return float(zetas[idx]), trials[idx], float(g_trials[idx])
 
 
 INIT_SLACK = 1.2  # grid pitch margin over d_min so the first steps stay feasible
@@ -186,30 +177,25 @@ def run_gradient(
     for _ in range(hyp.grad_max_iter):
         grad = objective_gradient(t_curr, scn)
         try:
-            _, v_cur, _ = _line_search(t_curr, grad, scn, g_cur)
+            _, v_cur, g_v = _line_search(t_curr, grad, scn, g_cur)
         except LineSearchExhausted:
             break  # no usable ascent step left; treat as converged
-        g_v = smoothed_objective(v_cur, scn)
         if g_v > best_g:  # line-search points are always feasible
             best_g, best_layout = g_v, v_cur.copy()
 
-        l_next = next_momentum(l_cur)
         if accelerated:
             # extrapolate against the previously accepted point v^(i-1)
+            l_next = next_momentum(l_cur)
             momentum = (l_cur - 1.0) / l_next
             t_next = project(v_cur + momentum * (v_cur - v_prev), scn.region_size)
-        else:
-            l_next = 1.0  # momentum weight stays zero
-            t_next = v_cur
-        g_next = smoothed_objective(t_next, scn)
-        if (
-            t_next is not v_cur
-            and g_next > best_g
-            and violation_counts(t_next, scn.d_min) == 0
-        ):
-            best_g, best_layout = g_next, t_next.copy()
+            g_next = smoothed_objective(t_next, scn)
+            if g_next > best_g and violation_counts(t_next, scn.d_min) == 0:
+                best_g, best_layout = g_next, t_next.copy()
+            l_cur = l_next
+        else:  # momentum weight stays zero: the next iterate is v itself
+            t_next, g_next = v_cur, g_v
 
-        t_curr, v_prev, l_cur = t_next, v_cur, l_next
+        t_curr, v_prev = t_next, v_cur
         history.append(g_next)
         converged = abs(g_next - g_cur) < hyp.grad_tol
         g_cur = g_next
@@ -233,18 +219,16 @@ def random_feasible_layout(scn: Scenario, rng: np.random.Generator) -> np.ndarra
     """
     half = scn.region_size / 2.0
     for slack in (INIT_SLACK, 1.0):
-        limit = (slack * scn.d_min) ** 2
         placed = np.empty((2, scn.m_antennas))
         count = 0
         for _ in range(SAMPLE_ATTEMPTS * scn.m_antennas):
             if count == scn.m_antennas:
                 break
-            cand = rng.uniform(-half, half, size=2)
-            diff = placed[:, :count] - cand[:, None]
-            if count and float(np.min(np.sum(diff * diff, axis=0))) < limit:
-                continue
-            placed[:, count] = cand
-            count += 1
+            placed[:, count] = rng.uniform(-half, half, size=2)
+            # the placed antennas already keep the spacing, so only pairs
+            # with the new draw can violate it; a rejected draw is overwritten
+            if violation_counts(placed[:, : count + 1], slack * scn.d_min) == 0:
+                count += 1
         if count == scn.m_antennas:
             return placed
     raise ScenarioError("could not sample a layout meeting the spacing limit")

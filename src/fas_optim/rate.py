@@ -34,14 +34,27 @@ as independent checks on each other.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import channel, estimation
-from .scenario import Scenario
+from .scenario import Scenario, ScenarioError
 
 MC_BATCH = 8192  # trials per simulation batch; part of the reproducibility key
+
+
+def _mc_batches(
+    rng: np.random.Generator, trials: int
+) -> Iterator[tuple[np.random.Generator, int]]:
+    """Yield ``(stream, size)`` per batch of `MC_BATCH` trials; the last may be short.
+
+    Each batch draws from its own stream spawned from `rng`, so results
+    depend only on `rng` and `trials`.
+    """
+    for i, stream in enumerate(rng.spawn(-(-trials // MC_BATCH))):
+        yield stream, min(MC_BATCH, trials - i * MC_BATCH)
 
 
 class RunningStats:
@@ -58,23 +71,15 @@ class RunningStats:
         self._m2 = None
 
     def update(self, batch: np.ndarray) -> "RunningStats":
+        """Fold in a batch: its own count, mean and M2, then `merge`."""
         batch = np.asarray(batch)
-        n = batch.shape[0]
-        if n == 0:
+        if batch.shape[0] == 0:
             return self
-        bmean = batch.mean(axis=0)
-        bm2 = np.sum(np.abs(batch - bmean) ** 2, axis=0)
-        if self.count == 0:
-            self.count = n
-            self.mean = bmean
-            self._m2 = bm2
-        else:
-            total = self.count + n
-            delta = bmean - self.mean
-            self.mean = self.mean + delta * (n / total)
-            self._m2 = self._m2 + bm2 + np.abs(delta) ** 2 * (self.count * n / total)
-            self.count = total
-        return self
+        part = RunningStats()
+        part.count = batch.shape[0]
+        part.mean = batch.mean(axis=0)
+        part._m2 = np.sum(np.abs(batch - part.mean) ** 2, axis=0)
+        return self.merge(part)
 
     def merge(self, other: "RunningStats") -> "RunningStats":
         if other.count == 0:
@@ -235,12 +240,10 @@ def mc_uatf_sinr(
     centered with a first-batch pilot mean.
     """
     if trials < 2:
-        raise ValueError(f"trials must be >= 2, got {trials}")
+        raise ScenarioError(f"trials must be >= 2, got {trials}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(
         scn.hyper.seed if seed is None else seed
     )
-    n_batches = -(-trials // MC_BATCH)
-    streams = rng.spawn(n_batches)
 
     hbar = channel.los_matrix(layout, scn.users, scn.wavelength)
     pilots = estimation.make_pilots(scn.pilot_len, scn.k_users)
@@ -252,10 +255,7 @@ def mc_uatf_sinr(
     s_noise = RunningStats()
     pilot_mean = None
 
-    left = trials
-    for stream in streams:
-        b = min(MC_BATCH, left)
-        left -= b
+    for stream, b in _mc_batches(rng, trials):
         h = channel.sample_channel(layout, scn.users, scn.wavelength, stream, trials=b)
         obs = estimation.observe_pilots(
             h, pilots, scn.tx_power, scn.noise_power, stream
@@ -332,9 +332,9 @@ def lemma_checks(m: int, trials: int, seed=0) -> LemmaReport:
     unit vectors, and E{X A X^H} = tr(A) I for a fixed square A.
     """
     if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+        raise ScenarioError(f"m must be >= 1, got {m}")
     if trials < 2:
-        raise ValueError(f"trials must be >= 2, got {trials}")
+        raise ScenarioError(f"trials must be >= 2, got {trials}")
     rng = np.random.default_rng(seed)
 
     def unit(v):
@@ -350,11 +350,7 @@ def lemma_checks(m: int, trials: int, seed=0) -> LemmaReport:
     s_quart = RunningStats()
     s_bilin = RunningStats()
     s_quad = RunningStats()
-    streams = rng.spawn(-(-trials // MC_BATCH))
-    left = trials
-    for stream in streams:
-        b = min(MC_BATCH, left)
-        left -= b
+    for stream, b in _mc_batches(rng, trials):
         ht = channel.complex_normal(stream, (b, m))
         nsq = np.sum(np.abs(ht) ** 2, axis=1)
         s_quart.update(nsq**2)

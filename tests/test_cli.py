@@ -57,12 +57,27 @@ def test_run_missing_scenario(tmp_path, capsys):
 def test_run_bad_sweeps(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
     ini = write_ini(tmp_path, m_antennas=4, k_users=2)
-    for sweep in ("m_antennas", "m_antennas=a,b", "bogus=1,2", "m_antennas=9,4"):
+    for sweep in (
+        "m_antennas", "m_antennas=a,b", "bogus=1,2", "m_antennas=9,4", "m_antennas=4,4",
+        "k_users=0",
+    ):
         code = cli.main(
             ["run", "--scenario", str(ini), "--sweep", sweep, "--out", str(tmp_path / "o")]
         )
         assert code == 2, sweep
         assert "error:" in capsys.readouterr().err
+
+
+def test_run_rejects_fractional_antenna_count(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
+    ini = write_ini(tmp_path, m_antennas=4, k_users=2)
+    code = cli.main(
+        ["run", "--scenario", str(ini), "--sweep", "m_antennas=4.5",
+         "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "m_antennas sweep values must be positive integers" in err
 
 
 def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
@@ -155,3 +170,16 @@ def test_lemmas_failure_exit_code(capsys, monkeypatch):
     code = cli.main(["lemmas", "--m", "2", "--trials", "100"])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["--m", "0"], "m must be >= 1"),
+        (["--m", "2", "--trials", "1"], "trials must be >= 2"),
+    ],
+)
+def test_lemmas_bad_input_exit_code(capsys, argv, needle):
+    code = cli.main(["lemmas", *argv])
+    assert code == 2
+    assert needle in capsys.readouterr().err

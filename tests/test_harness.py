@@ -41,6 +41,10 @@ def test_validate_sweep_rejects_bad_specs():
         (dict(good, axis="bogus"), "unknown sweep axis"),
         (dict(good, values=()), "must be non-empty"),
         (dict(good, values=(9, 4)), "must be sorted"),
+        (dict(good, values=(4, 4)), "must be sorted and distinct"),
+        (dict(good, values=(4.5, 9)), "m_antennas sweep values must be positive"),
+        (dict(good, axis="k_users", values=(2.7,)), "k_users sweep values must be"),
+        (dict(good, axis="k_users", values=(0, 3)), "k_users sweep values must be"),
         (dict(good, repeats=0), "repeats must be >= 1"),
         (dict(good, algorithms=()), "at least one algorithm"),
         (dict(good, algorithms=("ga", "sa")), "unknown algorithm"),

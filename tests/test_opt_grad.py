@@ -78,7 +78,10 @@ def test_soft_min_sharpens_with_mu(table1_k3):
     layout = np.random.default_rng(1).uniform(-0.3, 0.3, (2, 9))
     ctx = rate.closed_form_context(table1_k3)
     true_min = rate.rates_for(ctx, layout).min()
-    tight = opt_grad.smoothed_objective(layout, table1_k3, mu=1e4)
+    sharp = dataclasses.replace(
+        table1_k3, hyper=dataclasses.replace(table1_k3.hyper, mu=1e4)
+    )
+    tight = opt_grad.smoothed_objective(layout, sharp)
     assert true_min - tight <= math.log(3) / 1e4
 
 
@@ -137,7 +140,7 @@ def test_objective_gradient_matches_finite_differences(table1_k3):
 
 
 def test_sharp_gradient_follows_worst_user():
-    scn = small_scenario([(0.4, 0.9), (1.3, 2.2), (2.0, 0.6)], m=5)
+    scn = small_scenario([(0.4, 0.9), (1.3, 2.2), (2.0, 0.6)], m=5, mu=1e4)
     layout = np.random.default_rng(5).uniform(-0.25, 0.25, (2, 5))
     ctx = rate.closed_form_context(scn)
     rates = rate.rates_for(ctx, layout)
@@ -148,7 +151,7 @@ def test_sharp_gradient_follows_worst_user():
         / ((1.0 + sinr) * math.log(2.0))
         * _dsinr(layout, scn)[worst]
     )
-    grad = opt_grad.objective_gradient(layout, scn, mu=1e4)
+    grad = opt_grad.objective_gradient(layout, scn)
     cos = np.sum(grad * direction) / (
         np.linalg.norm(grad) * np.linalg.norm(direction)
     )
@@ -200,6 +203,22 @@ def _reference_search(point, grad, scn):
         [len(opt_ga.violation_set(t, scn.d_min)) == 0 for t in trials]
     )
     return zetas, grew, feas
+
+
+def test_line_search_value_is_objective_of_accepted_layout():
+    # run_gradient takes the accepted point's value from the batch, so the
+    # batched soft-min must equal the single-layout one bit for bit
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        k = int(rng.integers(2, 5))
+        angles = [tuple(rng.uniform(0.2, 2.9, 2)) for _ in range(k)]
+        distances = list(rng.uniform(50.0, 70.0, k))
+        scn = small_scenario(angles, m=int(rng.integers(3, 7)), distances=distances)
+        point = opt_grad.random_feasible_layout(scn, rng)
+        grad = opt_grad.objective_gradient(point, scn)
+        g_point = opt_grad.smoothed_objective(point, scn)
+        _, layout, g_value = opt_grad._line_search(point, grad, scn, g_point)
+        assert g_value == opt_grad.smoothed_objective(layout, scn)
 
 
 def test_backtrack_zero_gradient_returns_full_step(table1_k3):
@@ -308,6 +327,24 @@ def test_run_gradient_plain_variant(table1_k5):
     assert opt_ga.violation_set(layout, table1_k5.d_min) == []
     assert opt_grad.smoothed_objective(layout, table1_k5) >= g_init
     assert len(history) - 1 <= table1_k5.hyper.grad_max_iter
+
+
+def test_run_gradient_evaluates_each_iterate_once(table1_k5, monkeypatch):
+    # per iteration: the gradient, the line-search batch and the extrapolated
+    # point; the accepted point's value comes from the line-search batch
+    calls = 0
+    sinr_for = rate.sinr_for
+
+    def counting(ctx, layouts):
+        nonlocal calls
+        calls += 1
+        return sinr_for(ctx, layouts)
+
+    monkeypatch.setattr(rate, "sinr_for", counting)
+    _, history = opt_grad.run_gradient(table1_k5)
+    iterations = len(history) - 1
+    assert iterations > 10
+    assert calls <= 3 * iterations + 2
 
 
 def test_run_gradient_deterministic(table1_k3):
