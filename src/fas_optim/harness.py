@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import math
 import os
 import statistics
 import time
@@ -68,6 +69,10 @@ def validate_sweep(spec: SweepSpec) -> SweepSpec:
         raise ScenarioError(f"unknown sweep axis {spec.axis!r}, want one of {AXES}")
     if len(spec.values) == 0:
         raise ScenarioError("sweep values must be non-empty")
+    if not all(math.isfinite(v) for v in spec.values):
+        raise ScenarioError(
+            f"{spec.axis} sweep values must be finite, got {spec.values}"
+        )
     if any(a >= b for a, b in zip(spec.values, spec.values[1:])):
         raise ScenarioError(
             f"sweep values must be sorted and distinct, got {spec.values}"
@@ -199,6 +204,8 @@ def run_experiment(
     scn = scenario if isinstance(scenario, Scenario) else load_scenario(scenario)
     validate_sweep(sweep)
     master = scn.hyper.seed if seed is None else seed
+    if master < 0:
+        raise ScenarioError(f"seed must be >= 0, got {master}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -50,15 +50,32 @@ class UserStats:
     est_gain: float
 
 
+@dataclass(frozen=True)
+class UserModel:
+    """Recipe for drawing users, kept so sweeps can resample per repeat.
+
+    Distances are uniform on `d_range` (meters) and both arrival angles
+    uniform on [0, pi].  The defaults are the reference large-scale
+    model: Rician factor 6, -40 dB path loss at 1 m, exponent 2.8.
+    """
+
+    seed: int
+    count: int
+    d_range: tuple[float, float] = (50.0, 70.0)
+    rician: float = 6.0
+    path_loss_ref: float = 1e-4
+    path_loss_exp: float = 2.8
+
+
 def derive_user(
     distance: float,
     elevation: float,
     azimuth: float,
     *,
     noise_over_taup: float,
-    rician: float = 6.0,
-    path_loss_ref: float = 1e-4,
-    path_loss_exp: float = 2.8,
+    rician: float = UserModel.rician,
+    path_loss_ref: float = UserModel.path_loss_ref,
+    path_loss_exp: float = UserModel.path_loss_exp,
 ) -> UserStats:
     """Build a `UserStats` from geometry and the large-scale model.
 
@@ -83,48 +100,31 @@ def derive_user(
     return UserStats(path_loss, rician, elevation, azimuth, nlos_power, est_gain)
 
 
-def random_users(
-    seed,
-    count: int,
-    *,
-    noise_over_taup: float,
-    d_range: tuple[float, float] = (50.0, 70.0),
-    rician: float = 6.0,
-    path_loss_ref: float = 1e-4,
-    path_loss_exp: float = 2.8,
-) -> tuple[UserStats, ...]:
-    """Draw `count` users with uniform distances and arrival angles."""
-    rng = np.random.default_rng(seed)
-    lo, hi = d_range
+def random_users(model: UserModel, noise_over_taup: float) -> tuple[UserStats, ...]:
+    """Draw `model.count` users with uniform distances and arrival angles."""
+    if model.seed < 0:
+        raise ScenarioError(f"user seed must be >= 0, got {model.seed}")
+    if model.count < 0:
+        raise ScenarioError(f"user count must be >= 0, got {model.count}")
+    lo, hi = model.d_range
     if not 0 < lo <= hi:
-        raise ScenarioError(f"bad distance range {d_range}")
-    dist = rng.uniform(lo, hi, count)
-    elev = rng.uniform(0.0, math.pi, count)
-    azim = rng.uniform(0.0, math.pi, count)
+        raise ScenarioError(f"bad distance range {model.d_range}")
+    rng = np.random.default_rng(model.seed)
+    dist = rng.uniform(lo, hi, model.count)
+    elev = rng.uniform(0.0, math.pi, model.count)
+    azim = rng.uniform(0.0, math.pi, model.count)
     return tuple(
         derive_user(
-            dist[k],
-            elev[k],
-            azim[k],
+            d,
+            e,
+            a,
             noise_over_taup=noise_over_taup,
-            rician=rician,
-            path_loss_ref=path_loss_ref,
-            path_loss_exp=path_loss_exp,
+            rician=model.rician,
+            path_loss_ref=model.path_loss_ref,
+            path_loss_exp=model.path_loss_exp,
         )
-        for k in range(count)
+        for d, e, a in zip(dist, elev, azim)
     )
-
-
-@dataclass(frozen=True)
-class UserModel:
-    """Recipe for redrawing users, kept so sweeps can resample per repeat."""
-
-    seed: int
-    count: int
-    d_range: tuple[float, float]
-    rician: float
-    path_loss_ref: float
-    path_loss_exp: float
 
 
 @dataclass(frozen=True)
@@ -234,10 +234,12 @@ def validate_scenario(scn: Scenario) -> Scenario:
         raise ScenarioError(f"grad_max_iter must be >= 1, got {h.grad_max_iter}")
     if h.grad_tol <= 0:
         raise ScenarioError(f"grad_tol must be positive, got {h.grad_tol}")
+    if h.seed < 0:
+        raise ScenarioError(f"seed must be >= 0, got {h.seed}")
     return scn
 
 
-def redraw_users(scn: Scenario, seed, *, count: int | None = None) -> Scenario:
+def redraw_users(scn: Scenario, seed: int, *, count: int | None = None) -> Scenario:
     """Resample users from the stored recipe, keeping everything else.
 
     `count` overrides the user number; pilot length tracks it so pilots
@@ -245,36 +247,18 @@ def redraw_users(scn: Scenario, seed, *, count: int | None = None) -> Scenario:
     """
     if scn.user_model is None:
         raise ScenarioError("scenario has no user model to redraw from")
-    model = scn.user_model
-    k = model.count if count is None else count
-    pilot_len = scn.pilot_len
-    if count is not None and count != scn.k_users:
-        # keep tau = K when the user count is swept
-        pilot_len = count
-    probe = dataclasses.replace(
-        scn, k_users=k, pilot_len=pilot_len, users=scn.users[:0]
-    )
-    users = random_users(
-        seed,
-        k,
-        noise_over_taup=probe.noise_over_taup,
-        d_range=model.d_range,
-        rician=model.rician,
-        path_loss_ref=model.path_loss_ref,
-        path_loss_exp=model.path_loss_exp,
-    )
-    out = dataclasses.replace(
-        scn,
-        k_users=k,
-        pilot_len=pilot_len,
-        users=users,
-        user_model=dataclasses.replace(model, seed=_as_seed_int(seed), count=k),
-    )
-    return validate_scenario(out)
+    k = scn.user_model.count if count is None else count
+    # keep tau = K when the user count is swept
+    pilot_len = scn.pilot_len if count in (None, scn.k_users) else count
+    model = dataclasses.replace(scn.user_model, seed=seed, count=k)
+    scn = dataclasses.replace(scn, k_users=k, pilot_len=pilot_len, user_model=model)
+    return _drawn(scn)
 
 
-def _as_seed_int(seed) -> int:
-    return int(seed) if np.isscalar(seed) else 0
+def _drawn(scn: Scenario) -> Scenario:
+    """`scn` with its users drawn from its `user_model`, validated."""
+    users = random_users(scn.user_model, scn.noise_over_taup)
+    return validate_scenario(dataclasses.replace(scn, users=users))
 
 
 def upa_layout(m_antennas: int, pitch: float, region_size: float) -> np.ndarray:
@@ -310,29 +294,49 @@ def upa_layout(m_antennas: int, pitch: float, region_size: float) -> np.ndarray:
     return np.stack([x, y])
 
 
+# INI keys of each section and their converters
 _SYSTEM_KEYS = {
-    "m_antennas",
-    "k_users",
-    "wavelength_m",
-    "region_size_m",
-    "d_min_m",
-    "tx_power_dbm",
-    "noise_power_dbm",
-    "coherence_len",
-    "pilot_len",
+    "m_antennas": int,
+    "k_users": int,
+    "wavelength_m": float,
+    "region_size_m": float,
+    "d_min_m": float,
+    "tx_power_dbm": float,
+    "noise_power_dbm": float,
+    "coherence_len": int,
+    "pilot_len": int,
 }
-_USER_SHARED_KEYS = {
-    "rician",
-    "rician_db",
-    "path_loss_ref_db",
-    "path_loss_exp",
-    "seed",
-    "count",
-    "d_min_m",
-    "d_max_m",
+_USERS_KEYS = {
+    "seed": int,
+    "count": int,
+    "d_min_m": float,
+    "d_max_m": float,
+    "rician": float,
+    "rician_db": lambda raw: db_to_linear(float(raw)),
+    "path_loss_ref_db": lambda raw: db_to_linear(float(raw)),
+    "path_loss_exp": float,
 }
-# [hyper] keys and their converters, one per `HyperParams` field
 _HYPER_KEYS = {f.name: type(f.default) for f in dataclasses.fields(HyperParams)}
+
+
+class _Section(dict):
+    """Converted values of one INI section; reading an absent key is an error."""
+
+    def __init__(self, name: str, items, schema: dict):
+        super().__init__()
+        self.name = name
+        for key, raw in items:
+            if key not in schema:
+                raise ScenarioError(f"unknown key in [{name}]: {key}")
+            try:
+                self[key] = schema[key](raw)
+            except ValueError:
+                raise ScenarioError(
+                    f"bad value for {key} in [{name}]: {raw!r}"
+                ) from None
+
+    def __missing__(self, key):
+        raise ScenarioError(f"missing key in [{self.name}]: {key}")
 
 
 def load_scenario(path) -> Scenario:
@@ -342,10 +346,13 @@ def load_scenario(path) -> Scenario:
     (either a generation recipe via seed/count/d_min_m/d_max_m, or
     explicit ``user1 = distance elevation azimuth`` lines), and an
     optional ``[hyper]`` for solver settings.  Powers are given in dBm,
-    lengths in meters.  Malformed input raises `ScenarioError` naming
-    the offending section and key.
+    lengths in meters; values are taken literally (no ``%``
+    interpolation).  Malformed input raises `ScenarioError` naming the
+    offending section and key.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=(";", "#"), interpolation=None
+    )
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -360,125 +367,65 @@ def load_scenario(path) -> Scenario:
     if not parser.has_section("system") or not parser.has_section("users"):
         raise ScenarioError("scenario file needs [system] and [users] sections")
 
-    sys_sec = parser["system"]
-    for key in sys_sec:
-        if key not in _SYSTEM_KEYS:
-            raise ScenarioError(f"unknown key in [system]: {key}")
-    for key in ("m_antennas", "k_users", "wavelength_m", "region_size_m",
-                "tx_power_dbm", "noise_power_dbm", "coherence_len"):
-        if key not in sys_sec:
-            raise ScenarioError(f"missing key in [system]: {key}")
-
-    def _num(sec, key, conv, default=None):
-        try:
-            raw = parser.get(sec, key, fallback=None)
-            if raw is None:
-                return default
-            return conv(raw)
-        except ValueError:
-            raise ScenarioError(
-                f"bad value for {key} in [{sec}]: {parser.get(sec, key)!r}"
-            ) from None
-
-    m_antennas = _num("system", "m_antennas", int)
-    k_users = _num("system", "k_users", int)
-    wavelength = _num("system", "wavelength_m", float)
-    region_size = _num("system", "region_size_m", float)
-    d_min = _num("system", "d_min_m", float, wavelength / 2.0)
-    tx_power = dbm_to_watt(_num("system", "tx_power_dbm", float))
-    noise_power = dbm_to_watt(_num("system", "noise_power_dbm", float))
-    coherence_len = _num("system", "coherence_len", int)
-    pilot_len = _num("system", "pilot_len", int, k_users)
-
-    usr_sec = parser["users"]
-    explicit = sorted(k for k in usr_sec if k.startswith("user"))
-    for key in usr_sec:
-        if key not in _USER_SHARED_KEYS and key not in explicit:
-            raise ScenarioError(f"unknown key in [users]: {key}")
+    sys_sec = _Section("system", parser.items("system"), _SYSTEM_KEYS)
+    explicit = {k: v for k, v in parser.items("users") if k.startswith("user")}
+    usr_sec = _Section(
+        "users",
+        [(k, v) for k, v in parser.items("users") if k not in explicit],
+        _USERS_KEYS,
+    )
     if "rician" in usr_sec and "rician_db" in usr_sec:
         raise ScenarioError("[users] sets both rician and rician_db")
-    if "rician_db" in usr_sec:
-        rician = db_to_linear(_num("users", "rician_db", float))
-    else:
-        rician = _num("users", "rician", float, 6.0)
-    path_loss_ref = db_to_linear(_num("users", "path_loss_ref_db", float, -40.0))
-    path_loss_exp = _num("users", "path_loss_exp", float, 2.8)
-    noise_over_taup = noise_power / (pilot_len * tx_power)
+    large = dict(
+        rician=usr_sec.get("rician", usr_sec.get("rician_db", UserModel.rician)),
+        path_loss_ref=usr_sec.get("path_loss_ref_db", UserModel.path_loss_ref),
+        path_loss_exp=usr_sec.get("path_loss_exp", UserModel.path_loss_exp),
+    )
 
-    user_model = None
+    model = None
     if explicit:
         expected = [f"user{i + 1}" for i in range(len(explicit))]
-        if explicit != expected:
+        if set(explicit) != set(expected):
             raise ScenarioError(
-                f"[users] entries must be user1..user{len(explicit)}, got {explicit}"
+                f"[users] entries must be user1..user{len(explicit)}, "
+                f"got {sorted(explicit)}"
             )
-        users = []
+        lines = []
         for key in expected:
-            parts = usr_sec[key].split()
+            parts = explicit[key].split()
             if len(parts) != 3:
                 raise ScenarioError(
                     f"[users] {key} needs 'distance elevation azimuth', "
-                    f"got {usr_sec[key]!r}"
+                    f"got {explicit[key]!r}"
                 )
             try:
-                dist, elev, azim = (float(p) for p in parts)
+                lines.append([float(p) for p in parts])
             except ValueError:
                 raise ScenarioError(f"bad number in [users] {key}") from None
-            users.append(
-                derive_user(
-                    dist,
-                    elev,
-                    azim,
-                    noise_over_taup=noise_over_taup,
-                    rician=rician,
-                    path_loss_ref=path_loss_ref,
-                    path_loss_exp=path_loss_exp,
-                )
-            )
-        users = tuple(users)
     else:
-        for key in ("seed", "count"):
-            if key not in usr_sec:
-                raise ScenarioError(f"missing key in [users]: {key}")
-        seed = _num("users", "seed", int)
-        count = _num("users", "count", int)
-        d_lo = _num("users", "d_min_m", float, 50.0)
-        d_hi = _num("users", "d_max_m", float, 70.0)
-        user_model = UserModel(
-            seed, count, (d_lo, d_hi), rician, path_loss_ref, path_loss_exp
-        )
-        users = random_users(
-            seed,
-            count,
-            noise_over_taup=noise_over_taup,
-            d_range=(d_lo, d_hi),
-            rician=rician,
-            path_loss_ref=path_loss_ref,
-            path_loss_exp=path_loss_exp,
-        )
+        lo, hi = UserModel.d_range
+        d_range = (usr_sec.get("d_min_m", lo), usr_sec.get("d_max_m", hi))
+        model = UserModel(usr_sec["seed"], usr_sec["count"], d_range, **large)
 
-    hyper = HyperParams()
-    if parser.has_section("hyper"):
-        hyp_sec = parser["hyper"]
-        for key in hyp_sec:
-            if key not in _HYPER_KEYS:
-                raise ScenarioError(f"unknown key in [hyper]: {key}")
-        hyper = HyperParams(
-            **{key: _num("hyper", key, _HYPER_KEYS[key]) for key in hyp_sec}
-        )
-
+    hyper_items = parser.items("hyper") if parser.has_section("hyper") else ()
     scn = Scenario(
-        m_antennas=m_antennas,
-        k_users=k_users,
-        wavelength=wavelength,
-        region_size=region_size,
-        d_min=d_min,
-        tx_power=tx_power,
-        noise_power=noise_power,
-        coherence_len=coherence_len,
-        pilot_len=pilot_len,
-        users=users,
-        hyper=hyper,
-        user_model=user_model,
+        m_antennas=sys_sec["m_antennas"],
+        k_users=sys_sec["k_users"],
+        wavelength=sys_sec["wavelength_m"],
+        region_size=sys_sec["region_size_m"],
+        d_min=sys_sec.get("d_min_m", sys_sec["wavelength_m"] / 2.0),
+        tx_power=dbm_to_watt(sys_sec["tx_power_dbm"]),
+        noise_power=dbm_to_watt(sys_sec["noise_power_dbm"]),
+        coherence_len=sys_sec["coherence_len"],
+        pilot_len=sys_sec.get("pilot_len", sys_sec["k_users"]),
+        users=(),
+        hyper=HyperParams(**_Section("hyper", hyper_items, _HYPER_KEYS)),
+        user_model=model,
     )
-    return validate_scenario(scn)
+    if model is not None:
+        return _drawn(scn)
+    users = tuple(
+        derive_user(*line, noise_over_taup=scn.noise_over_taup, **large)
+        for line in lines
+    )
+    return validate_scenario(dataclasses.replace(scn, users=users))

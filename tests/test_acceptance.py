@@ -14,6 +14,7 @@ import pytest
 from fas_optim import channel, estimation, harness, opt_ga, opt_grad, rate
 from fas_optim.scenario import (
     Scenario,
+    UserModel,
     random_users,
     redraw_users,
     validate_scenario,
@@ -144,7 +145,7 @@ def _random_instance(m, k, seed):
     rng = np.random.default_rng(seed)
     rician = float(rng.choice(np.array([0.5, 6.0, 40.0])))
     noise = 10.0 ** (-13.4)
-    users = random_users(seed, k, noise_over_taup=noise / k, rician=rician)
+    users = random_users(UserModel(seed, k, rician=rician), noise / k)
     scn = validate_scenario(
         Scenario(
             m_antennas=m,
@@ -264,7 +265,7 @@ def test_criterion_08_returned_layouts_feasible(geometry_runs):
         region = (0.2, 0.3, 0.45, 0.6)[i % 4]
         d_min = (0.03, 0.05, 0.07)[i % 3]
         noise = 10.0 ** (-13.4)
-        users = random_users(500 + i, 2, noise_over_taup=noise / 2.0)
+        users = random_users(UserModel(500 + i, 2), noise / 2.0)
         scn = validate_scenario(
             Scenario(
                 m_antennas=m,

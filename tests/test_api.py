@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fas_optim import harness, rate  # noqa: F401  (loads every module the tracer patches)
+from fas_optim.scenario import load_scenario
 from conftest import SCENARIO_DIR
 
 REPO = Path(__file__).resolve().parents[1]
@@ -19,6 +20,14 @@ def test_readme_python_example_runs(monkeypatch, capsys):
     monkeypatch.chdir(REPO)
     exec(compile(blocks[0], "README.md", "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_ini_example_loads(tmp_path):
+    blocks = re.findall(r"```ini\n(.*?)```", (REPO / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    path = tmp_path / "readme.ini"
+    path.write_text(blocks[0])
+    assert load_scenario(path) == load_scenario(SCENARIO_DIR / "table1_k3.ini")
 
 
 def test_benchmark_names_and_micro_cases(monkeypatch):

@@ -59,7 +59,7 @@ def test_run_bad_sweeps(tmp_path, capsys, monkeypatch):
     ini = write_ini(tmp_path, m_antennas=4, k_users=2)
     for sweep in (
         "m_antennas", "m_antennas=a,b", "bogus=1,2", "m_antennas=9,4", "m_antennas=4,4",
-        "k_users=0",
+        "k_users=0", "region_over_lambda=4,nan", "rician_db=inf",
     ):
         code = cli.main(
             ["run", "--scenario", str(ini), "--sweep", sweep, "--out", str(tmp_path / "o")]
@@ -89,6 +89,34 @@ def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
     )
     assert code == 2
     assert "mu must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, argv, needle",
+    [
+        ("seed = 12", "seed = -12", [], "user seed must be >= 0, got -12"),
+        ("count = 2", "count = -1", [], "user count must be >= 0, got -1"),
+        ("seed = 1\n", "seed = -1\n", [], "seed must be >= 0, got -1"),
+        ("", "", ["--seed", "-1"], "seed must be >= 0, got -1"),
+        (
+            "tx_power_dbm = 30", "tx_power_dbm = 30%", [],
+            "bad value for tx_power_dbm in [system]: '30%'",
+        ),
+    ],
+    ids=["users-seed", "users-count", "hyper-seed", "cli-seed", "percent"],
+)
+def test_run_rejects_bad_input(
+    tmp_path, capsys, monkeypatch, old, new, argv, needle
+):
+    monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
+    ini = write_ini(tmp_path, m_antennas=4, k_users=2)
+    ini.write_text(ini.read_text().replace(old, new, 1))
+    code = cli.main(
+        ["run", "--scenario", str(ini), "--algos", "fpa", *argv,
+         "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    assert needle in capsys.readouterr().err
 
 
 def test_run_bad_algorithm(tmp_path, capsys, monkeypatch):

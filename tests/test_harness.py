@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import math
 import statistics
 
 import numpy as np
@@ -45,6 +46,14 @@ def test_validate_sweep_rejects_bad_specs():
         (dict(good, values=(4.5, 9)), "m_antennas sweep values must be positive"),
         (dict(good, axis="k_users", values=(2.7,)), "k_users sweep values must be"),
         (dict(good, axis="k_users", values=(0, 3)), "k_users sweep values must be"),
+        (
+            dict(good, axis="region_over_lambda", values=(2.5, math.nan)),
+            "region_over_lambda sweep values must be finite",
+        ),
+        (
+            dict(good, axis="rician_db", values=(0.0, math.inf)),
+            "rician_db sweep values must be finite",
+        ),
         (dict(good, repeats=0), "repeats must be >= 1"),
         (dict(good, algorithms=()), "at least one algorithm"),
         (dict(good, algorithms=("ga", "sa")), "unknown algorithm"),

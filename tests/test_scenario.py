@@ -10,6 +10,7 @@ from fas_optim.scenario import (
     HyperParams,
     Scenario,
     ScenarioError,
+    UserModel,
     db_to_linear,
     dbm_to_watt,
     derive_user,
@@ -71,7 +72,7 @@ def test_derive_user_rejects_bad_inputs():
 
 def test_random_users_ranges_and_determinism():
     q = 1e-10
-    users = random_users(7, 40, noise_over_taup=q, d_range=(50.0, 70.0))
+    users = random_users(UserModel(7, 40, (50.0, 70.0)), q)
     assert len(users) == 40
     ref = 1e-4
     for u in users:
@@ -80,15 +81,15 @@ def test_random_users_ranges_and_determinism():
         assert 0.0 <= u.elevation <= math.pi
         assert 0.0 <= u.azimuth <= math.pi
         assert u.rician == 6.0
-    again = random_users(7, 40, noise_over_taup=q, d_range=(50.0, 70.0))
+    again = random_users(UserModel(7, 40, (50.0, 70.0)), q)
     assert users == again
-    other = random_users(8, 40, noise_over_taup=q, d_range=(50.0, 70.0))
+    other = random_users(UserModel(8, 40, (50.0, 70.0)), q)
     assert users != other
 
 
 def test_random_users_bad_range():
     with pytest.raises(ScenarioError, match="bad distance range"):
-        random_users(0, 3, noise_over_taup=1e-10, d_range=(0.0, 70.0))
+        random_users(UserModel(0, 3, (0.0, 70.0)), 1e-10)
 
 
 def test_load_table1_k3(table1_k3):
@@ -128,7 +129,7 @@ def test_scenario_derived_properties(table1_k3):
 def test_loaded_users_follow_model(table1_k3):
     # the file recipe must give the same draw as calling random_users directly
     q = table1_k3.noise_over_taup
-    expected = random_users(12, 3, noise_over_taup=q, d_range=(50.0, 70.0))
+    expected = random_users(UserModel(12, 3, (50.0, 70.0)), q)
     assert table1_k3.users == expected
 
 
@@ -167,6 +168,7 @@ def test_validate_rejects_bad_numbers(table1_k3):
         ({"hyper": HyperParams(ga_max_iter=-5)}, "ga_max_iter"),
         ({"hyper": HyperParams(grad_max_iter=0)}, "grad_max_iter"),
         ({"hyper": HyperParams(grad_tol=0.0)}, "grad_tol"),
+        ({"hyper": HyperParams(seed=-1)}, "seed must be >= 0, got -1"),
         ({"hyper": HyperParams(mu=math.inf)}, "mu must be finite"),
         ({"hyper": HyperParams(grad_tol=math.nan)}, "grad_tol must be finite"),
         ({"region_size": math.nan}, "region_size must be finite"),
@@ -326,6 +328,23 @@ def test_load_explicit_users(tmp_path):
     assert scn.users[0].elevation == 1.0
     assert scn.users[1].azimuth == 2.5
     assert scn.users[0].path_loss == pytest.approx(1e-4 * 55.0 ** -2.8)
+
+
+def test_load_ten_explicit_users(tmp_path):
+    # user10 sorts before user2 as text; the lines are matched by number
+    lines = "".join(f"user{i} = {50 + i} 1.0 0.{i % 10}\n" for i in range(1, 11))
+    path = tmp_path / "ten.ini"
+    path.write_text(
+        "[system]\n"
+        "m_antennas = 4\nk_users = 10\nwavelength_m = 0.1\nregion_size_m = 0.4\n"
+        "tx_power_dbm = 30\nnoise_power_dbm = -104\ncoherence_len = 196\n"
+        "[users]\n" + lines
+    )
+    scn = load_scenario(path)
+    assert scn.k_users == scn.pilot_len == len(scn.users) == 10
+    assert scn.users[1].path_loss == pytest.approx(1e-4 * 52.0 ** -2.8)
+    assert scn.users[9].path_loss == pytest.approx(1e-4 * 60.0 ** -2.8)
+    assert scn.users[9].azimuth == 0.0
 
 
 def test_load_explicit_users_bad_lines(tmp_path):
