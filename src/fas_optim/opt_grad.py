@@ -17,6 +17,11 @@ momentum overshoot cannot degrade the result.
 The objective is multimodal in the antenna positions, so a single
 trajectory can settle on a poor arrangement; `run_multistart` repeats
 the ascent from random feasible layouts and keeps the best outcome.
+All starts advance together as one ``(R, 2, M)`` batch: each keeps its
+own objective, best layout, history and stop condition, and leaves the
+batch when it stops, while the momentum scalar is shared because every
+live start is at the same iteration.  `run_gradient` is the same loop
+with a single start.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .opt_ga import project, violation_counts, violation_set
 from .scenario import Scenario, ScenarioError, upa_layout
 
 ZETA_MIN_FACTOR = 1e-8  # line search gives up below this fraction of wavelength
+LINE_SEARCH_PREFIX = 40  # candidates scored first; the accepted one is rarely later
 
 
 class LineSearchExhausted(RuntimeError):
@@ -43,40 +49,40 @@ def _soft_min(rates: np.ndarray, mu: float) -> np.ndarray:
     return rmin - np.log(spread.sum(axis=-1)) / mu
 
 
-def smoothed_objective(layout: np.ndarray, scn: Scenario) -> float:
-    """Soft-min of the per-user rates at sharpness `hyper.mu`."""
+def smoothed_objective(layout: np.ndarray, scn: Scenario) -> np.ndarray:
+    """Soft-min of the per-user rates at sharpness `hyper.mu`, shape (...,)."""
     ctx = rate.closed_form_context(scn)
-    return float(_soft_min(rate.rates_for(ctx, np.asarray(layout)), scn.hyper.mu))
+    return _soft_min(rate.rates_for(ctx, np.asarray(layout)), scn.hyper.mu)
 
 
-def _sinr_gradients(ctx: rate.ClosedFormContext, layout: np.ndarray) -> np.ndarray:
-    """Derivatives of every user's SINR w.r.t. positions, shape (K, 2, M).
+def _sinr_gradients(ctx: rate.ClosedFormContext, layouts: np.ndarray) -> np.ndarray:
+    """Derivatives of every user's SINR w.r.t. positions, shape (..., K, 2, M).
 
     Positions enter only through the LoS cross terms, so the derivative
     routes through d|f_ki|^2 = 2 Re{(df_ki) conj(f_ki)} with
     df_ki/dt_u = j (2 pi / wavelength) (dir_i - dir_k) conj(e_k(t_u)) e_i(t_u).
     """
-    layout = np.asarray(layout, dtype=float)
+    layouts = np.asarray(layouts, dtype=float)
     wavenum = 2.0 * np.pi / ctx.wavelength
-    steer = np.exp(1j * wavenum * np.einsum("kd,dm->km", ctx.dirs, layout))
+    steer = np.exp(1j * wavenum * np.einsum("kd,...dm->...km", ctx.dirs, layouts))
     # not rate.los_cross: its einsum differs in the last bits and changes trajectories
-    gram = steer.conj() @ steer.T  # (K, K) LoS cross terms
+    gram = steer.conj() @ np.swapaxes(steer, -1, -2)  # (..., K, K) LoS cross terms
     fsq = np.abs(gram) ** 2
 
     p = ctx.tx_power
     interf = np.sum(ctx.i_const + ctx.i_coupling * fsq, axis=-1)
     denom = p * ctx.e_leak + p * interf + ctx.noise_power * ctx.e_noise
 
-    diff_dir = ctx.dirs[None, :, :] - ctx.dirs[:, None, :]          # (K, K, 2)
-    cross = steer.conj()[:, None, :] * steer[None, :, :]            # (K, K, M)
-    dgram = 1j * wavenum * diff_dir[..., None] * cross[:, :, None, :]
-    dfsq = 2.0 * np.real(dgram * gram.conj()[:, :, None, None])     # (K, K, 2, M)
-    dinterf = np.sum(ctx.i_coupling[:, :, None, None] * dfsq, axis=1)
-    return -(p**2) * ctx.e_signal[:, None, None] * dinterf / (denom**2)[:, None, None]
+    diff_dir = ctx.dirs[None, :, :] - ctx.dirs[:, None, :]                # (K, K, 2)
+    cross = steer.conj()[..., :, None, :] * steer[..., None, :, :]        # (..., K, K, M)
+    dgram = 1j * wavenum * diff_dir[..., None] * cross[..., None, :]
+    dfsq = 2.0 * np.real(dgram * gram.conj()[..., None, None])           # (..., K, K, 2, M)
+    dinterf = np.sum(ctx.i_coupling[:, :, None, None] * dfsq, axis=-3)
+    return -(p**2) * ctx.e_signal[:, None, None] * dinterf / (denom**2)[..., None, None]
 
 
 def objective_gradient(layout: np.ndarray, scn: Scenario) -> np.ndarray:
-    """Gradient of the smoothed objective w.r.t. positions, shape (2, M).
+    """Gradient of the smoothed objective w.r.t. positions, shape (..., 2, M).
 
     Soft-min weights are exponentials of the (shifted) rates, so each
     user's SINR gradient enters with weight exp(-mu R_k) /
@@ -84,13 +90,14 @@ def objective_gradient(layout: np.ndarray, scn: Scenario) -> np.ndarray:
     the weight sum.
     """
     ctx = rate.closed_form_context(scn)
-    sinr = rate.sinr_for(ctx, np.asarray(layout))
+    layout = np.asarray(layout, dtype=float)
+    sinr = rate.sinr_for(ctx, layout)
     rates = ctx.prelog * np.log2(1.0 + sinr)
-    weights = np.exp(-scn.hyper.mu * (rates - rates.min()))
-    weights = weights / weights.sum()
+    weights = np.exp(-scn.hyper.mu * (rates - rates.min(axis=-1, keepdims=True)))
+    weights = weights / weights.sum(axis=-1, keepdims=True)
     dsinr = _sinr_gradients(ctx, layout)
     coeff = ctx.prelog * weights / ((1.0 + sinr) * math.log(2.0))
-    return np.einsum("k,kdm->dm", coeff, dsinr)
+    return np.einsum("...k,...kdm->...dm", coeff, dsinr)
 
 
 def next_momentum(l_cur: float) -> float:
@@ -99,37 +106,66 @@ def next_momentum(l_cur: float) -> float:
 
 
 def _line_search(
-    point: np.ndarray, grad: np.ndarray, scn: Scenario, g_value: float
-) -> tuple[float, np.ndarray, float]:
+    point: np.ndarray, grad: np.ndarray, scn: Scenario, g_value
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Largest geometric step passing the increase and spacing tests.
 
     Candidates are ``wavelength * kappa**n``, n = 0, 1, ...; a candidate
     is accepted when the projected trial point improves the objective
     `g_value` at `point` by at least ``varpi * zeta * ||grad||^2`` and has
-    no spacing violations.  All candidates are checked in one vectorized
-    batch, which picks the same step as the sequential shrink loop.
-    Returns the step, the accepted trial layout and its objective value;
-    raises `LineSearchExhausted` once steps fall below
+    no spacing violations.  `point` and `grad` are one layout (2, M) or a
+    batch (..., 2, M) with one `g_value` per layout.  The first
+    `LINE_SEARCH_PREFIX` candidates of every layout are scored in one
+    batch, the rest only for layouts with no passing step among them, so
+    the first passing step is the one the sequential shrink loop takes.
+    Returns the steps, the accepted trial layouts and their objective
+    values, NaN for a layout with no passing step; raises
+    `LineSearchExhausted` when no layout has one down to
     ``1e-8 * wavelength``.
     """
     hyp = scn.hyper
     ctx = rate.closed_form_context(scn)
-    grad_sq = float(np.sum(grad**2))
+    point = np.asarray(point, dtype=float)
+    batch = point.shape[:-2]
+    points = point.reshape(-1, *point.shape[-2:])
+    grads = np.asarray(grad, dtype=float).reshape(points.shape)
+    g_values = np.asarray(g_value, dtype=float).reshape(-1)
+    grad_sq = np.sum(grads.reshape(len(grads), -1) ** 2, axis=-1)
     n_steps = math.ceil(math.log(ZETA_MIN_FACTOR) / math.log(hyp.kappa)) + 1
     zetas = scn.wavelength * hyp.kappa ** np.arange(n_steps)
     trials = project(
-        point[None, :, :] + zetas[:, None, None] * grad[None, :, :], scn.region_size
+        points[:, None] + zetas[:, None, None] * grads[:, None], scn.region_size
     )
-    g_trials = _soft_min(rate.rates_for(ctx, trials), hyp.mu)
-    grew = g_trials >= g_value + hyp.varpi * zetas * grad_sq
-    feasible = violation_counts(trials, scn.d_min) == 0
-    passing = np.flatnonzero(grew & feasible)
-    if passing.size == 0:
+
+    steps = np.full(len(points), np.nan)
+    values = np.full(len(points), np.nan)
+    layouts = np.full(points.shape, np.nan)
+    pending = np.arange(len(points))
+    for lo, hi in ((0, LINE_SEARCH_PREFIX), (LINE_SEARCH_PREFIX, n_steps)):
+        if pending.size == 0 or lo >= n_steps:
+            break
+        cands = trials[pending, lo:hi]
+        g_trials = _soft_min(rate.rates_for(ctx, cands), hyp.mu)
+        grew = g_trials >= g_values[pending, None] + (
+            hyp.varpi * zetas[lo:hi] * grad_sq[pending, None]
+        )
+        passing = grew & (violation_counts(cands, scn.d_min) == 0)
+        hit = passing.any(axis=-1)
+        first = passing.argmax(axis=-1)[hit]
+        rows = pending[hit]
+        steps[rows] = zetas[lo + first]
+        layouts[rows] = cands[hit, first]
+        values[rows] = g_trials[hit, first]
+        pending = pending[~hit]
+    if pending.size == len(points):
         raise LineSearchExhausted(
             f"no step in [{zetas[-1]:.3e}, {zetas[0]:.3e}] improved the objective"
         )
-    idx = int(passing[0])
-    return float(zetas[idx]), trials[idx], float(g_trials[idx])
+    return (
+        steps.reshape(batch)[()],
+        layouts.reshape(point.shape),
+        values.reshape(batch)[()],
+    )
 
 
 INIT_SLACK = 1.2  # grid pitch margin over d_min so the first steps stay feasible
@@ -150,6 +186,71 @@ def default_init(scn: Scenario) -> np.ndarray:
         return upa_layout(scn.m_antennas, base, scn.region_size)
 
 
+def _keep_best(best_g, best_layout, rows, layouts, values) -> None:
+    """Store `layouts` as the best of starts `rows` where `values` beat the best."""
+    better = values > best_g[rows]
+    best_g[rows[better]] = values[better]
+    best_layout[rows[better]] = layouts[better]
+
+
+def _ascend(
+    scn: Scenario, inits: np.ndarray, accelerated: bool
+) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
+    """Run the ascent from every layout of `inits` (R, 2, M) side by side.
+
+    A start leaves the batch when it converges or its line search is
+    exhausted; the others go on.  Returns every start's best feasible
+    layout (R, 2, M), its objective value (R,) and its objective trace.
+    """
+    hyp = scn.hyper
+    t_curr = project(inits, scn.region_size)
+    for point in t_curr:
+        pairs = violation_set(point, scn.d_min)
+        if pairs:
+            raise ScenarioError(
+                f"initial layout violates the antenna spacing limit at pairs {pairs}"
+            )
+
+    g_cur = smoothed_objective(t_curr, scn)
+    histories = [[float(g)] for g in g_cur]
+    best_g, best_layout = g_cur.copy(), t_curr.copy()
+    v_prev = t_curr.copy()
+    live = np.arange(len(t_curr))
+    l_cur = 0.5  # shared: every live start is at the same iteration
+    for _ in range(hyp.grad_max_iter):
+        grad = objective_gradient(t_curr[live], scn)
+        try:
+            steps, v_cur, g_v = _line_search(t_curr[live], grad, scn, g_cur[live])
+        except LineSearchExhausted:
+            break  # no usable ascent step left for any start; treat as converged
+        found = ~np.isnan(steps)
+        live, v_cur, g_v = live[found], v_cur[found], g_v[found]
+        _keep_best(best_g, best_layout, live, v_cur, g_v)  # always feasible
+
+        if accelerated:
+            # extrapolate against the previously accepted point v^(i-1)
+            l_next = next_momentum(l_cur)
+            momentum = (l_cur - 1.0) / l_next
+            t_next = project(v_cur + momentum * (v_cur - v_prev[live]), scn.region_size)
+            g_next = smoothed_objective(t_next, scn)
+            ok = violation_counts(t_next, scn.d_min) == 0
+            _keep_best(best_g, best_layout, live[ok], t_next[ok], g_next[ok])
+            l_cur = l_next
+        else:  # momentum weight stays zero: the next iterate is v itself
+            t_next, g_next = v_cur, g_v
+
+        t_curr[live], v_prev[live] = t_next, v_cur
+        for row, g in zip(live, g_next):
+            histories[row].append(float(g))
+        converged = np.abs(g_next - g_cur[live]) < hyp.grad_tol
+        g_cur[live] = g_next
+        live = live[~converged]
+        if live.size == 0:
+            break
+
+    return best_layout, best_g, histories
+
+
 def run_gradient(
     scn: Scenario, init: np.ndarray | None = None, accelerated: bool = True
 ) -> tuple[np.ndarray, list[float]]:
@@ -162,47 +263,9 @@ def run_gradient(
     up, or at `hyper.grad_max_iter`.  Returns the best feasible layout
     seen (momentum overshoots never count) and the objective trace.
     """
-    hyp = scn.hyper
-    point = project(default_init(scn) if init is None else init, scn.region_size)
-    pairs = violation_set(point, scn.d_min)
-    if pairs:
-        raise ScenarioError(
-            f"initial layout violates the antenna spacing limit at pairs {pairs}"
-        )
-
-    g_cur = smoothed_objective(point, scn)
-    history = [g_cur]
-    best_g, best_layout = g_cur, point.copy()
-    t_curr, v_prev, l_cur = point, point, 0.5
-    for _ in range(hyp.grad_max_iter):
-        grad = objective_gradient(t_curr, scn)
-        try:
-            _, v_cur, g_v = _line_search(t_curr, grad, scn, g_cur)
-        except LineSearchExhausted:
-            break  # no usable ascent step left; treat as converged
-        if g_v > best_g:  # line-search points are always feasible
-            best_g, best_layout = g_v, v_cur.copy()
-
-        if accelerated:
-            # extrapolate against the previously accepted point v^(i-1)
-            l_next = next_momentum(l_cur)
-            momentum = (l_cur - 1.0) / l_next
-            t_next = project(v_cur + momentum * (v_cur - v_prev), scn.region_size)
-            g_next = smoothed_objective(t_next, scn)
-            if g_next > best_g and violation_counts(t_next, scn.d_min) == 0:
-                best_g, best_layout = g_next, t_next.copy()
-            l_cur = l_next
-        else:  # momentum weight stays zero: the next iterate is v itself
-            t_next, g_next = v_cur, g_v
-
-        t_curr, v_prev = t_next, v_cur
-        history.append(g_next)
-        converged = abs(g_next - g_cur) < hyp.grad_tol
-        g_cur = g_next
-        if converged:
-            break
-
-    return best_layout, history
+    start = default_init(scn) if init is None else np.asarray(init, dtype=float)
+    layouts, _, histories = _ascend(scn, start[None], accelerated)
+    return layouts[0], histories[0]
 
 
 SAMPLE_ATTEMPTS = 200  # per-antenna budget when drawing random layouts
@@ -242,23 +305,20 @@ def run_multistart(
 ) -> tuple[np.ndarray, list[list[float]]]:
     """Best gradient run over the grid init plus random restarts.
 
-    Runs `run_gradient` once from the default grid and `restarts - 1`
-    times from random feasible layouts, returning the layout whose final
-    objective is highest together with every objective trace.
+    Advances the default grid and `restarts - 1` random feasible layouts
+    as one batch, returning the layout whose best objective is highest
+    (the first such start on a tie) together with every objective trace.
+    Raises `ScenarioError` when no start reaches a finite objective.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     rng = np.random.default_rng(seed)
-    inits: list[np.ndarray | None] = [None]
+    inits = [default_init(scn)]
     inits += [random_feasible_layout(scn, rng) for _ in range(restarts - 1)]
-
-    best_layout = np.empty(0)
-    best_g = -math.inf
-    histories: list[list[float]] = []
-    for init in inits:
-        layout, hist = run_gradient(scn, init=init, accelerated=accelerated)
-        histories.append(hist)
-        g_fin = smoothed_objective(layout, scn)
-        if g_fin > best_g:
-            best_g, best_layout = g_fin, layout
-    return best_layout, histories
+    layouts, best_g, histories = _ascend(scn, np.stack(inits), accelerated)
+    finite = np.isfinite(best_g)
+    if not finite.any():
+        raise ScenarioError(
+            f"no gradient start reached a finite objective: {best_g.tolist()}"
+        )
+    return layouts[int(np.argmax(np.where(finite, best_g, -np.inf)))], histories

@@ -176,11 +176,13 @@ def _require_finite(obj, prefix: str = "") -> None:
             raise ScenarioError(f"{prefix}{f.name} must be finite, got {value}")
 
 
-def validate_scenario(scn: Scenario) -> Scenario:
-    """Check scenario invariants, raising `ScenarioError` naming the field."""
+def _validate_fields(scn: Scenario) -> None:
+    """Check every field but the users, raising `ScenarioError` naming it.
+
+    Users derive from `noise_over_taup`, a ratio of these fields, so they
+    are checked before any user is drawn.
+    """
     _require_finite(scn)
-    for k, u in enumerate(scn.users):
-        _require_finite(u, f"user {k}: ")
     _require_finite(scn.hyper)
     if scn.m_antennas < 1:
         raise ScenarioError(f"m_antennas must be >= 1, got {scn.m_antennas}")
@@ -206,17 +208,6 @@ def validate_scenario(scn: Scenario) -> Scenario:
             f"pilot_len must leave room for data: {scn.pilot_len} >= "
             f"coherence_len {scn.coherence_len}"
         )
-    if len(scn.users) != scn.k_users:
-        raise ScenarioError(
-            f"k_users is {scn.k_users} but {len(scn.users)} users given"
-        )
-    for k, u in enumerate(scn.users):
-        if not 0 < u.est_gain < 1:
-            raise ScenarioError(f"user {k}: est_gain out of (0, 1): {u.est_gain}")
-        if not math.isclose(
-            u.nlos_power * (u.rician + 1.0), u.path_loss, rel_tol=1e-9
-        ):
-            raise ScenarioError(f"user {k}: nlos_power inconsistent with path_loss")
     h = scn.hyper
     if h.mu <= 0:
         raise ScenarioError(f"mu must be positive, got {h.mu}")
@@ -236,6 +227,24 @@ def validate_scenario(scn: Scenario) -> Scenario:
         raise ScenarioError(f"grad_tol must be positive, got {h.grad_tol}")
     if h.seed < 0:
         raise ScenarioError(f"seed must be >= 0, got {h.seed}")
+
+
+def validate_scenario(scn: Scenario) -> Scenario:
+    """Check scenario invariants, raising `ScenarioError` naming the field."""
+    _validate_fields(scn)
+    for k, u in enumerate(scn.users):
+        _require_finite(u, f"user {k}: ")
+    if len(scn.users) != scn.k_users:
+        raise ScenarioError(
+            f"k_users is {scn.k_users} but {len(scn.users)} users given"
+        )
+    for k, u in enumerate(scn.users):
+        if not 0 < u.est_gain < 1:
+            raise ScenarioError(f"user {k}: est_gain out of (0, 1): {u.est_gain}")
+        if not math.isclose(
+            u.nlos_power * (u.rician + 1.0), u.path_loss, rel_tol=1e-9
+        ):
+            raise ScenarioError(f"user {k}: nlos_power inconsistent with path_loss")
     return scn
 
 
@@ -257,6 +266,7 @@ def redraw_users(scn: Scenario, seed: int, *, count: int | None = None) -> Scena
 
 def _drawn(scn: Scenario) -> Scenario:
     """`scn` with its users drawn from its `user_model`, validated."""
+    _validate_fields(scn)
     users = random_users(scn.user_model, scn.noise_over_taup)
     return validate_scenario(dataclasses.replace(scn, users=users))
 
@@ -424,6 +434,7 @@ def load_scenario(path) -> Scenario:
     )
     if model is not None:
         return _drawn(scn)
+    _validate_fields(scn)
     users = tuple(
         derive_user(*line, noise_over_taup=scn.noise_over_taup, **large)
         for line in lines

@@ -102,8 +102,17 @@ def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
             "tx_power_dbm = 30", "tx_power_dbm = 30%", [],
             "bad value for tx_power_dbm in [system]: '30%'",
         ),
+        ("pilot_len = 2", "pilot_len = 0", [], "pilot_len < k_users (0 < 2)"),
+        ("pilot_len = 2", "pilot_len = -3", [], "pilot_len < k_users (-3 < 2)"),
+        (
+            "tx_power_dbm = 30", "tx_power_dbm = inf", [],
+            "tx_power must be finite, got inf",
+        ),
     ],
-    ids=["users-seed", "users-count", "hyper-seed", "cli-seed", "percent"],
+    ids=[
+        "users-seed", "users-count", "hyper-seed", "cli-seed", "percent",
+        "pilot-zero", "pilot-negative", "power-inf",
+    ],
 )
 def test_run_rejects_bad_input(
     tmp_path, capsys, monkeypatch, old, new, argv, needle

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fas_optim import opt_ga, opt_grad, rate
 from fas_optim.scenario import (
@@ -221,6 +223,43 @@ def test_line_search_value_is_objective_of_accepted_layout():
         assert g_value == opt_grad.smoothed_objective(layout, scn)
 
 
+def test_line_search_batch_matches_reference_past_prefix(table1_k3):
+    # at kappa 0.9 random starts accept a step past the first scored prefix;
+    # a zero gradient passes at once and the boundary grid pushed inward
+    # never passes, all in one batch
+    hyper = dataclasses.replace(table1_k3.hyper, kappa=0.9)
+    scn = dataclasses.replace(table1_k3, hyper=hyper)
+    rng = np.random.default_rng(0)
+    points = [opt_grad.random_feasible_layout(scn, rng) for _ in range(3)]
+    grads = [opt_grad.objective_gradient(p, scn) for p in points]
+    points.append(opt_grad.default_init(scn))
+    grads.append(np.zeros((2, 9)))
+    points.append(upa_layout(9, scn.d_min, scn.region_size))
+    grads.append(-points[-1])
+    g_values = opt_grad.smoothed_objective(np.stack(points), scn)
+    steps, layouts, values = opt_grad._line_search(
+        np.stack(points), np.stack(grads), scn, g_values
+    )
+
+    firsts = []
+    for i, (point, grad) in enumerate(zip(points, grads)):
+        zetas, grew, feas = _reference_search(point, grad, scn)
+        passing = np.flatnonzero(grew & feas)
+        if passing.size == 0:
+            firsts.append(None)
+            assert np.isnan(steps[i]) and np.isnan(values[i])
+            continue
+        idx = int(passing[0])
+        firsts.append(idx)
+        accepted = opt_grad.project(point + zetas[idx] * grad, scn.region_size)
+        assert steps[i] == zetas[idx]
+        np.testing.assert_array_equal(layouts[i], accepted)
+        assert values[i] == opt_grad.smoothed_objective(accepted, scn)
+        assert opt_grad._line_search(point, grad, scn, g_values[i])[0] == steps[i]
+    assert min(firsts[:3]) >= opt_grad.LINE_SEARCH_PREFIX
+    assert firsts[3:] == [0, None]
+
+
 def test_backtrack_zero_gradient_returns_full_step(table1_k3):
     point = opt_grad.default_init(table1_k3)
     step = _step(point, np.zeros((2, 9)), table1_k3)
@@ -389,6 +428,50 @@ def test_run_multistart_guards_and_traces(table1_k3):
     single, _ = opt_grad.run_gradient(table1_k3)
     g_best = opt_grad.smoothed_objective(layout, table1_k3)
     assert g_best >= opt_grad.smoothed_objective(single, table1_k3) - 1e-12
+    # the starts leave the batch at different iterations, each on its own path
+    assert len({len(h) for h in histories}) == 3
+    rng = np.random.default_rng(0)
+    inits = [opt_grad.random_feasible_layout(table1_k3, rng) for _ in range(2)]
+    assert histories[1:] == [opt_grad.run_gradient(table1_k3, i)[1] for i in inits]
+
+
+def test_run_multistart_rejects_non_finite_objective(table1_k3, monkeypatch):
+    real = rate.rates_for
+    monkeypatch.setattr(
+        rate, "rates_for", lambda ctx, layouts: np.nan * real(ctx, layouts)
+    )
+    with pytest.raises(ScenarioError, match="no gradient start reached a finite"):
+        opt_grad.run_multistart(table1_k3, seed=0, restarts=3)
+
+
+@st.composite
+def small_problems(draw):
+    """A random small scenario and a seed for the random starts."""
+    k = draw(st.integers(2, 4))
+    angle = st.floats(0.2, 2.9)
+    angles = [(draw(angle), draw(angle)) for _ in range(k)]
+    distances = [draw(st.floats(50.0, 70.0)) for _ in range(k)]
+    scn = small_scenario(angles, m=draw(st.integers(3, 6)), distances=distances)
+    return scn, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(small_problems(), st.booleans())
+def test_batched_starts_match_single_runs(problem, accelerated):
+    # advancing starts side by side must not change any start's trajectory
+    scn, seed = problem
+    rng = np.random.default_rng(seed)
+    inits = [opt_grad.default_init(scn)]
+    inits += [opt_grad.random_feasible_layout(scn, rng) for _ in range(3)]
+    layouts, best_g, histories = opt_grad._ascend(scn, np.stack(inits), accelerated)
+    for init, layout, value, history in zip(inits, layouts, best_g, histories):
+        single, single_history = opt_grad.run_gradient(scn, init, accelerated)
+        np.testing.assert_array_equal(layout, single)
+        assert history == single_history
+        assert value == opt_grad.smoothed_objective(single, scn)
+    best, multi_histories = opt_grad.run_multistart(scn, seed, 4, accelerated)
+    assert multi_histories == histories
+    np.testing.assert_array_equal(best, layouts[int(np.argmax(best_g))])
 
 
 def test_run_multistart_single_restart_is_default_run(table1_k3):

@@ -208,6 +208,37 @@ def test_redraw_users_new_count_tracks_pilots(table1_k3):
     assert scn.user_model.seed == 99
 
 
+@pytest.mark.parametrize(
+    "k_users, old, new, needle",
+    [
+        (3, "pilot_len = 3", "pilot_len = 0", r"pilot_len < k_users \(0 < 3\)"),
+        (3, "pilot_len = 3", "pilot_len = -3", r"pilot_len < k_users \(-3 < 3\)"),
+        (3, "tx_power_dbm = 30", "tx_power_dbm = inf", "tx_power must be finite"),
+        (0, "pilot_len = 0\n", "", "k_users must be >= 1, got 0"),
+    ],
+    ids=["pilot-zero", "pilot-negative", "power-inf", "no-users"],
+)
+def test_load_checks_fields_before_deriving_users(
+    tmp_path, k_users, old, new, needle
+):
+    # users derive from noise_over_taup = noise / (pilot_len * tx_power)
+    drawn = write_ini(tmp_path, k_users=k_users).read_text().replace(old, new, 1)
+    explicit = "\n".join(
+        line for line in drawn.replace("seed = 12", "user1 = 55 1 1").splitlines()
+        if not line.startswith("count")
+    )
+    for text in (drawn, explicit):
+        path = tmp_path / "fault.ini"
+        path.write_text(text)
+        with pytest.raises(ScenarioError, match=needle):
+            load_scenario(path)
+
+
+def test_redraw_users_rejects_zero_count(table1_k3):
+    with pytest.raises(ScenarioError, match="k_users must be >= 1, got 0"):
+        redraw_users(table1_k3, 5, count=0)
+
+
 def test_redraw_users_needs_model(table1_k3):
     bare = dataclasses.replace(table1_k3, user_model=None)
     with pytest.raises(ScenarioError, match="no user model"):
