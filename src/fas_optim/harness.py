@@ -34,9 +34,9 @@ from .scenario import (
     Scenario,
     ScenarioError,
     db_to_linear,
+    grid_layout,
     load_scenario,
     redraw_users,
-    upa_layout,
 )
 
 AXES = ("k_users", "m_antennas", "rician_db", "region_over_lambda", "none")
@@ -135,9 +135,9 @@ def scenario_point(scn: Scenario, axis: str, value, user_seed: int) -> Scenario:
 
 
 def fpa_layout(scn: Scenario) -> np.ndarray:
-    """Half-wavelength grid benchmark, no optimization."""
+    """Fixed-position benchmark, no optimization: the `grid_layout` grid."""
     try:
-        return upa_layout(scn.m_antennas, scn.wavelength / 2.0, scn.region_size)
+        return grid_layout(scn)
     except ScenarioError as exc:
         raise ScenarioError(f"UPA does not fit: {exc}") from None
 
@@ -244,19 +244,10 @@ def write_results(path, rows: list[ResultRow]) -> None:
         writer = csv.writer(fh)
         writer.writerow(RESULT_FIELDS)
         for r in rows:
-            writer.writerow(
-                [
-                    r.axis,
-                    r.axis_value,
-                    r.repeat,
-                    r.algorithm,
-                    r.scenario_seed,
-                    repr(r.min_rate),
-                    r.iterations,
-                    f"{r.wall_ms:.3f}",
-                    "" if r.mc_min_rate is None else repr(r.mc_min_rate),
-                ]
-            )
+            # csv writes a float as its repr and None as an empty cell
+            cells = [getattr(r, field) for field in RESULT_FIELDS]
+            cells[RESULT_FIELDS.index("wall_ms")] = f"{r.wall_ms:.3f}"
+            writer.writerow(cells)
 
 
 def summarize(rows: list[ResultRow], sweep: SweepSpec) -> list[dict]:
@@ -292,16 +283,7 @@ def write_summary(path, summary: list[dict]) -> None:
         writer = csv.writer(fh)
         writer.writerow(fields)
         for row in summary:
-            writer.writerow(
-                [
-                    row["axis"],
-                    row["axis_value"],
-                    row["algorithm"],
-                    row["n"],
-                    repr(row["mean_min_rate"]),
-                    repr(row["se_min_rate"]),
-                ]
-            )
+            writer.writerow([row[field] for field in fields])  # floats as repr
 
 
 def render_sweep_plot(path, sweep: SweepSpec, summary: list[dict]) -> None:
@@ -353,7 +335,7 @@ def validate_closed_form(
 ) -> ValidationReport:
     """Compare every closed-form SINR term against the simulation oracle.
 
-    Runs on the half-wavelength grid unless `layout` is given.  A term
+    Runs on the FPA grid (`fpa_layout`) unless `layout` is given.  A term
     passes when it lies within 4 standard errors of its Monte Carlo
     estimate; `ok` requires every term of every user to pass.
     """

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rate
-from .scenario import Scenario, ScenarioError, upa_layout
+from .scenario import Scenario, ScenarioError, grid_layout
 
 TOURNAMENT = 3
 CROSSOVER_P = 0.9   # probability a child mixes both parents
@@ -96,9 +96,7 @@ def init_population(scn: Scenario, rng: np.random.Generator) -> GaState:
     half = scn.region_size / 2.0
     layouts = rng.uniform(-half, half, (n, 2, m))
     try:
-        seed_layout = upa_layout(
-            m, max(scn.wavelength / 2.0, scn.d_min), scn.region_size
-        )
+        seed_layout = grid_layout(scn)
         for i in range(max(1, n // SEED_DIVISOR)):
             layouts[i] = seed_layout
     except ScenarioError:
@@ -174,5 +172,8 @@ def run_ga(scn: Scenario, seed=None) -> tuple[np.ndarray, list[float]]:
         ):
             break
     if state.best_layout is None:
-        raise RuntimeError("genetic search found no layout meeting the spacing limit")
+        raise ScenarioError(
+            f"genetic search found no layout meeting the spacing limit d_min = "
+            f"{scn.d_min} in a region of side {scn.region_size}"
+        )
     return state.best_layout.copy(), state.history

@@ -10,18 +10,18 @@ an entrywise clamp), with a backtracking line search that accepts a
 step only when the objective grows enough and the trial layout keeps
 every antenna pair at least `d_min` apart.  A momentum sequence in the
 style of accelerated first-order methods extrapolates between
-consecutive accepted points; the plain variant keeps the momentum
-weight at zero.  The best feasible point seen is returned, so a late
+consecutive accepted points; the plain variant is the same loop with
+momentum weight zero.  Each new iterate is scored by one SINR pass that
+gives both its objective value and the gradient the next line search
+starts from.  The best feasible point seen is returned, so a late
 momentum overshoot cannot degrade the result.
 
-The objective is multimodal in the antenna positions, so a single
-trajectory can settle on a poor arrangement; `run_multistart` repeats
-the ascent from random feasible layouts and keeps the best outcome.
-All starts advance together as one ``(R, 2, M)`` batch: each keeps its
-own objective, best layout, history and stop condition, and leaves the
-batch when it stops, while the momentum scalar is shared because every
-live start is at the same iteration.  `run_gradient` is the same loop
-with a single start.
+The objective is multimodal in the antenna positions, so `run_multistart`
+repeats the ascent from random feasible layouts and keeps the best.  All
+starts advance as one ``(R, 2, M)`` batch: each keeps its own objective,
+best layout, history and stop condition and leaves the batch when it
+stops; the momentum scalar is shared since every live start is at the
+same iteration.  `run_gradient` is the same loop with a single start.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import rate
 from .opt_ga import project, violation_counts, violation_set
-from .scenario import Scenario, ScenarioError, upa_layout
+from .scenario import Scenario, ScenarioError, grid_layout
 
 ZETA_MIN_FACTOR = 1e-8  # line search gives up below this fraction of wavelength
 LINE_SEARCH_PREFIX = 40  # candidates scored first; the accepted one is rarely later
@@ -81,23 +81,28 @@ def _sinr_gradients(ctx: rate.ClosedFormContext, layouts: np.ndarray) -> np.ndar
     return -(p**2) * ctx.e_signal[:, None, None] * dinterf / (denom**2)[..., None, None]
 
 
-def objective_gradient(layout: np.ndarray, scn: Scenario) -> np.ndarray:
-    """Gradient of the smoothed objective w.r.t. positions, shape (..., 2, M).
+def _value_and_gradient(
+    ctx: rate.ClosedFormContext, layout: np.ndarray, mu: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Smoothed objective (...,) and its gradient (..., 2, M) from one SINR pass.
 
     Soft-min weights are exponentials of the (shifted) rates, so each
     user's SINR gradient enters with weight exp(-mu R_k) /
     ((1 + SINR_k) ln 2) times the pilot-overhead prelog, normalized by
     the weight sum.
     """
-    ctx = rate.closed_form_context(scn)
-    layout = np.asarray(layout, dtype=float)
     sinr = rate.sinr_for(ctx, layout)
     rates = ctx.prelog * np.log2(1.0 + sinr)
-    weights = np.exp(-scn.hyper.mu * (rates - rates.min(axis=-1, keepdims=True)))
+    weights = np.exp(-mu * (rates - rates.min(axis=-1, keepdims=True)))
     weights = weights / weights.sum(axis=-1, keepdims=True)
     dsinr = _sinr_gradients(ctx, layout)
     coeff = ctx.prelog * weights / ((1.0 + sinr) * math.log(2.0))
-    return np.einsum("...k,...kdm->...dm", coeff, dsinr)
+    return _soft_min(rates, mu), np.einsum("...k,...kdm->...dm", coeff, dsinr)
+
+
+def objective_gradient(layout: np.ndarray, scn: Scenario) -> np.ndarray:
+    """Gradient of the smoothed objective w.r.t. positions, shape (..., 2, M)."""
+    return _value_and_gradient(rate.closed_form_context(scn), layout, scn.hyper.mu)[1]
 
 
 def next_momentum(l_cur: float) -> float:
@@ -115,12 +120,13 @@ def _line_search(
     `g_value` at `point` by at least ``varpi * zeta * ||grad||^2`` and has
     no spacing violations.  `point` and `grad` are one layout (2, M) or a
     batch (..., 2, M) with one `g_value` per layout.  The first
-    `LINE_SEARCH_PREFIX` candidates of every layout are scored in one
-    batch, the rest only for layouts with no passing step among them, so
-    the first passing step is the one the sequential shrink loop takes.
-    Returns the steps, the accepted trial layouts and their objective
-    values, NaN for a layout with no passing step; raises
-    `LineSearchExhausted` when no layout has one down to
+    `LINE_SEARCH_PREFIX` candidates of every layout are built and scored
+    in one batch, the rest only for layouts with no passing step among
+    them, and only candidates that pass the increase test are
+    spacing-checked; the first passing step is the one the sequential
+    shrink loop takes.  Returns the steps, the accepted trial layouts and
+    their objective values, NaN for a layout with no passing step;
+    raises `LineSearchExhausted` when no layout has one down to
     ``1e-8 * wavelength``.
     """
     hyp = scn.hyper
@@ -133,9 +139,6 @@ def _line_search(
     grad_sq = np.sum(grads.reshape(len(grads), -1) ** 2, axis=-1)
     n_steps = math.ceil(math.log(ZETA_MIN_FACTOR) / math.log(hyp.kappa)) + 1
     zetas = scn.wavelength * hyp.kappa ** np.arange(n_steps)
-    trials = project(
-        points[:, None] + zetas[:, None, None] * grads[:, None], scn.region_size
-    )
 
     steps = np.full(len(points), np.nan)
     values = np.full(len(points), np.nan)
@@ -144,12 +147,16 @@ def _line_search(
     for lo, hi in ((0, LINE_SEARCH_PREFIX), (LINE_SEARCH_PREFIX, n_steps)):
         if pending.size == 0 or lo >= n_steps:
             break
-        cands = trials[pending, lo:hi]
+        cands = project(
+            points[pending, None] + zetas[lo:hi, None, None] * grads[pending, None],
+            scn.region_size,
+        )
         g_trials = _soft_min(rate.rates_for(ctx, cands), hyp.mu)
         grew = g_trials >= g_values[pending, None] + (
             hyp.varpi * zetas[lo:hi] * grad_sq[pending, None]
         )
-        passing = grew & (violation_counts(cands, scn.d_min) == 0)
+        passing = grew.copy()  # only steps that grew can pass, so check only those
+        passing[grew] = violation_counts(cands[grew], scn.d_min) == 0
         hit = passing.any(axis=-1)
         first = passing.argmax(axis=-1)[hit]
         rows = pending[hit]
@@ -168,22 +175,14 @@ def _line_search(
     )
 
 
-INIT_SLACK = 1.2  # grid pitch margin over d_min so the first steps stay feasible
+# grid pitch margin over d_min: at pitch exactly d_min the start sits on the
+# spacing boundary, where no perturbed trial point passes the line search
+INIT_SLACK = 1.2
 
 
 def default_init(scn: Scenario) -> np.ndarray:
-    """Regular grid start with spacing slack above `d_min`.
-
-    A grid at pitch exactly `d_min` sits on the boundary of the spacing
-    constraint, where no perturbed trial point can pass the line
-    search.  The slack keeps the start interior; if the padded grid
-    does not fit the region, the exact-pitch grid is used instead.
-    """
-    base = max(scn.wavelength / 2.0, scn.d_min)
-    try:
-        return upa_layout(scn.m_antennas, INIT_SLACK * base, scn.region_size)
-    except ScenarioError:
-        return upa_layout(scn.m_antennas, base, scn.region_size)
+    """Regular grid start, padded so it sits inside the spacing constraint."""
+    return grid_layout(scn, INIT_SLACK)
 
 
 def _keep_best(best_g, best_layout, rows, layouts, values) -> None:
@@ -211,33 +210,31 @@ def _ascend(
                 f"initial layout violates the antenna spacing limit at pairs {pairs}"
             )
 
-    g_cur = smoothed_objective(t_curr, scn)
+    ctx = rate.closed_form_context(scn)
+    g_cur, grad = _value_and_gradient(ctx, t_curr, hyp.mu)
     histories = [[float(g)] for g in g_cur]
     best_g, best_layout = g_cur.copy(), t_curr.copy()
     v_prev = t_curr.copy()
     live = np.arange(len(t_curr))
     l_cur = 0.5  # shared: every live start is at the same iteration
     for _ in range(hyp.grad_max_iter):
-        grad = objective_gradient(t_curr[live], scn)
         try:
-            steps, v_cur, g_v = _line_search(t_curr[live], grad, scn, g_cur[live])
+            steps, v_cur, g_v = _line_search(t_curr[live], grad[live], scn, g_cur[live])
         except LineSearchExhausted:
             break  # no usable ascent step left for any start; treat as converged
         found = ~np.isnan(steps)
         live, v_cur, g_v = live[found], v_cur[found], g_v[found]
         _keep_best(best_g, best_layout, live, v_cur, g_v)  # always feasible
 
-        if accelerated:
-            # extrapolate against the previously accepted point v^(i-1)
-            l_next = next_momentum(l_cur)
-            momentum = (l_cur - 1.0) / l_next
-            t_next = project(v_cur + momentum * (v_cur - v_prev[live]), scn.region_size)
-            g_next = smoothed_objective(t_next, scn)
-            ok = violation_counts(t_next, scn.d_min) == 0
-            _keep_best(best_g, best_layout, live[ok], t_next[ok], g_next[ok])
-            l_cur = l_next
-        else:  # momentum weight stays zero: the next iterate is v itself
-            t_next, g_next = v_cur, g_v
+        # extrapolate against the previously accepted point v^(i-1); with
+        # weight zero (plain variant) the next iterate is v itself
+        l_next = next_momentum(l_cur)
+        momentum = (l_cur - 1.0) / l_next if accelerated else 0.0
+        t_next = project(v_cur + momentum * (v_cur - v_prev[live]), scn.region_size)
+        g_next, grad[live] = _value_and_gradient(ctx, t_next, hyp.mu)
+        ok = violation_counts(t_next, scn.d_min) == 0
+        _keep_best(best_g, best_layout, live[ok], t_next[ok], g_next[ok])
+        l_cur = l_next
 
         t_curr[live], v_prev[live] = t_next, v_cur
         for row, g in zip(live, g_next):
@@ -256,12 +253,10 @@ def run_gradient(
 ) -> tuple[np.ndarray, list[float]]:
     """Maximize the smoothed min rate from `init` (regular grid by default).
 
-    Follows the accelerated scheme: accepted point v from the line
-    search, momentum scalar update, extrapolated next iterate projected
-    into the box.  Stops when the objective change between consecutive
-    iterates falls below `hyper.grad_tol`, when the line search gives
-    up, or at `hyper.grad_max_iter`.  Returns the best feasible layout
-    seen (momentum overshoots never count) and the objective trace.
+    Stops when the objective change between consecutive iterates falls
+    below `hyper.grad_tol`, when the line search gives up, or at
+    `hyper.grad_max_iter`.  Returns the best feasible layout seen
+    (momentum overshoots never count) and the objective trace.
     """
     start = default_init(scn) if init is None else np.asarray(init, dtype=float)
     layouts, _, histories = _ascend(scn, start[None], accelerated)

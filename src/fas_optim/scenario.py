@@ -304,6 +304,18 @@ def upa_layout(m_antennas: int, pitch: float, region_size: float) -> np.ndarray:
     return np.stack([x, y])
 
 
+def grid_layout(scn: Scenario, slack: float = 1.0) -> np.ndarray:
+    """Regular grid at pitch max(wavelength/2, d_min), padded by `slack` if that fits.
+
+    Raises `ScenarioError` when even the unpadded grid does not fit.
+    """
+    pitch = max(scn.wavelength / 2.0, scn.d_min)
+    try:
+        return upa_layout(scn.m_antennas, slack * pitch, scn.region_size)
+    except ScenarioError:
+        return upa_layout(scn.m_antennas, pitch, scn.region_size)
+
+
 # INI keys of each section and their converters
 _SYSTEM_KEYS = {
     "m_antennas": int,

@@ -108,10 +108,16 @@ def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
             "tx_power_dbm = 30", "tx_power_dbm = inf", [],
             "tx_power must be finite, got inf",
         ),
+        # four antennas 0.05 apart do not fit a 0.04 square; the later
+        # --algos wins, so only the GA runs
+        (
+            "region_size_m = 0.6", "region_size_m = 0.04", ["--algos", "ga"],
+            "spacing limit d_min = 0.05 in a region of side 0.04",
+        ),
     ],
     ids=[
         "users-seed", "users-count", "hyper-seed", "cli-seed", "percent",
-        "pilot-zero", "pilot-negative", "power-inf",
+        "pilot-zero", "pilot-negative", "power-inf", "ga-infeasible",
     ],
 )
 def test_run_rejects_bad_input(

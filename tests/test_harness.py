@@ -2,15 +2,16 @@
 
 import csv
 import dataclasses
+import hashlib
 import math
 import statistics
 
 import numpy as np
 import pytest
 
-from fas_optim import harness, rate, svgplot
+from fas_optim import harness, opt_ga, rate, svgplot
 from fas_optim.scenario import ScenarioError, db_to_linear, redraw_users, upa_layout
-from conftest import write_ini
+from conftest import SCENARIO_DIR, write_ini
 
 
 def read_csv(path):
@@ -138,6 +139,14 @@ def test_fpa_layout_rejects_small_region(table1_k3):
         harness.fpa_layout(tiny)
 
 
+def test_fpa_layout_meets_spacing_limit(table1_k3):
+    # with d_min above half a wavelength the grid widens to pitch d_min
+    wide = dataclasses.replace(table1_k3, d_min=0.06)
+    layout = harness.fpa_layout(wide)
+    assert opt_ga.violation_set(layout, wide.d_min) == []
+    np.testing.assert_array_equal(layout, upa_layout(9, 0.06, 0.6))
+
+
 def test_fpa_baseline_row(table1_k3):
     task = (table1_k3, "none", 0.0, 0, "fpa", table1_k3.hyper.seed, 0, 0, 0)
     row = harness._run_task(task)
@@ -207,6 +216,16 @@ def test_run_experiment_reproducible_minus_timing(table1_k3, tmp_path, monkeypat
     assert (tmp_path / "a" / "summary.csv").read_bytes() == (
         tmp_path / "b" / "summary.csv"
     ).read_bytes()
+
+
+def test_run_experiment_golden_summary(tmp_path, monkeypatch):
+    # pins summary.csv byte for byte: any change to a solver's trajectory,
+    # the baseline grid or the seeding shows up here
+    monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
+    sweep = harness.SweepSpec(axis="m_antennas", values=(4, 9))
+    harness.run_experiment(SCENARIO_DIR / "table1_k3.ini", sweep, tmp_path, seed=7)
+    digest = hashlib.md5((tmp_path / "summary.csv").read_bytes()).hexdigest()
+    assert digest == "017abf804170db80b8893978a1bb873e"
 
 
 def test_run_experiment_mc_column(table1_k3, tmp_path, monkeypatch):

@@ -223,7 +223,7 @@ def test_line_search_value_is_objective_of_accepted_layout():
         assert g_value == opt_grad.smoothed_objective(layout, scn)
 
 
-def test_line_search_batch_matches_reference_past_prefix(table1_k3):
+def test_line_search_batch_matches_reference_past_prefix(table1_k3, monkeypatch):
     # at kappa 0.9 random starts accept a step past the first scored prefix;
     # a zero gradient passes at once and the boundary grid pushed inward
     # never passes, all in one batch
@@ -237,13 +237,25 @@ def test_line_search_batch_matches_reference_past_prefix(table1_k3):
     points.append(upa_layout(9, scn.d_min, scn.region_size))
     grads.append(-points[-1])
     g_values = opt_grad.smoothed_objective(np.stack(points), scn)
+    checked = []  # layouts the spacing check saw
+    real_counts = opt_grad.violation_counts
+
+    def spy(layouts, d_min):
+        checked.extend(np.asarray(layouts).reshape(-1, 2, 9))
+        return real_counts(layouts, d_min)
+
+    monkeypatch.setattr(opt_grad, "violation_counts", spy)
     steps, layouts, values = opt_grad._line_search(
         np.stack(points), np.stack(grads), scn, g_values
     )
 
-    firsts = []
+    firsts, grown = [], []
     for i, (point, grad) in enumerate(zip(points, grads)):
         zetas, grew, feas = _reference_search(point, grad, scn)
+        trials = opt_grad.project(
+            point[None] + zetas[:, None, None] * grad[None], scn.region_size
+        )
+        grown.extend(trials[grew])
         passing = np.flatnonzero(grew & feas)
         if passing.size == 0:
             firsts.append(None)
@@ -258,6 +270,9 @@ def test_line_search_batch_matches_reference_past_prefix(table1_k3):
         assert opt_grad._line_search(point, grad, scn, g_values[i])[0] == steps[i]
     assert min(firsts[:3]) >= opt_grad.LINE_SEARCH_PREFIX
     assert firsts[3:] == [0, None]
+    # the spacing check saw only candidates that passed the increase test
+    assert checked
+    assert all(any(np.array_equal(c, g) for g in grown) for c in checked)
 
 
 def test_backtrack_zero_gradient_returns_full_step(table1_k3):
@@ -369,8 +384,8 @@ def test_run_gradient_plain_variant(table1_k5):
 
 
 def test_run_gradient_evaluates_each_iterate_once(table1_k5, monkeypatch):
-    # per iteration: the gradient, the line-search batch and the extrapolated
-    # point; the accepted point's value comes from the line-search batch
+    # per iteration: one or two line-search batches and one pass for the
+    # next iterate's value and gradient together
     calls = 0
     sinr_for = rate.sinr_for
 
@@ -384,6 +399,34 @@ def test_run_gradient_evaluates_each_iterate_once(table1_k5, monkeypatch):
     iterations = len(history) - 1
     assert iterations > 10
     assert calls <= 3 * iterations + 2
+
+
+@pytest.mark.parametrize("accelerated", [True, False])
+def test_ascent_scores_each_iterate_in_one_pass(table1_k5, monkeypatch, accelerated):
+    # outside the line search: one SINR pass at the start and one per
+    # iteration, which gives both the new iterate's value and its gradient
+    outside, in_search = 0, False
+    sinr_for, line_search = rate.sinr_for, opt_grad._line_search
+
+    def counting(ctx, layouts):
+        nonlocal outside
+        outside += not in_search
+        return sinr_for(ctx, layouts)
+
+    def searching(*args):
+        nonlocal in_search
+        in_search = True
+        try:
+            return line_search(*args)
+        finally:
+            in_search = False
+
+    monkeypatch.setattr(rate, "sinr_for", counting)
+    monkeypatch.setattr(opt_grad, "_line_search", searching)
+    _, history = opt_grad.run_gradient(table1_k5, accelerated=accelerated)
+    iterations = len(history) - 1
+    assert iterations > 10
+    assert outside == iterations + 1
 
 
 def test_run_gradient_deterministic(table1_k3):
@@ -436,9 +479,9 @@ def test_run_multistart_guards_and_traces(table1_k3):
 
 
 def test_run_multistart_rejects_non_finite_objective(table1_k3, monkeypatch):
-    real = rate.rates_for
+    real = rate.sinr_for
     monkeypatch.setattr(
-        rate, "rates_for", lambda ctx, layouts: np.nan * real(ctx, layouts)
+        rate, "sinr_for", lambda ctx, layouts: np.nan * real(ctx, layouts)
     )
     with pytest.raises(ScenarioError, match="no gradient start reached a finite"):
         opt_grad.run_multistart(table1_k3, seed=0, restarts=3)
