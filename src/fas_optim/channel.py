@@ -29,12 +29,15 @@ def user_directions(users) -> np.ndarray:
     return np.stack([np.sin(elevation) * np.cos(azimuth), np.cos(elevation)], axis=-1)
 
 
+def steering(dirs: np.ndarray, layouts: np.ndarray, wavelength: float) -> np.ndarray:
+    """LoS responses of the users with direction pairs `dirs` (K, 2), (..., K, M)."""
+    rho = np.einsum("kd,...dm->...km", dirs, np.asarray(layouts, dtype=float))
+    return np.exp(1j * (2.0 * np.pi / wavelength) * rho)
+
+
 def los_matrix(layout: np.ndarray, users, wavelength: float) -> np.ndarray:
     """LoS responses of all users side by side, shape (..., M, K)."""
-    layout = np.asarray(layout, dtype=float)
-    dirs = user_directions(users)  # (K, 2)
-    rho = np.einsum("kd,...dm->...mk", dirs, layout)
-    return np.exp(2j * np.pi / wavelength * rho)
+    return steering(user_directions(users), layout, wavelength).swapaxes(-1, -2)
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:

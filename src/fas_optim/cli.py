@@ -9,6 +9,7 @@ Subcommands: `run` executes a sweep and writes CSV/SVG artifacts,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import harness, rate
@@ -65,12 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     sweep = _parse_sweep(args.sweep)
     algos = tuple(a for a in args.algos.split(",") if a)
-    sweep = harness.SweepSpec(
-        axis=sweep.axis,
-        values=sweep.values,
-        repeats=args.repeats,
-        algorithms=algos,
-    )
+    sweep = dataclasses.replace(sweep, repeats=args.repeats, algorithms=algos)
     rows = harness.run_experiment(args.scenario, sweep, args.out, seed=args.seed)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

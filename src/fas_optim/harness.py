@@ -41,17 +41,6 @@ from .scenario import (
 
 AXES = ("k_users", "m_antennas", "rician_db", "region_over_lambda", "none")
 ALGORITHMS = ("ga", "grad", "fpa")
-RESULT_FIELDS = (
-    "axis",
-    "axis_value",
-    "repeat",
-    "algorithm",
-    "scenario_seed",
-    "min_rate",
-    "iterations",
-    "wall_ms",
-    "mc_min_rate",
-)
 
 
 @dataclass(frozen=True)
@@ -103,6 +92,9 @@ class ResultRow:
     iterations: int
     wall_ms: float
     mc_min_rate: float | None = None
+
+
+RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(ResultRow))
 
 
 def seed_for(master: int, *key: int) -> int:
@@ -349,7 +341,7 @@ def validate_closed_form(
     closed = {
         "desired": ctx.e_signal,
         "leak": ctx.e_leak,
-        "interf": rate._interference_sum(ctx, layout),
+        "interf": rate._interference_sum(ctx, np.abs(rate.los_cross(ctx, layout)) ** 2),
         "noise": ctx.e_noise,
     }
     mc = {

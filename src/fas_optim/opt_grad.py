@@ -14,7 +14,9 @@ consecutive accepted points; the plain variant is the same loop with
 momentum weight zero.  Each new iterate is scored by one SINR pass that
 gives both its objective value and the gradient the next line search
 starts from.  The best feasible point seen is returned, so a late
-momentum overshoot cannot degrade the result.
+momentum overshoot cannot degrade the result.  The SINR and its
+position gradient come from `rate`; this module adds only the soft-min
+chain rule, the line search and the ascent loop.
 
 The objective is multimodal in the antenna positions, so `run_multistart`
 repeats the ascent from random feasible layouts and keeps the best.  All
@@ -35,7 +37,7 @@ from .opt_ga import project, violation_counts, violation_set
 from .scenario import Scenario, ScenarioError, grid_layout
 
 ZETA_MIN_FACTOR = 1e-8  # line search gives up below this fraction of wavelength
-LINE_SEARCH_PREFIX = 40  # candidates scored first; the accepted one is rarely later
+LINE_SEARCH_PREFIX = 40  # candidates scored per chunk; the accepted one is rarely later
 
 
 class LineSearchExhausted(RuntimeError):
@@ -55,32 +57,6 @@ def smoothed_objective(layout: np.ndarray, scn: Scenario) -> np.ndarray:
     return _soft_min(rate.rates_for(ctx, np.asarray(layout)), scn.hyper.mu)
 
 
-def _sinr_gradients(ctx: rate.ClosedFormContext, layouts: np.ndarray) -> np.ndarray:
-    """Derivatives of every user's SINR w.r.t. positions, shape (..., K, 2, M).
-
-    Positions enter only through the LoS cross terms, so the derivative
-    routes through d|f_ki|^2 = 2 Re{(df_ki) conj(f_ki)} with
-    df_ki/dt_u = j (2 pi / wavelength) (dir_i - dir_k) conj(e_k(t_u)) e_i(t_u).
-    """
-    layouts = np.asarray(layouts, dtype=float)
-    wavenum = 2.0 * np.pi / ctx.wavelength
-    steer = np.exp(1j * wavenum * np.einsum("kd,...dm->...km", ctx.dirs, layouts))
-    # not rate.los_cross: its einsum differs in the last bits and changes trajectories
-    gram = steer.conj() @ np.swapaxes(steer, -1, -2)  # (..., K, K) LoS cross terms
-    fsq = np.abs(gram) ** 2
-
-    p = ctx.tx_power
-    interf = np.sum(ctx.i_const + ctx.i_coupling * fsq, axis=-1)
-    denom = p * ctx.e_leak + p * interf + ctx.noise_power * ctx.e_noise
-
-    diff_dir = ctx.dirs[None, :, :] - ctx.dirs[:, None, :]                # (K, K, 2)
-    cross = steer.conj()[..., :, None, :] * steer[..., None, :, :]        # (..., K, K, M)
-    dgram = 1j * wavenum * diff_dir[..., None] * cross[..., None, :]
-    dfsq = 2.0 * np.real(dgram * gram.conj()[..., None, None])           # (..., K, K, 2, M)
-    dinterf = np.sum(ctx.i_coupling[:, :, None, None] * dfsq, axis=-3)
-    return -(p**2) * ctx.e_signal[:, None, None] * dinterf / (denom**2)[..., None, None]
-
-
 def _value_and_gradient(
     ctx: rate.ClosedFormContext, layout: np.ndarray, mu: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -95,7 +71,7 @@ def _value_and_gradient(
     rates = ctx.prelog * np.log2(1.0 + sinr)
     weights = np.exp(-mu * (rates - rates.min(axis=-1, keepdims=True)))
     weights = weights / weights.sum(axis=-1, keepdims=True)
-    dsinr = _sinr_gradients(ctx, layout)
+    dsinr = rate.sinr_gradients(ctx, layout)
     coeff = ctx.prelog * weights / ((1.0 + sinr) * math.log(2.0))
     return _soft_min(rates, mu), np.einsum("...k,...kdm->...dm", coeff, dsinr)
 
@@ -119,15 +95,15 @@ def _line_search(
     is accepted when the projected trial point improves the objective
     `g_value` at `point` by at least ``varpi * zeta * ||grad||^2`` and has
     no spacing violations.  `point` and `grad` are one layout (2, M) or a
-    batch (..., 2, M) with one `g_value` per layout.  The first
-    `LINE_SEARCH_PREFIX` candidates of every layout are built and scored
-    in one batch, the rest only for layouts with no passing step among
-    them, and only candidates that pass the increase test are
-    spacing-checked; the first passing step is the one the sequential
-    shrink loop takes.  Returns the steps, the accepted trial layouts and
-    their objective values, NaN for a layout with no passing step;
-    raises `LineSearchExhausted` when no layout has one down to
-    ``1e-8 * wavelength``.
+    batch (..., 2, M) with one `g_value` per layout.  Candidates are
+    built and scored in chunks of `LINE_SEARCH_PREFIX`, each chunk only
+    for the layouts with no passing step in the earlier ones, so memory
+    stays bounded however many steps `kappa` makes; only candidates that
+    pass the increase test are spacing-checked.  The first passing step
+    is the one the sequential shrink loop takes.  Returns the steps, the
+    accepted trial layouts and their objective values, NaN for a layout
+    with no passing step; raises `LineSearchExhausted` when no layout
+    has one down to ``1e-8 * wavelength``.
     """
     hyp = scn.hyper
     ctx = rate.closed_form_context(scn)
@@ -144,9 +120,10 @@ def _line_search(
     values = np.full(len(points), np.nan)
     layouts = np.full(points.shape, np.nan)
     pending = np.arange(len(points))
-    for lo, hi in ((0, LINE_SEARCH_PREFIX), (LINE_SEARCH_PREFIX, n_steps)):
-        if pending.size == 0 or lo >= n_steps:
+    for lo in range(0, n_steps, LINE_SEARCH_PREFIX):
+        if pending.size == 0:
             break
+        hi = lo + LINE_SEARCH_PREFIX
         cands = project(
             points[pending, None] + zetas[lo:hi, None, None] * grads[pending, None],
             scn.region_size,

@@ -21,7 +21,11 @@ with q the per-entry pilot noise variance (noise_over_taup), and
     SINR_k = p desired_k / (p leak_k + p sum_{i != k} I_ki
                             + noise_power * noise_k)
 
-The achievable rate is ``prelog * log2(1 + SINR_k)``.
+The achievable rate is ``prelog * log2(1 + SINR_k)``.  `sinr_for`
+evaluates it and `sinr_gradients` its derivative w.r.t. the antenna
+positions; both build the denominator through one helper over the
+``|hbar_k^H hbar_i|^2`` entries, and the LoS responses come from
+`channel.steering`.
 
 Monte Carlo
 -----------
@@ -184,23 +188,50 @@ def closed_form_context(scn: Scenario) -> ClosedFormContext:
 
 def los_cross(ctx: ClosedFormContext, layouts: np.ndarray) -> np.ndarray:
     """Gram matrix of LoS responses, shape (..., K, K); diagonal equals M."""
-    layouts = np.asarray(layouts, dtype=float)
-    phase = 2.0 * np.pi / ctx.wavelength * np.einsum("kd,...dm->...km", ctx.dirs, layouts)
-    steer = np.exp(1j * phase)
+    steer = channel.steering(ctx.dirs, layouts, ctx.wavelength)
     return np.einsum("...km,...im->...ki", steer.conj(), steer)
 
 
-def _interference_sum(ctx: ClosedFormContext, layouts: np.ndarray) -> np.ndarray:
-    """Interference each user sees, sum_i I_ki, for a batch of layouts, (..., K)."""
-    fsq = np.abs(los_cross(ctx, layouts)) ** 2
+def _interference_sum(ctx: ClosedFormContext, fsq: np.ndarray) -> np.ndarray:
+    """Interference each user sees, sum_i I_ki, (..., K), from `fsq` (..., K, K).
+
+    `fsq` holds the squared LoS cross terms ``|hbar_k^H hbar_i|^2``.
+    """
     return np.sum(ctx.i_const + ctx.i_coupling * fsq, axis=-1)
+
+
+def _denominator(ctx: ClosedFormContext, fsq: np.ndarray) -> np.ndarray:
+    """SINR denominator of every user, (..., K), from `fsq` as above."""
+    p, interf = ctx.tx_power, _interference_sum(ctx, fsq)
+    return p * ctx.e_leak + p * interf + ctx.noise_power * ctx.e_noise
 
 
 def sinr_for(ctx: ClosedFormContext, layouts: np.ndarray) -> np.ndarray:
     """Closed-form SINR of every user for a batch of layouts, (..., K)."""
-    interf = _interference_sum(ctx, layouts)
+    fsq = np.abs(los_cross(ctx, layouts)) ** 2
+    return ctx.tx_power * ctx.e_signal / _denominator(ctx, fsq)
+
+
+def sinr_gradients(ctx: ClosedFormContext, layouts: np.ndarray) -> np.ndarray:
+    """Derivatives of every user's SINR w.r.t. positions, shape (..., K, 2, M).
+
+    Positions enter only through the LoS cross terms, so the derivative
+    routes through d|f_ki|^2 = 2 Re{(df_ki) conj(f_ki)} with
+    df_ki/dt_u = j (2 pi / wavelength) (dir_i - dir_k) conj(e_k(t_u)) e_i(t_u).
+    """
+    wavenum = 2.0 * np.pi / ctx.wavelength
+    steer = channel.steering(ctx.dirs, layouts, ctx.wavelength)
+    # not los_cross: its einsum differs in the last bits and changes trajectories
+    gram = steer.conj() @ np.swapaxes(steer, -1, -2)  # (..., K, K) LoS cross terms
+    denom = _denominator(ctx, np.abs(gram) ** 2)
+
+    diff_dir = ctx.dirs[None, :, :] - ctx.dirs[:, None, :]                # (K, K, 2)
+    cross = steer.conj()[..., :, None, :] * steer[..., None, :, :]        # (..., K, K, M)
+    dgram = 1j * wavenum * diff_dir[..., None] * cross[..., None, :]
+    dfsq = 2.0 * np.real(dgram * gram.conj()[..., None, None])           # (..., K, K, 2, M)
+    dinterf = np.sum(ctx.i_coupling[:, :, None, None] * dfsq, axis=-3)
     p = ctx.tx_power
-    return p * ctx.e_signal / (p * ctx.e_leak + p * interf + ctx.noise_power * ctx.e_noise)
+    return -(p**2) * ctx.e_signal[:, None, None] * dinterf / (denom**2)[..., None, None]
 
 
 def rates_for(ctx: ClosedFormContext, layouts: np.ndarray) -> np.ndarray:
@@ -241,9 +272,7 @@ def mc_uatf_sinr(
     """
     if trials < 2:
         raise ScenarioError(f"trials must be >= 2, got {trials}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(
-        scn.hyper.seed if seed is None else seed
-    )
+    rng = np.random.default_rng(scn.hyper.seed if seed is None else seed)
 
     hbar = channel.los_matrix(layout, scn.users, scn.wavelength)
     pilots = estimation.make_pilots(scn.pilot_len, scn.k_users)

@@ -176,28 +176,43 @@ def _require_finite(obj, prefix: str = "") -> None:
             raise ScenarioError(f"{prefix}{f.name} must be finite, got {value}")
 
 
+# (holder, field, test, requirement) per scalar field, checked in order;
+# a field failing its test is reported as "{field} {requirement}, got {value}"
+_FIELD_RULES = (
+    ("scenario", "m_antennas", lambda v: v >= 1, "must be >= 1"),
+    ("scenario", "k_users", lambda v: v >= 1, "must be >= 1"),
+    ("scenario", "wavelength", lambda v: v > 0, "must be positive"),
+    ("scenario", "region_size", lambda v: v > 0, "must be positive"),
+    ("scenario", "d_min", lambda v: v >= 0, "must be nonnegative"),
+    ("scenario", "tx_power", lambda v: v > 0, "must be positive"),
+    ("scenario", "noise_power", lambda v: v > 0, "must be positive"),
+    ("hyper", "mu", lambda v: v > 0, "must be positive"),
+    ("hyper", "omega", lambda v: v >= 0, "must be nonnegative"),
+    ("hyper", "kappa", lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    ("hyper", "varpi", lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    ("hyper", "ga_pop", lambda v: v >= 2, "must be >= 2"),
+    ("hyper", "ga_max_iter", lambda v: v >= 1, "must be >= 1"),
+    ("hyper", "grad_max_iter", lambda v: v >= 1, "must be >= 1"),
+    ("hyper", "grad_tol", lambda v: v > 0, "must be positive"),
+    ("hyper", "seed", lambda v: v >= 0, "must be >= 0"),
+)
+
+
 def _validate_fields(scn: Scenario) -> None:
     """Check every field but the users, raising `ScenarioError` naming it.
 
     Users derive from `noise_over_taup`, a ratio of these fields, so they
-    are checked before any user is drawn.
+    are checked before any user is drawn.  Each field's own range
+    (`_FIELD_RULES`) is checked before the pilot length's relations to
+    the user count and the coherence length.
     """
     _require_finite(scn)
     _require_finite(scn.hyper)
-    if scn.m_antennas < 1:
-        raise ScenarioError(f"m_antennas must be >= 1, got {scn.m_antennas}")
-    if scn.k_users < 1:
-        raise ScenarioError(f"k_users must be >= 1, got {scn.k_users}")
-    if scn.wavelength <= 0:
-        raise ScenarioError(f"wavelength must be positive, got {scn.wavelength}")
-    if scn.region_size <= 0:
-        raise ScenarioError(f"region_size must be positive, got {scn.region_size}")
-    if scn.d_min < 0:
-        raise ScenarioError(f"d_min must be nonnegative, got {scn.d_min}")
-    if scn.tx_power <= 0:
-        raise ScenarioError(f"tx_power must be positive, got {scn.tx_power}")
-    if scn.noise_power <= 0:
-        raise ScenarioError(f"noise_power must be positive, got {scn.noise_power}")
+    holders = {"scenario": scn, "hyper": scn.hyper}
+    for holder, name, test, requirement in _FIELD_RULES:
+        value = getattr(holders[holder], name)
+        if not test(value):
+            raise ScenarioError(f"{name} {requirement}, got {value}")
     if scn.pilot_len < scn.k_users:
         raise ScenarioError(
             f"pilot_len < k_users ({scn.pilot_len} < {scn.k_users}): "
@@ -208,25 +223,6 @@ def _validate_fields(scn: Scenario) -> None:
             f"pilot_len must leave room for data: {scn.pilot_len} >= "
             f"coherence_len {scn.coherence_len}"
         )
-    h = scn.hyper
-    if h.mu <= 0:
-        raise ScenarioError(f"mu must be positive, got {h.mu}")
-    if h.omega < 0:
-        raise ScenarioError(f"omega must be nonnegative, got {h.omega}")
-    if not 0 < h.kappa < 1:
-        raise ScenarioError(f"kappa must lie in (0, 1), got {h.kappa}")
-    if not 0 < h.varpi < 1:
-        raise ScenarioError(f"varpi must lie in (0, 1), got {h.varpi}")
-    if h.ga_pop < 2:
-        raise ScenarioError(f"ga_pop must be >= 2, got {h.ga_pop}")
-    if h.ga_max_iter < 1:
-        raise ScenarioError(f"ga_max_iter must be >= 1, got {h.ga_max_iter}")
-    if h.grad_max_iter < 1:
-        raise ScenarioError(f"grad_max_iter must be >= 1, got {h.grad_max_iter}")
-    if h.grad_tol <= 0:
-        raise ScenarioError(f"grad_tol must be positive, got {h.grad_tol}")
-    if h.seed < 0:
-        raise ScenarioError(f"seed must be >= 0, got {h.seed}")
 
 
 def validate_scenario(scn: Scenario) -> Scenario:

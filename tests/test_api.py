@@ -1,12 +1,16 @@
 """The documented library entry points and the names the benchmark relies on."""
 
 import dataclasses
+import doctest
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fas_optim
 from fas_optim import harness, rate  # noqa: F401  (loads every module the tracer patches)
 from fas_optim.scenario import load_scenario
 from conftest import SCENARIO_DIR
@@ -28,6 +32,17 @@ def test_readme_ini_example_loads(tmp_path):
     path = tmp_path / "readme.ini"
     path.write_text(blocks[0])
     assert load_scenario(path) == load_scenario(SCENARIO_DIR / "table1_k3.ini")
+
+
+def test_package_doctests_pass():
+    attempted = failed = 0
+    for info in pkgutil.iter_modules(fas_optim.__path__):
+        module = importlib.import_module(f"fas_optim.{info.name}")
+        result = doctest.testmod(module)
+        attempted += result.attempted
+        failed += result.failed
+    assert attempted >= 1
+    assert failed == 0
 
 
 def test_benchmark_names_and_micro_cases(monkeypatch):

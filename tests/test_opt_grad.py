@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,7 +102,7 @@ def test_soft_min_single_user_is_exact():
 
 def _dsinr(layout, scn):
     """Every user's SINR gradient, shape (K, 2, M)."""
-    return opt_grad._sinr_gradients(rate.closed_form_context(scn), layout)
+    return rate.sinr_gradients(rate.closed_form_context(scn), layout)
 
 
 def test_sinr_gradient_single_user_is_zero():
@@ -327,6 +328,23 @@ def test_backtrack_exhausts_on_boundary_grid(table1_k3):
     grad = -point.copy()
     with pytest.raises(opt_grad.LineSearchExhausted, match="no step in"):
         _step(point, grad, table1_k3)
+
+
+def test_line_search_memory_stays_bounded_for_fine_kappa():
+    # kappa 0.9999 makes 184199 candidate steps; scored all at once past
+    # the first chunk they need tens of MiB even for one M=2, K=3 layout
+    scn = small_scenario([(0.4, 0.9), (1.3, 2.2), (2.0, 0.6)], m=2)
+    scn = dataclasses.replace(scn, hyper=dataclasses.replace(scn.hyper, kappa=0.9999))
+    point = np.array([[-0.025, 0.025], [0.0, 0.0]])  # exactly d_min apart
+    g_value = opt_grad.smoothed_objective(point, scn)
+    tracemalloc.start()
+    try:
+        with pytest.raises(opt_grad.LineSearchExhausted):
+            opt_grad._line_search(point, -point, scn, g_value)  # pushed together
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 # ------------------------------------------------------------- full ascents

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from fas_optim import rate
+from fas_optim import channel, rate
 from fas_optim.scenario import Scenario, derive_user, upa_layout, validate_scenario
 
 Q = 1e-10
@@ -124,8 +126,9 @@ def test_context_terms_are_layout_free():
     zeros = np.zeros((2, 4))
     layout = np.random.default_rng(4).uniform(-0.3, 0.3, (2, 4))
     for lay in (zeros, layout):
+        fsq = np.abs(rate.los_cross(ctx, lay)) ** 2
         want = p * ctx.e_signal / (
-            p * ctx.e_leak + p * rate._interference_sum(ctx, lay) + s2 * ctx.e_noise
+            p * ctx.e_leak + p * rate._interference_sum(ctx, fsq) + s2 * ctx.e_noise
         )
         np.testing.assert_array_equal(rate.sinr_for(ctx, lay), want)
     assert not np.allclose(
@@ -231,6 +234,50 @@ def test_sinr_for_batches_match_loop(table1_k3):
     )
 
 
+@st.composite
+def random_problems(draw):
+    """A small scenario (K 2-5, M 2-9) with distinct arrivals, and a layout."""
+    k, m = draw(st.integers(2, 5)), draw(st.integers(2, 9))
+    angle = st.floats(0.2, 2.9)
+    angles = [(draw(angle), draw(angle)) for _ in range(k)]
+    users = users_at(angles, [draw(st.floats(50.0, 70.0)) for _ in range(k)])
+    # users sharing an arrival see position-free cross terms: no slope to check
+    dirs = channel.user_directions(users)
+    gaps = np.linalg.norm(dirs[:, None] - dirs[None, :], axis=-1)
+    assume(gaps[np.triu_indices(k, 1)].min() > 0.05)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return small_scenario(users, m=m), rng.uniform(-0.3, 0.3, (2, m)), rng
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(random_problems())
+def test_sinr_gradients_match_finite_differences(problem):
+    scn, layout, _ = problem
+    ctx = rate.closed_form_context(scn)
+    h, size = 1e-6, layout.size
+    steps = h * np.eye(size).reshape(size, *layout.shape)
+    # central differences of every user's SINR, all positions in two batches
+    up, down = rate.sinr_for(ctx, layout + steps), rate.sinr_for(ctx, layout - steps)
+    fd = ((up - down) / (2 * h)).T.reshape(scn.k_users, *layout.shape)
+    analytic = rate.sinr_gradients(ctx, layout)
+    err = np.linalg.norm(fd - analytic, axis=(1, 2)) / np.linalg.norm(fd, axis=(1, 2))
+    assert np.all(err < 1e-5)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(random_problems())
+def test_sinr_invariant_to_translation_and_permutation(problem):
+    # the layout enters only through |hbar_k^H hbar_i|^2, which a common
+    # phase per user pair and a reordering of the antennas leave unchanged
+    scn, layout, rng = problem
+    ctx = rate.closed_form_context(scn)
+    base = rate.sinr_for(ctx, layout)
+    shifted = layout + rng.uniform(-0.3, 0.3, (2, 1))
+    np.testing.assert_allclose(rate.sinr_for(ctx, shifted), base, rtol=1e-9)
+    permuted = layout[:, rng.permutation(scn.m_antennas)]
+    np.testing.assert_allclose(rate.sinr_for(ctx, permuted), base, rtol=1e-9)
+
+
 def test_min_rate_matches_report(table1_k3):
     layout = upa_layout(9, 0.05, 0.6)
     rates = rate.rates_for(rate.closed_form_context(table1_k3), layout)
@@ -270,10 +317,11 @@ def test_mc_strong_los_limit():
     layout = np.random.default_rng(8).uniform(-0.3, 0.3, (2, 4))
     ctx = rate.closed_form_context(scn)
     est = rate.mc_uatf_sinr(layout, scn, 4000, seed=9)
+    fsq = np.abs(rate.los_cross(ctx, layout)) ** 2
     np.testing.assert_allclose(est.desired, ctx.e_signal, rtol=1e-3)
     np.testing.assert_allclose(est.noise, ctx.e_noise, rtol=1e-3)
     np.testing.assert_allclose(
-        est.interf, rate._interference_sum(ctx, layout), rtol=1e-3
+        est.interf, rate._interference_sum(ctx, fsq), rtol=1e-3
     )
     assert np.all(np.abs(est.leak - ctx.e_leak) <= 1e-3 * ctx.e_signal)
     np.testing.assert_allclose(
@@ -285,10 +333,11 @@ def test_mc_agrees_with_closed_form(table1_k3):
     layout = upa_layout(9, 0.05, 0.6)
     ctx = rate.closed_form_context(table1_k3)
     est = rate.mc_uatf_sinr(layout, table1_k3, 20_000, seed=7)
+    fsq = np.abs(rate.los_cross(ctx, layout)) ** 2
     assert np.all(np.abs(est.desired - ctx.e_signal) <= 4.0 * est.se["desired"])
     assert np.all(np.abs(est.leak - ctx.e_leak) <= 4.0 * est.se["leak"])
     assert np.all(
-        np.abs(est.interf - rate._interference_sum(ctx, layout))
+        np.abs(est.interf - rate._interference_sum(ctx, fsq))
         <= 4.0 * est.se["interf"]
     )
     assert np.all(np.abs(est.noise - ctx.e_noise) <= 4.0 * est.se["noise"])
