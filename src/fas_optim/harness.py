@@ -115,7 +115,11 @@ def scenario_point(scn: Scenario, axis: str, value, user_seed: int) -> Scenario:
     if axis == "rician_db":
         if scn.user_model is None:
             raise ScenarioError("rician_db sweep needs a generated-users scenario")
-        model = dataclasses.replace(scn.user_model, rician=db_to_linear(value))
+        try:
+            rician = db_to_linear(value)
+        except OverflowError:
+            raise ScenarioError(f"rician_db sweep value {value} is out of range") from None
+        model = dataclasses.replace(scn.user_model, rician=rician)
         return redraw_users(
             dataclasses.replace(scn, user_model=model), user_seed
         )

@@ -1,12 +1,14 @@
 """Genetic search for antenna positions under a spacing penalty.
 
 Individuals are full layouts.  Fitness is the smallest per-user rate
-minus `omega` per pair of antennas closer than `d_min`, so infeasible
-layouts are dominated as long as `omega` exceeds the achievable rate.
-Selection is 3-way tournament, crossover swaps whole antennas between
-parents, and mutation jitters coordinates with wavelength/10 noise.
-One elite survives unchanged per generation, so the best fitness never
-decreases.
+minus a penalty per pair of antennas closer than `d_min`.  The penalty
+exceeds the interference-free rate bound (`rate.ClosedFormContext`) by
+1, so every layout with a violating pair ranks below every feasible
+layout, whatever the scenario.  Selection is 3-way tournament,
+crossover swaps whole antennas between parents, and mutation jitters
+coordinates with wavelength/10 noise.  One elite survives unchanged per
+generation, so the best fitness never decreases and the population's
+best individual is the best layout seen.
 """
 
 from __future__ import annotations
@@ -57,36 +59,31 @@ def violation_counts(layouts: np.ndarray, d_min: float) -> np.ndarray:
     return np.sum(_violation_mask(layouts, d_min), axis=(-2, -1))
 
 
-def _score(layouts: np.ndarray, scn: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """Penalized fitness and violation count of every layout in a batch."""
+def _score(layouts: np.ndarray, scn: Scenario) -> np.ndarray:
+    """Penalized fitness of every layout in a batch.
+
+    The penalty per violating pair lies 1 above any achievable rate, so
+    fewer violations always rank higher, and a change in the count
+    moves the best fitness by more than `CONVERGE_TOL`.
+    """
+    ctx = rate.closed_form_context(scn)
     counts = violation_counts(layouts, scn.d_min)
-    min_rates = rate.rates_for(rate.closed_form_context(scn), layouts).min(axis=-1)
-    return min_rates - scn.hyper.omega * counts, counts
+    min_rates = rate.rates_for(ctx, layouts).min(axis=-1)
+    return min_rates - (ctx.rate_bound + 1.0) * counts
 
 
 @dataclass
 class GaState:
-    """Population arrays, the best feasible layout so far, and the RNG stream.
+    """Population arrays and the RNG stream.
 
-    The elite survives every generation, so `fits.max()` is also the best
-    fitness seen so far.
+    The elite survives every generation at index 0, so `fits.max()` is
+    the best fitness seen so far and its first holder the best layout.
     """
 
-    layouts: np.ndarray             # (N, 2, M)
-    fits: np.ndarray                # (N,) penalized fitness
-    best_layout: np.ndarray | None  # best spacing-feasible layout seen
-    best_fit: float
+    layouts: np.ndarray   # (N, 2, M)
+    fits: np.ndarray      # (N,) penalized fitness
     rng: np.random.Generator
-    history: list[float]            # best fitness, one entry per generation
-
-
-def _best_feasible(best_fit, best_layout, layouts, fits, counts):
-    """Running best feasible layout; ties keep the earlier one."""
-    feasible = np.where(counts == 0, fits, -np.inf)
-    i = int(np.argmax(feasible))
-    if feasible[i] > best_fit:
-        return float(feasible[i]), layouts[i]
-    return best_fit, best_layout
+    history: list[float]  # best fitness, one entry per generation
 
 
 def init_population(scn: Scenario, rng: np.random.Generator) -> GaState:
@@ -101,16 +98,8 @@ def init_population(scn: Scenario, rng: np.random.Generator) -> GaState:
             layouts[i] = seed_layout
     except ScenarioError:
         pass  # grid does not fit; start from random layouts only
-    fits, counts = _score(layouts, scn)
-    best_fit, best_layout = _best_feasible(-np.inf, None, layouts, fits, counts)
-    return GaState(
-        layouts=layouts,
-        fits=fits,
-        best_layout=best_layout,
-        best_fit=best_fit,
-        rng=rng,
-        history=[float(fits.max())],
-    )
+    fits = _score(layouts, scn)
+    return GaState(layouts=layouts, fits=fits, rng=rng, history=[float(fits.max())])
 
 
 def evolve(state: GaState, scn: Scenario) -> GaState:
@@ -137,16 +126,10 @@ def evolve(state: GaState, scn: Scenario) -> GaState:
     jitter = rng.normal(0.0, scn.wavelength / 10.0, (nc, 2, m))
     children = project(children + jitter_mask * jitter, scn.region_size)
 
-    child_fits, counts = _score(children, scn)
-    best_fit, best_layout = _best_feasible(
-        state.best_fit, state.best_layout, children, child_fits, counts
-    )
-    fits = np.concatenate([fits[elite : elite + 1], child_fits])
+    fits = np.concatenate([fits[elite : elite + 1], _score(children, scn)])
     return GaState(
         layouts=np.concatenate([pop[elite : elite + 1], children]),
         fits=fits,
-        best_layout=best_layout,
-        best_fit=best_fit,
         rng=rng,
         history=state.history + [float(fits.max())],
     )
@@ -157,9 +140,10 @@ def run_ga(scn: Scenario, seed=None) -> tuple[np.ndarray, list[float]]:
 
     Stops when the best fitness improved by less than `CONVERGE_TOL`
     over the last `CONVERGE_WINDOW` generations, or at
-    `hyper.ga_max_iter`.  Returns the best spacing-feasible layout seen
-    and the best-fitness trace (one entry per generation, starting at
-    the initial population).
+    `hyper.ga_max_iter`.  Returns the best layout seen, which is
+    spacing-feasible whenever any layout seen was, and the best-fitness
+    trace (one entry per generation, starting at the initial population).
+    Raises `ScenarioError` if no feasible layout was found.
     """
     rng = np.random.default_rng(scn.hyper.seed if seed is None else seed)
     state = init_population(scn, rng)
@@ -171,9 +155,10 @@ def run_ga(scn: Scenario, seed=None) -> tuple[np.ndarray, list[float]]:
             and hist[-1] - hist[-1 - CONVERGE_WINDOW] < CONVERGE_TOL
         ):
             break
-    if state.best_layout is None:
+    best = state.layouts[int(np.argmax(state.fits))]
+    if violation_counts(best, scn.d_min):
         raise ScenarioError(
             f"genetic search found no layout meeting the spacing limit d_min = "
             f"{scn.d_min} in a region of side {scn.region_size}"
         )
-    return state.best_layout.copy(), state.history
+    return best.copy(), state.history

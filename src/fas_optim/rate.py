@@ -21,7 +21,9 @@ with q the per-entry pilot noise variance (noise_over_taup), and
     SINR_k = p desired_k / (p leak_k + p sum_{i != k} I_ki
                             + noise_power * noise_k)
 
-The achievable rate is ``prelog * log2(1 + SINR_k)``.  `sinr_for`
+The achievable rate is ``prelog * log2(1 + SINR_k)``.  Every I_ki is
+nonnegative, so dropping them bounds every layout's rate from above;
+`ClosedFormContext.rate_bound` is that bound for the best user.  `sinr_for`
 evaluates it and `sinr_gradients` its derivative w.r.t. the antenna
 positions; both build the denominator through one helper over the
 ``|hbar_k^H hbar_i|^2`` entries, and the LoS responses come from
@@ -127,6 +129,7 @@ class ClosedFormContext:
     e_leak: np.ndarray      # (K,)
     i_const: np.ndarray     # (K, K) layout-free interference, zero diagonal
     i_coupling: np.ndarray  # (K, K) weight on |hbar_k^H hbar_i|^2, zero diagonal
+    rate_bound: float       # interference-free rate of the best user; no layout reaches above
 
 
 @functools.lru_cache(maxsize=8)
@@ -177,11 +180,14 @@ def closed_form_context(scn: Scenario) -> ClosedFormContext:
     )
     for arr in arrays.values():
         arr.flags.writeable = False
+    p = scn.tx_power
+    free_sinr = p * e_signal / (p * e_leak + scn.noise_power * e_noise)
     return ClosedFormContext(
         wavelength=scn.wavelength,
         tx_power=scn.tx_power,
         noise_power=scn.noise_power,
         prelog=scn.prelog,
+        rate_bound=float(scn.prelog * np.log2(1.0 + free_sinr.max())),
         **arrays,
     )
 

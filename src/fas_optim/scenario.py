@@ -23,10 +23,11 @@ class ScenarioError(ValueError):
 
 
 def dbm_to_watt(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    return db_to_linear(dbm - 30.0)
 
 
 def db_to_linear(db: float) -> float:
+    """Linear ratio of `db` decibels; `OverflowError` above ~3083 dB."""
     return 10.0 ** (db / 10.0)
 
 
@@ -132,7 +133,6 @@ class HyperParams:
     """Solver settings shared by the genetic and gradient optimizers."""
 
     mu: float = 100.0        # min-rate smoothing sharpness
-    omega: float = 10.0      # spacing penalty per violating pair
     kappa: float = 0.8       # line-search shrink factor
     varpi: float = 0.5       # line-search sufficient-increase slope
     ga_pop: int = 100
@@ -187,7 +187,6 @@ _FIELD_RULES = (
     ("scenario", "tx_power", lambda v: v > 0, "must be positive"),
     ("scenario", "noise_power", lambda v: v > 0, "must be positive"),
     ("hyper", "mu", lambda v: v > 0, "must be positive"),
-    ("hyper", "omega", lambda v: v >= 0, "must be nonnegative"),
     ("hyper", "kappa", lambda v: 0 < v < 1, "must lie in (0, 1)"),
     ("hyper", "varpi", lambda v: 0 < v < 1, "must lie in (0, 1)"),
     ("hyper", "ga_pop", lambda v: v >= 2, "must be >= 2"),
@@ -312,15 +311,15 @@ def grid_layout(scn: Scenario, slack: float = 1.0) -> np.ndarray:
         return upa_layout(scn.m_antennas, pitch, scn.region_size)
 
 
-# INI keys of each section and their converters
+# INI keys of each section and their converters to linear units
 _SYSTEM_KEYS = {
     "m_antennas": int,
     "k_users": int,
     "wavelength_m": float,
     "region_size_m": float,
     "d_min_m": float,
-    "tx_power_dbm": float,
-    "noise_power_dbm": float,
+    "tx_power_dbm": lambda raw: dbm_to_watt(float(raw)),
+    "noise_power_dbm": lambda raw: dbm_to_watt(float(raw)),
     "coherence_len": int,
     "pilot_len": int,
 }
@@ -348,7 +347,7 @@ class _Section(dict):
                 raise ScenarioError(f"unknown key in [{name}]: {key}")
             try:
                 self[key] = schema[key](raw)
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise ScenarioError(
                     f"bad value for {key} in [{name}]: {raw!r}"
                 ) from None
@@ -372,8 +371,10 @@ def load_scenario(path) -> Scenario:
         inline_comment_prefixes=(";", "#"), interpolation=None
     )
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file {path} is not UTF-8: {exc}") from None
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from None
     except configparser.Error as exc:
@@ -432,8 +433,8 @@ def load_scenario(path) -> Scenario:
         wavelength=sys_sec["wavelength_m"],
         region_size=sys_sec["region_size_m"],
         d_min=sys_sec.get("d_min_m", sys_sec["wavelength_m"] / 2.0),
-        tx_power=dbm_to_watt(sys_sec["tx_power_dbm"]),
-        noise_power=dbm_to_watt(sys_sec["noise_power_dbm"]),
+        tx_power=sys_sec["tx_power_dbm"],
+        noise_power=sys_sec["noise_power_dbm"],
         coherence_len=sys_sec["coherence_len"],
         pilot_len=sys_sec.get("pilot_len", sys_sec["k_users"]),
         users=(),

@@ -31,7 +31,6 @@ path_loss_exp = 2.8
 
 [hyper]
 mu = 100
-omega = 10
 kappa = 0.8
 varpi = 0.5
 seed = 1

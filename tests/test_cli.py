@@ -114,10 +114,32 @@ def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
             "region_size_m = 0.6", "region_size_m = 0.04", ["--algos", "ga"],
             "spacing limit d_min = 0.05 in a region of side 0.04",
         ),
+        # "\udce9" is written as the lone byte 0xe9, which is not UTF-8
+        ("[system]", "; caf\udce9\n[system]", [], "scenario.ini is not UTF-8"),
+        # dB values whose linear value overflows a float
+        (
+            "tx_power_dbm = 30", "tx_power_dbm = 5000", [],
+            "bad value for tx_power_dbm in [system]: '5000'",
+        ),
+        (
+            "noise_power_dbm = -104", "noise_power_dbm = 5000", [],
+            "bad value for noise_power_dbm in [system]: '5000'",
+        ),
+        ("rician = 6", "rician_db = 4000", [], "bad value for rician_db in [users]: '4000'"),
+        (
+            "path_loss_ref_db = -40", "path_loss_ref_db = 4000", [],
+            "bad value for path_loss_ref_db in [users]: '4000'",
+        ),
+        (
+            "", "", ["--sweep", "rician_db=0,4000"],
+            "rician_db sweep value 4000.0 is out of range",
+        ),
     ],
     ids=[
         "users-seed", "users-count", "hyper-seed", "cli-seed", "percent",
-        "pilot-zero", "pilot-negative", "power-inf", "ga-infeasible",
+        "pilot-zero", "pilot-negative", "power-inf", "ga-infeasible", "not-utf8",
+        "tx-power-overflow", "noise-power-overflow", "rician-db-overflow",
+        "path-loss-overflow", "rician-db-sweep-overflow",
     ],
 )
 def test_run_rejects_bad_input(
@@ -125,7 +147,8 @@ def test_run_rejects_bad_input(
 ):
     monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
     ini = write_ini(tmp_path, m_antennas=4, k_users=2)
-    ini.write_text(ini.read_text().replace(old, new, 1))
+    text = ini.read_text().replace(old, new, 1)
+    ini.write_bytes(text.encode("utf-8", "surrogateescape"))
     code = cli.main(
         ["run", "--scenario", str(ini), "--algos", "fpa", *argv,
          "--out", str(tmp_path / "o")]

@@ -2,9 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fas_optim import opt_ga, rate
-from fas_optim.scenario import upa_layout
+from fas_optim import channel, opt_ga, rate
+from fas_optim.scenario import (
+    HyperParams,
+    Scenario,
+    UserModel,
+    db_to_linear,
+    dbm_to_watt,
+    grid_layout,
+    redraw_users,
+    upa_layout,
+)
 
 
 def test_violation_set_grid_at_pitch_is_clean():
@@ -36,7 +47,7 @@ def test_violation_counts_matches_pairs():
 
 def test_fitness_is_min_rate_when_feasible(table1_k3):
     layout = upa_layout(9, 0.05, 0.6)
-    assert opt_ga._score(layout, table1_k3)[0] == pytest.approx(
+    assert opt_ga._score(layout, table1_k3) == pytest.approx(
         rate.min_rate(layout, table1_k3), rel=1e-12
     )
 
@@ -45,21 +56,96 @@ def test_fitness_penalty_per_pair(table1_k3):
     layout = upa_layout(9, 0.05, 0.6).copy()
     layout[:, 1] = layout[:, 0] + [0.01, 0.0]  # one violating pair
     clean = rate.min_rate(layout, table1_k3)
-    assert opt_ga._score(layout, table1_k3)[0] == pytest.approx(
-        clean - table1_k3.hyper.omega, rel=1e-9
+    penalty = rate.closed_form_context(table1_k3).rate_bound + 1.0
+    assert opt_ga._score(layout, table1_k3) == pytest.approx(
+        clean - penalty, rel=1e-9
     )
 
 
 def test_penalty_dominates_any_feasible_rate(table1_k3):
-    # omega = 10 exceeds the best achievable min rate here, so a single
+    # the penalty exceeds the best achievable min rate, so a single
     # violation ranks below every feasible layout
     rng = np.random.default_rng(1)
-    feasible_fit = opt_ga._score(upa_layout(9, 0.05, 0.6), table1_k3)[0]
+    feasible_fit = opt_ga._score(upa_layout(9, 0.05, 0.6), table1_k3)
     for _ in range(20):
         layout = rng.uniform(-0.3, 0.3, (2, 9))
         bad = layout.copy()
         bad[:, 1] = bad[:, 0]
-        assert opt_ga._score(bad, table1_k3)[0] < 0.0 < feasible_fit
+        assert opt_ga._score(bad, table1_k3) < 0.0 < feasible_fit
+
+
+@st.composite
+def ga_scenarios(draw):
+    """A small scenario (K 1-4, M 2-6); strong-LoS draws bound the rate above 10 bit/s/Hz."""
+    strong = draw(st.booleans())
+    k, m = draw(st.integers(2, 3) if strong else st.integers(1, 4)), draw(st.integers(2, 6))
+    rician_db = draw(st.floats(33.0, 40.0) if strong else st.floats(0.0, 20.0))
+    tx_power = 10.0 ** draw(st.floats(1.0, 3.0) if strong else st.floats(-3.0, 0.0))
+    scn = Scenario(
+        m_antennas=m,
+        k_users=k,
+        wavelength=0.1,
+        region_size=draw(st.floats(0.15, 0.6)),
+        d_min=0.05,
+        tx_power=tx_power,
+        noise_power=dbm_to_watt(-104.0),
+        coherence_len=196,
+        pilot_len=k,
+        users=(),
+        hyper=HyperParams(ga_pop=20, ga_max_iter=40),
+        user_model=UserModel(seed=0, count=k, rician=db_to_linear(rician_db)),
+    )
+    return redraw_users(scn, draw(st.integers(0, 2**16))), draw(st.integers(0, 2**16))
+
+
+def _phase_layouts(scn):
+    """Extreme layouts for the first two users, in direction space.
+
+    Antennas `d_min` apart along the normal to the users' direction
+    difference all see one phase, so the pair interferes fully (feasible,
+    low rate).  Stepping antenna m by m/M of a cycle along the difference
+    nulls their cross term, with antennas 0 and 1 side by side (one
+    violating pair once the difference exceeds 2/M, high rate).
+    """
+    dirs = channel.user_directions(scn.users)
+    delta = dirs[1] - dirs[0]
+    norm = np.linalg.norm(delta)
+    if norm < 1e-6:
+        return np.empty((0, 2, scn.m_antennas))
+    normal = np.array([-delta[1], delta[0]]) / norm
+    m = np.arange(scn.m_antennas)
+    aligned = np.outer(normal, m * scn.d_min)
+    nulled = np.outer(delta / norm**2, scn.wavelength * m / scn.m_antennas)
+    nulled += np.outer(normal, np.maximum(m - 1, 0) * scn.d_min)
+    return np.stack([aligned, nulled])
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(ga_scenarios())
+def test_every_violation_ranks_below_every_feasible_layout(problem):
+    scn, seed = problem
+    half = scn.region_size / 2.0
+    layouts = np.random.default_rng(seed).uniform(-half, half, (256, 2, scn.m_antennas))
+    layouts = np.concatenate([grid_layout(scn)[None], layouts])
+    if scn.k_users > 1:
+        layouts = np.concatenate([layouts, _phase_layouts(scn)])
+    counts = opt_ga.violation_counts(layouts, scn.d_min)
+    fits = opt_ga._score(layouts, scn)
+    if counts.all() or not counts.any():
+        return
+    assert fits[counts > 0].max() < fits[counts == 0].min()
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(ga_scenarios())
+def test_run_ga_returns_final_best_feasible_layout(problem):
+    scn, seed = problem
+    layout, history = opt_ga.run_ga(scn, seed=seed)
+    # the returned layout holds the final population's best fitness
+    assert opt_ga._score(layout, scn) == pytest.approx(history[-1], rel=1e-12)
+    assert opt_ga.violation_set(layout, scn.d_min) == []
+    grid_rate = rate.min_rate(grid_layout(scn), scn)
+    assert rate.min_rate(layout, scn) >= grid_rate * (1.0 - 1e-12)
 
 
 def test_init_population_seeds_grid(table1_k3):
@@ -74,7 +160,8 @@ def test_init_population_seeds_grid(table1_k3):
         assert state.fits[i] > 0.0
     half = table1_k3.region_size / 2.0
     assert np.all(np.abs(state.layouts) <= half + 1e-12)
-    assert state.best_layout is not None
+    best = state.layouts[np.argmax(state.fits)]
+    assert opt_ga.violation_counts(best, table1_k3.d_min) == 0
     assert state.history == [state.fits.max()]
 
 

@@ -105,7 +105,6 @@ def test_load_table1_k3(table1_k3):
     assert scn.pilot_len == 3
     assert len(scn.users) == 3
     assert scn.hyper.mu == 100.0
-    assert scn.hyper.omega == 10.0
     assert scn.hyper.kappa == 0.8
     assert scn.hyper.varpi == 0.5
     assert scn.hyper.seed == 1
@@ -161,7 +160,6 @@ def test_validate_rejects_bad_numbers(table1_k3):
         ({"tx_power": 0.0}, "tx_power"),
         ({"noise_power": 0.0}, "noise_power"),
         ({"hyper": HyperParams(mu=0.0)}, "mu"),
-        ({"hyper": HyperParams(omega=-1.0)}, "omega"),
         ({"hyper": HyperParams(kappa=1.0)}, "kappa"),
         ({"hyper": HyperParams(varpi=0.0)}, "varpi"),
         ({"hyper": HyperParams(ga_pop=1)}, "ga_pop"),
@@ -307,7 +305,7 @@ def test_load_every_hyper_key(tmp_path):
     )
     hyper = load_scenario(path).hyper
     assert hyper == HyperParams(
-        mu=100.0, omega=10.0, kappa=0.8, varpi=0.5, ga_pop=40, ga_max_iter=7,
+        mu=100.0, kappa=0.8, varpi=0.5, ga_pop=40, ga_max_iter=7,
         grad_max_iter=9, grad_tol=1e-6, seed=1,
     )
     assert type(hyper.ga_pop) is int and type(hyper.grad_tol) is float
