@@ -8,9 +8,10 @@ shrinks the observation toward the known LoS mean:
 
     hhat_k = a_k * obs_k + (1 - a_k) * sqrt(nlos_power * rician) * hbar_k
 
-with a_k the user's `est_gain`.  All functions broadcast over leading
-axes of the channel block, so Monte Carlo batches pass through in one
-call.
+with a_k the user's LMMSE gain c_k / (c_k + q), c_k = `nlos_power` and
+q the pilot noise variance above; the caller passes the gains
+(`Scenario.est_gains`).  All functions broadcast over leading axes of
+the channel block, so Monte Carlo batches pass through in one call.
 """
 
 from __future__ import annotations
@@ -61,15 +62,16 @@ def observe_pilots(
     return (block @ pilots) / energy
 
 
-def lmmse_estimate(obs: np.ndarray, users, los: np.ndarray) -> np.ndarray:
+def lmmse_estimate(
+    obs: np.ndarray, users, gains: np.ndarray, los: np.ndarray
+) -> np.ndarray:
     """LMMSE channel estimate from despread observations.
 
     `obs` and `los` have shape (..., M, K); `los` holds the unit-modulus
     LoS responses.  Per user the estimate blends the observation with the
-    LoS mean using the precomputed `est_gain`.
+    LoS mean, weighting the observation by the user's entry of `gains`.
     """
-    gain = np.array([u.est_gain for u in users])
     los_amp = np.sqrt(
         np.array([u.nlos_power for u in users]) * np.array([u.rician for u in users])
     )
-    return gain * obs + (1.0 - gain) * los_amp * los
+    return gains * obs + (1.0 - gains) * los_amp * los

@@ -4,8 +4,9 @@ Closed form
 -----------
 With Rician statistics the per-user SINR of the use-and-then-forget
 bound depends on antenna positions only through the squared LoS
-cross-correlations ``|hbar_k^H hbar_i|^2``.  Writing c, eps, a for the
-per-user `nlos_power`, `rician`, `est_gain` and M for the array size:
+cross-correlations ``|hbar_k^H hbar_i|^2``.  Writing c, eps for the
+per-user `nlos_power` and `rician`, a for the LMMSE gain
+(`Scenario.est_gains`, c / (c + q)) and M for the array size:
 
     desired_k = (M c_k (eps_k + a_k))^2
     noise_k   =  M c_k (eps_k + a_k)
@@ -142,7 +143,7 @@ def closed_form_context(scn: Scenario) -> ClosedFormContext:
     m = scn.m_antennas
     c = np.array([u.nlos_power for u in scn.users])
     eps = np.array([u.rician for u in scn.users])
-    a = np.array([u.est_gain for u in scn.users])
+    a = scn.est_gains
     q = scn.noise_over_taup
 
     e_noise = m * c * (eps + a)
@@ -295,7 +296,7 @@ def mc_uatf_sinr(
         obs = estimation.observe_pilots(
             h, pilots, scn.tx_power, scn.noise_power, stream
         )
-        hhat = estimation.lmmse_estimate(obs, scn.users, hbar)
+        hhat = estimation.lmmse_estimate(obs, scn.users, scn.est_gains, hbar)
         cross = np.einsum("bmk,bmi->bki", hhat.conj(), h)
         z = np.einsum("bkk->bk", cross)
         absq = np.abs(cross) ** 2

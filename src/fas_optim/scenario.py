@@ -2,8 +2,11 @@
 
 A scenario bundles everything the rate expressions and the position
 optimizers need: array size, movement region, transmit/noise powers,
-frame structure, and per-user large-scale statistics.  Scenarios are
-built programmatically or loaded from INI files (see `load_scenario`).
+frame structure, and per-user large-scale statistics.  Users store only
+geometry and path loss; diffuse powers and LMMSE gains are derived
+(`UserStats.nlos_power`, `Scenario.est_gains`), so no field change can
+leave them stale.  Scenarios are built programmatically or loaded from
+INI files (see `load_scenario`).
 
 Lengths are in meters, powers in watts, angles in radians.
 """
@@ -38,17 +41,18 @@ class UserStats:
     `path_loss` is the total average channel gain per antenna, split into
     a line-of-sight part and a diffuse part by the Rician factor:
     per-entry LoS power is `nlos_power * rician` and diffuse power is
-    `nlos_power`, with ``nlos_power = path_loss / (rician + 1)``.
-    `est_gain` is the LMMSE weight applied to the pilot observation,
-    ``est_gain = nlos_power / (nlos_power + noise_over_taup)``.
+    `nlos_power`.  The LMMSE gain also depends on the pilot noise, so it
+    lives on the scenario (`Scenario.est_gains`).
     """
 
     path_loss: float
     rician: float
     elevation: float
     azimuth: float
-    nlos_power: float
-    est_gain: float
+
+    @property
+    def nlos_power(self) -> float:
+        return self.path_loss / (self.rician + 1.0)
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,6 @@ def derive_user(
     elevation: float,
     azimuth: float,
     *,
-    noise_over_taup: float,
     rician: float = UserModel.rician,
     path_loss_ref: float = UserModel.path_loss_ref,
     path_loss_exp: float = UserModel.path_loss_exp,
@@ -81,9 +84,7 @@ def derive_user(
     """Build a `UserStats` from geometry and the large-scale model.
 
     Path loss follows ``path_loss_ref * distance ** -path_loss_exp`` with
-    the reference gain taken at 1 m.  `noise_over_taup` is the noise power
-    divided by total pilot energy (sigma^2 / (tau * p)), which sets the
-    estimator gain.
+    the reference gain taken at 1 m.
     """
     if distance <= 0:
         raise ScenarioError(f"distance must be positive, got {distance}")
@@ -93,15 +94,11 @@ def derive_user(
         raise ScenarioError(f"elevation out of [0, pi]: {elevation}")
     if not 0.0 <= azimuth <= math.pi:
         raise ScenarioError(f"azimuth out of [0, pi]: {azimuth}")
-    if noise_over_taup <= 0:
-        raise ScenarioError("noise_over_taup must be positive")
     path_loss = path_loss_ref * distance ** (-path_loss_exp)
-    nlos_power = path_loss / (rician + 1.0)
-    est_gain = nlos_power / (nlos_power + noise_over_taup)
-    return UserStats(path_loss, rician, elevation, azimuth, nlos_power, est_gain)
+    return UserStats(path_loss, rician, elevation, azimuth)
 
 
-def random_users(model: UserModel, noise_over_taup: float) -> tuple[UserStats, ...]:
+def random_users(model: UserModel) -> tuple[UserStats, ...]:
     """Draw `model.count` users with uniform distances and arrival angles."""
     if model.seed < 0:
         raise ScenarioError(f"user seed must be >= 0, got {model.seed}")
@@ -119,7 +116,6 @@ def random_users(model: UserModel, noise_over_taup: float) -> tuple[UserStats, .
             d,
             e,
             a,
-            noise_over_taup=noise_over_taup,
             rician=model.rician,
             path_loss_ref=model.path_loss_ref,
             path_loss_exp=model.path_loss_exp,
@@ -164,6 +160,12 @@ class Scenario:
         return self.noise_power / (self.pilot_len * self.tx_power)
 
     @property
+    def est_gains(self) -> np.ndarray:
+        """Per-user LMMSE gain c / (c + noise_over_taup), c the `nlos_power`."""
+        c = np.array([u.nlos_power for u in self.users])
+        return c / (c + self.noise_over_taup)
+
+    @property
     def prelog(self) -> float:
         return (self.coherence_len - self.pilot_len) / self.coherence_len
 
@@ -197,13 +199,13 @@ _FIELD_RULES = (
 )
 
 
-def _validate_fields(scn: Scenario) -> None:
-    """Check every field but the users, raising `ScenarioError` naming it.
+def validate_scenario(scn: Scenario) -> Scenario:
+    """Check scenario invariants, raising `ScenarioError` naming the field.
 
-    Users derive from `noise_over_taup`, a ratio of these fields, so they
-    are checked before any user is drawn.  Each field's own range
-    (`_FIELD_RULES`) is checked before the pilot length's relations to
-    the user count and the coherence length.
+    Each field's own range (`_FIELD_RULES`) is checked before the pilot
+    length's relations, and all before the users' LMMSE gains, which
+    divide by them.  A gain of 0 or 1 means one of its two variances is
+    negligible against the other; the message names the keys behind each.
     """
     _require_finite(scn)
     _require_finite(scn.hyper)
@@ -222,24 +224,23 @@ def _validate_fields(scn: Scenario) -> None:
             f"pilot_len must leave room for data: {scn.pilot_len} >= "
             f"coherence_len {scn.coherence_len}"
         )
-
-
-def validate_scenario(scn: Scenario) -> Scenario:
-    """Check scenario invariants, raising `ScenarioError` naming the field."""
-    _validate_fields(scn)
     for k, u in enumerate(scn.users):
         _require_finite(u, f"user {k}: ")
     if len(scn.users) != scn.k_users:
         raise ScenarioError(
             f"k_users is {scn.k_users} but {len(scn.users)} users given"
         )
-    for k, u in enumerate(scn.users):
-        if not 0 < u.est_gain < 1:
-            raise ScenarioError(f"user {k}: est_gain out of (0, 1): {u.est_gain}")
-        if not math.isclose(
-            u.nlos_power * (u.rician + 1.0), u.path_loss, rel_tol=1e-9
-        ):
-            raise ScenarioError(f"user {k}: nlos_power inconsistent with path_loss")
+    for k, (u, gain) in enumerate(zip(scn.users, scn.est_gains)):
+        if not 0 < gain < 1:
+            c = f"diffuse variance {u.nlos_power:.3g} (path_loss_ref_db, path_loss_exp)"
+            q = (
+                f"pilot noise variance {scn.noise_over_taup:.3g} "
+                "(tx_power_dbm, noise_power_dbm, pilot_len)"
+            )
+            small, big = (c, q) if not gain > 0 else (q, c)
+            raise ScenarioError(
+                f"user {k}: LMMSE gain is {gain}: {small} is negligible against {big}"
+            )
     return scn
 
 
@@ -255,15 +256,12 @@ def redraw_users(scn: Scenario, seed: int, *, count: int | None = None) -> Scena
     # keep tau = K when the user count is swept
     pilot_len = scn.pilot_len if count in (None, scn.k_users) else count
     model = dataclasses.replace(scn.user_model, seed=seed, count=k)
-    scn = dataclasses.replace(scn, k_users=k, pilot_len=pilot_len, user_model=model)
-    return _drawn(scn)
-
-
-def _drawn(scn: Scenario) -> Scenario:
-    """`scn` with its users drawn from its `user_model`, validated."""
-    _validate_fields(scn)
-    users = random_users(scn.user_model, scn.noise_over_taup)
-    return validate_scenario(dataclasses.replace(scn, users=users))
+    return validate_scenario(
+        dataclasses.replace(
+            scn, k_users=k, pilot_len=pilot_len, users=random_users(model),
+            user_model=model,
+        )
+    )
 
 
 def upa_layout(m_antennas: int, pitch: float, region_size: float) -> np.ndarray:
@@ -421,31 +419,27 @@ def load_scenario(path) -> Scenario:
                 lines.append([float(p) for p in parts])
             except ValueError:
                 raise ScenarioError(f"bad number in [users] {key}") from None
+        users = tuple(derive_user(*line, **large) for line in lines)
     else:
         lo, hi = UserModel.d_range
         d_range = (usr_sec.get("d_min_m", lo), usr_sec.get("d_max_m", hi))
         model = UserModel(usr_sec["seed"], usr_sec["count"], d_range, **large)
+        users = random_users(model)
 
     hyper_items = parser.items("hyper") if parser.has_section("hyper") else ()
-    scn = Scenario(
-        m_antennas=sys_sec["m_antennas"],
-        k_users=sys_sec["k_users"],
-        wavelength=sys_sec["wavelength_m"],
-        region_size=sys_sec["region_size_m"],
-        d_min=sys_sec.get("d_min_m", sys_sec["wavelength_m"] / 2.0),
-        tx_power=sys_sec["tx_power_dbm"],
-        noise_power=sys_sec["noise_power_dbm"],
-        coherence_len=sys_sec["coherence_len"],
-        pilot_len=sys_sec.get("pilot_len", sys_sec["k_users"]),
-        users=(),
-        hyper=HyperParams(**_Section("hyper", hyper_items, _HYPER_KEYS)),
-        user_model=model,
+    return validate_scenario(
+        Scenario(
+            m_antennas=sys_sec["m_antennas"],
+            k_users=sys_sec["k_users"],
+            wavelength=sys_sec["wavelength_m"],
+            region_size=sys_sec["region_size_m"],
+            d_min=sys_sec.get("d_min_m", sys_sec["wavelength_m"] / 2.0),
+            tx_power=sys_sec["tx_power_dbm"],
+            noise_power=sys_sec["noise_power_dbm"],
+            coherence_len=sys_sec["coherence_len"],
+            pilot_len=sys_sec.get("pilot_len", sys_sec["k_users"]),
+            users=users,
+            hyper=HyperParams(**_Section("hyper", hyper_items, _HYPER_KEYS)),
+            user_model=model,
+        )
     )
-    if model is not None:
-        return _drawn(scn)
-    _validate_fields(scn)
-    users = tuple(
-        derive_user(*line, noise_over_taup=scn.noise_over_taup, **large)
-        for line in lines
-    )
-    return validate_scenario(dataclasses.replace(scn, users=users))

@@ -124,13 +124,13 @@ def test_criterion_03_estimator_orthogonality(table1_k3):
         left -= b
         h = channel.sample_channel(layout, scn.users, scn.wavelength, stream, trials=b)
         obs = estimation.observe_pilots(h, pilots, scn.tx_power, scn.noise_power, stream)
-        hhat = estimation.lmmse_estimate(obs, scn.users, hbar)
+        hhat = estimation.lmmse_estimate(obs, scn.users, scn.est_gains, hbar)
         s_orth.update(np.einsum("bmk,bmk->bk", hhat.conj(), h - hhat))
         s_norm.update(np.sum(np.abs(hhat) ** 2, axis=1))
     sigmas = np.abs(s_orth.mean) / s_orth.sem()
-    want = np.array(
-        [scn.m_antennas * u.nlos_power * (u.rician + u.est_gain) for u in scn.users]
-    )
+    c = np.array([u.nlos_power for u in scn.users])
+    eps = np.array([u.rician for u in scn.users])
+    want = scn.m_antennas * c * (eps + scn.est_gains)
     rel = np.abs(s_norm.mean - want) / want
     ok = bool(np.all(sigmas < 4.0) and np.all(rel < 0.01))
     _verdict(
@@ -145,7 +145,7 @@ def _random_instance(m, k, seed):
     rng = np.random.default_rng(seed)
     rician = float(rng.choice(np.array([0.5, 6.0, 40.0])))
     noise = 10.0 ** (-13.4)
-    users = random_users(UserModel(seed, k, rician=rician), noise / k)
+    users = random_users(UserModel(seed, k, rician=rician))
     scn = validate_scenario(
         Scenario(
             m_antennas=m,
@@ -265,7 +265,7 @@ def test_criterion_08_returned_layouts_feasible(geometry_runs):
         region = (0.2, 0.3, 0.45, 0.6)[i % 4]
         d_min = (0.03, 0.05, 0.07)[i % 3]
         noise = 10.0 ** (-13.4)
-        users = random_users(UserModel(500 + i, 2), noise / 2.0)
+        users = random_users(UserModel(500 + i, 2))
         scn = validate_scenario(
             Scenario(
                 m_antennas=m,

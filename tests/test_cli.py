@@ -134,12 +134,25 @@ def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
             "", "", ["--sweep", "rician_db=0,4000"],
             "rician_db sweep value 4000.0 is out of range",
         ),
+        # finite powers whose LMMSE gain rounds to 1 (no pilot noise left)
+        # or to 0 (the path loss underflows)
+        (
+            "tx_power_dbm = 30", "tx_power_dbm = 200", [],
+            "LMMSE gain is 1.0: pilot noise variance 1.99e-31 (tx_power_dbm, "
+            "noise_power_dbm, pilot_len) is negligible",
+        ),
+        (
+            "path_loss_ref_db = -40", "path_loss_ref_db = -4000", [],
+            "LMMSE gain is 0.0: diffuse variance 0 (path_loss_ref_db, "
+            "path_loss_exp) is negligible",
+        ),
     ],
     ids=[
         "users-seed", "users-count", "hyper-seed", "cli-seed", "percent",
         "pilot-zero", "pilot-negative", "power-inf", "ga-infeasible", "not-utf8",
         "tx-power-overflow", "noise-power-overflow", "rician-db-overflow",
-        "path-loss-overflow", "rician-db-sweep-overflow",
+        "path-loss-overflow", "rician-db-sweep-overflow", "est-gain-one",
+        "est-gain-zero",
     ],
 )
 def test_run_rejects_bad_input(

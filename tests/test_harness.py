@@ -323,9 +323,25 @@ def test_validate_closed_form_tracks_noise_scaling(tmp_path):
 
     loud = load_scenario(write_ini(tmp_path, noise_dbm=-84, name="loud.ini"))
     quiet = load_scenario(write_ini(tmp_path, noise_dbm=-104, name="quiet.ini"))
-    assert loud.users[0].est_gain < quiet.users[0].est_gain
+    assert loud.est_gains[0] < quiet.est_gains[0]
     report = harness.validate_closed_form(loud, 10_000, seed=1)
     assert report.ok
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    reason="the closed-form leak and layout-free interference terms lack a "
+    "factor M on their last pilot-noise term: they read q a^2 c where the "
+    "variance of a n^H e is M q a^2 c (ROADMAP open item)"
+)
+def test_validate_closed_form_passes_at_low_snr(tmp_path):
+    # at -60 dBm the pilot noise q is large enough for the missing factor to
+    # show (5.7 SE off on the leak term)
+    from fas_optim.scenario import load_scenario
+
+    scn = load_scenario(write_ini(tmp_path, k_users=3, noise_dbm=-60))
+    report = harness.validate_closed_form(scn, 100_000, seed=0)
+    assert report.ok, harness.format_validation(report)
 
 
 def test_validate_closed_form_custom_layout(table1_k3):

@@ -25,7 +25,7 @@ def small_scenario(angles, m=4, distances=None, mu=100.0):
     distances = distances or [55.0] * len(angles)
     k = len(angles)
     users = tuple(
-        derive_user(d, e, a, noise_over_taup=Q)
+        derive_user(d, e, a)
         for (e, a), d in zip(angles, distances)
     )
     scn = Scenario(

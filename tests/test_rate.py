@@ -14,10 +14,10 @@ from fas_optim.scenario import Scenario, derive_user, upa_layout, validate_scena
 Q = 1e-10
 
 
-def users_at(angles, distances=None, rician=6.0, q=Q):
+def users_at(angles, distances=None, rician=6.0):
     distances = distances or [55.0] * len(angles)
     return tuple(
-        derive_user(d, e, a, noise_over_taup=q, rician=rician)
+        derive_user(d, e, a, rician=rician)
         for (e, a), d in zip(angles, distances)
     )
 
@@ -138,11 +138,12 @@ def test_context_terms_are_layout_free():
 
 def test_signal_is_noise_squared():
     users = users_at([(0.4, 0.9), (1.3, 2.2), (2.0, 1.5)])
-    ctx = rate.closed_form_context(small_scenario(users, m=7))
+    scn = small_scenario(users, m=7)
+    ctx = rate.closed_form_context(scn)
     np.testing.assert_allclose(ctx.e_signal, ctx.e_noise**2, rtol=1e-12)
     for k, u in enumerate(users):
-        want = 7 * u.nlos_power * (u.rician + u.est_gain)
-        assert ctx.e_noise[k] == pytest.approx(want, rel=1e-12)
+        want = 7 * u.nlos_power * (u.rician + scn.est_gains[k])
+        assert ctx.e_noise[k] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_rayleigh_limit_of_terms():
@@ -153,13 +154,13 @@ def test_rayleigh_limit_of_terms():
     ctx = rate.closed_form_context(scn)
     interference = pair_interference(ctx, np.zeros((2, 5)))
     for k, u in enumerate(users):
-        a, c = u.est_gain, u.nlos_power
-        assert ctx.e_leak[k] == pytest.approx(a**2 * c * (5 * c + q), rel=1e-9)
+        a, c = scn.est_gains[k], u.nlos_power
+        assert ctx.e_leak[k] == pytest.approx(a**2 * c * (5 * c + q), rel=1e-9, abs=0)
         for i, v in enumerate(users):
             if i == k:
                 continue
             want = a**2 * v.nlos_power * (5 * c + q)
-            assert interference[k, i] == pytest.approx(want, rel=1e-9)
+            assert interference[k, i] == pytest.approx(want, rel=1e-9, abs=0)
 
 
 def test_interference_diagonal_is_zero():
@@ -308,9 +309,8 @@ def test_mc_strong_los_limit():
     # huge Rician factor and tiny noise make every trial almost deterministic,
     # so a short run must reproduce the closed form tightly
     noise = 1e-18
-    q = noise / 2.0
     users = tuple(
-        derive_user(d, e, a, noise_over_taup=q, rician=1e6)
+        derive_user(d, e, a, rician=1e6)
         for d, e, a in [(55.0, 0.5, 0.6), (60.0, 2.0, 1.0)]
     )
     scn = small_scenario(users, m=4, noise_power=noise)

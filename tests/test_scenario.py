@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fas_optim import rate
 from fas_optim.scenario import (
     HyperParams,
     Scenario,
@@ -20,13 +21,13 @@ from fas_optim.scenario import (
     upa_layout,
     validate_scenario,
 )
-from conftest import write_ini
+from conftest import SCENARIO_DIR, write_ini
 
 
 def test_dbm_to_watt():
     assert dbm_to_watt(30.0) == 1.0
-    assert dbm_to_watt(0.0) == pytest.approx(1e-3)
-    assert dbm_to_watt(-104.0) == pytest.approx(10.0 ** (-13.4))
+    assert dbm_to_watt(0.0) == pytest.approx(1e-3, abs=0)
+    assert dbm_to_watt(-104.0) == pytest.approx(10.0 ** (-13.4), abs=0)
 
 
 def test_db_to_linear():
@@ -36,43 +37,43 @@ def test_db_to_linear():
 
 
 def test_derive_user_path_loss_model():
-    q = 1e-10
-    u1 = derive_user(1.0, 0.5, 0.5, noise_over_taup=q)
-    assert u1.path_loss == pytest.approx(1e-4)
-    u50 = derive_user(50.0, 0.5, 0.5, noise_over_taup=q)
-    assert u50.path_loss == pytest.approx(1e-4 * 50.0 ** -2.8)
+    u1 = derive_user(1.0, 0.5, 0.5)
+    assert u1.path_loss == pytest.approx(1e-4, abs=0)
+    u50 = derive_user(50.0, 0.5, 0.5)
+    assert u50.path_loss == pytest.approx(1e-4 * 50.0 ** -2.8, abs=0)
 
 
-def test_derive_user_power_split_and_gain():
-    # nlos_power * (rician + 1) recovers the path loss; est_gain is the
-    # LMMSE ratio c / (c + q).  Both should hold to machine precision.
-    q = 3e-12
-    for d, eps in [(50.0, 6.0), (70.0, 0.5), (55.0, 40.0)]:
-        u = derive_user(d, 1.0, 2.0, noise_over_taup=q, rician=eps)
-        assert u.nlos_power * (eps + 1.0) == pytest.approx(u.path_loss, rel=1e-14)
-        assert u.est_gain == pytest.approx(
-            u.nlos_power / (u.nlos_power + q), rel=1e-14
+def test_derive_user_power_split_and_gain(table1_k3):
+    # nlos_power * (rician + 1) recovers the path loss; the scenario's gain
+    # is the LMMSE ratio c / (c + q).  Both should hold to machine precision.
+    users = tuple(
+        derive_user(d, 1.0, 2.0, rician=eps)
+        for d, eps in [(50.0, 6.0), (70.0, 0.5), (55.0, 40.0)]
+    )
+    scn = dataclasses.replace(table1_k3, users=users)
+    q = scn.noise_over_taup
+    for u, gain in zip(users, scn.est_gains):
+        assert u.nlos_power * (u.rician + 1.0) == pytest.approx(
+            u.path_loss, rel=1e-14, abs=0
         )
-        assert 0.0 < u.est_gain < 1.0
+        want = u.nlos_power / (u.nlos_power + q)
+        assert gain == pytest.approx(want, rel=1e-14, abs=0)
+        assert 0.0 < gain < 1.0
 
 
 def test_derive_user_rejects_bad_inputs():
-    q = 1e-10
     with pytest.raises(ScenarioError, match="distance must be positive"):
-        derive_user(0.0, 0.5, 0.5, noise_over_taup=q)
+        derive_user(0.0, 0.5, 0.5)
     with pytest.raises(ScenarioError, match="rician must be nonnegative"):
-        derive_user(50.0, 0.5, 0.5, noise_over_taup=q, rician=-1.0)
+        derive_user(50.0, 0.5, 0.5, rician=-1.0)
     with pytest.raises(ScenarioError, match="elevation out of"):
-        derive_user(50.0, 4.0, 0.5, noise_over_taup=q)
+        derive_user(50.0, 4.0, 0.5)
     with pytest.raises(ScenarioError, match="azimuth out of"):
-        derive_user(50.0, 0.5, -0.1, noise_over_taup=q)
-    with pytest.raises(ScenarioError, match="noise_over_taup must be positive"):
-        derive_user(50.0, 0.5, 0.5, noise_over_taup=0.0)
+        derive_user(50.0, 0.5, -0.1)
 
 
 def test_random_users_ranges_and_determinism():
-    q = 1e-10
-    users = random_users(UserModel(7, 40, (50.0, 70.0)), q)
+    users = random_users(UserModel(7, 40, (50.0, 70.0)))
     assert len(users) == 40
     ref = 1e-4
     for u in users:
@@ -81,15 +82,15 @@ def test_random_users_ranges_and_determinism():
         assert 0.0 <= u.elevation <= math.pi
         assert 0.0 <= u.azimuth <= math.pi
         assert u.rician == 6.0
-    again = random_users(UserModel(7, 40, (50.0, 70.0)), q)
+    again = random_users(UserModel(7, 40, (50.0, 70.0)))
     assert users == again
-    other = random_users(UserModel(8, 40, (50.0, 70.0)), q)
+    other = random_users(UserModel(8, 40, (50.0, 70.0)))
     assert users != other
 
 
 def test_random_users_bad_range():
     with pytest.raises(ScenarioError, match="bad distance range"):
-        random_users(UserModel(0, 3, (0.0, 70.0)), 1e-10)
+        random_users(UserModel(0, 3, (0.0, 70.0)))
 
 
 def test_load_table1_k3(table1_k3):
@@ -100,7 +101,7 @@ def test_load_table1_k3(table1_k3):
     assert scn.region_size == 0.6
     assert scn.d_min == 0.05
     assert scn.tx_power == 1.0
-    assert scn.noise_power == pytest.approx(10.0 ** (-13.4))
+    assert scn.noise_power == pytest.approx(10.0 ** (-13.4), abs=0)
     assert scn.coherence_len == 196
     assert scn.pilot_len == 3
     assert len(scn.users) == 3
@@ -120,15 +121,33 @@ def test_load_table1_k5(table1_k5):
 def test_scenario_derived_properties(table1_k3):
     scn = table1_k3
     assert scn.noise_over_taup == pytest.approx(
-        scn.noise_power / (scn.pilot_len * scn.tx_power)
+        scn.noise_power / (scn.pilot_len * scn.tx_power), abs=0
     )
     assert scn.prelog == pytest.approx((196 - 3) / 196)
 
 
+def test_replaced_power_matches_loaded_scenario(table1_k3, tmp_path):
+    # replacing a field the LMMSE gains depend on leaves nothing stale: the
+    # result is the scenario a file with that value loads, closed form included
+    path = tmp_path / "loud.ini"
+    path.write_text(
+        (SCENARIO_DIR / "table1_k3.ini")
+        .read_text()
+        .replace("tx_power_dbm = 30", "tx_power_dbm = 50")
+    )
+    loaded = load_scenario(path)
+    replaced = dataclasses.replace(table1_k3, tx_power=dbm_to_watt(50))
+    assert replaced == loaded
+    # built uncached, or equal scenarios would share one memoised context
+    want = rate.closed_form_context.__wrapped__(loaded)
+    got = rate.closed_form_context.__wrapped__(replaced)
+    for f in dataclasses.fields(want):
+        np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name))
+
+
 def test_loaded_users_follow_model(table1_k3):
     # the file recipe must give the same draw as calling random_users directly
-    q = table1_k3.noise_over_taup
-    expected = random_users(UserModel(12, 3, (50.0, 70.0)), q)
+    expected = random_users(UserModel(12, 3, (50.0, 70.0)))
     assert table1_k3.users == expected
 
 
@@ -184,13 +203,6 @@ def test_validate_rejects_bad_numbers(table1_k3):
             validate_scenario(bad)
 
 
-def test_validate_rejects_inflated_est_gain(table1_k3):
-    u = dataclasses.replace(table1_k3.users[0], est_gain=1.0)
-    bad = dataclasses.replace(table1_k3, users=(u,) + table1_k3.users[1:])
-    with pytest.raises(ScenarioError, match="est_gain out of"):
-        validate_scenario(bad)
-
-
 def test_redraw_users_same_seed_is_identity(table1_k3):
     scn = redraw_users(table1_k3, 12)
     assert scn.users == table1_k3.users
@@ -219,7 +231,8 @@ def test_redraw_users_new_count_tracks_pilots(table1_k3):
 def test_load_checks_fields_before_deriving_users(
     tmp_path, k_users, old, new, needle
 ):
-    # users derive from noise_over_taup = noise / (pilot_len * tx_power)
+    # the bad field is named, not a fault in the LMMSE gains derived from
+    # it through noise_over_taup = noise / (pilot_len * tx_power)
     drawn = write_ini(tmp_path, k_users=k_users).read_text().replace(old, new, 1)
     explicit = "\n".join(
         line for line in drawn.replace("seed = 12", "user1 = 55 1 1").splitlines()
@@ -356,7 +369,7 @@ def test_load_explicit_users(tmp_path):
     assert scn.user_model is None
     assert scn.users[0].elevation == 1.0
     assert scn.users[1].azimuth == 2.5
-    assert scn.users[0].path_loss == pytest.approx(1e-4 * 55.0 ** -2.8)
+    assert scn.users[0].path_loss == pytest.approx(1e-4 * 55.0 ** -2.8, abs=0)
 
 
 def test_load_ten_explicit_users(tmp_path):
@@ -371,8 +384,8 @@ def test_load_ten_explicit_users(tmp_path):
     )
     scn = load_scenario(path)
     assert scn.k_users == scn.pilot_len == len(scn.users) == 10
-    assert scn.users[1].path_loss == pytest.approx(1e-4 * 52.0 ** -2.8)
-    assert scn.users[9].path_loss == pytest.approx(1e-4 * 60.0 ** -2.8)
+    assert scn.users[1].path_loss == pytest.approx(1e-4 * 52.0 ** -2.8, abs=0)
+    assert scn.users[9].path_loss == pytest.approx(1e-4 * 60.0 ** -2.8, abs=0)
     assert scn.users[9].azimuth == 0.0
 
 
