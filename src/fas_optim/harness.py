@@ -157,7 +157,8 @@ def _run_task(task) -> ResultRow:
     mc_min = None
     if mc_trials:
         est = rate.mc_uatf_sinr(layout, scn, mc_trials, seed=mc_seed)
-        mc_min = float(rate.mc_rates(est, scn).min())
+        sinr = est.sinr(scn.tx_power, scn.noise_power)
+        mc_min = float((scn.prelog * np.log2(1.0 + sinr)).min())
     return ResultRow(
         axis=axis,
         axis_value=float(value),
@@ -340,24 +341,12 @@ def validate_closed_form(
         raise ScenarioError(f"validation needs at least 10000 trials, got {trials}")
     if layout is None:
         layout = fpa_layout(scn)
-    ctx = rate.closed_form_context(scn)
     est = rate.mc_uatf_sinr(layout, scn, trials, seed=seed)
-    closed = {
-        "desired": ctx.e_signal,
-        "leak": ctx.e_leak,
-        "interf": rate._interference_sum(ctx, np.abs(rate.los_cross(ctx, layout)) ** 2),
-        "noise": ctx.e_noise,
-    }
-    mc = {
-        "desired": est.desired,
-        "leak": est.leak,
-        "interf": est.interf,
-        "noise": est.noise,
-    }
+    closed = rate.terms_at(rate.closed_form_context(scn), layout)
     rows = []
-    for term in ("desired", "leak", "interf", "noise"):
+    for term in (f.name for f in dataclasses.fields(rate.Terms)):
         for k in range(scn.k_users):
-            cf, sim, se = closed[term][k], mc[term][k], est.se[term][k]
+            cf, sim, se = (getattr(t, term)[k] for t in (closed, est, est.se))
             diff = abs(cf - sim)
             if cf != 0.0:
                 rel = diff / abs(cf)
@@ -368,8 +357,8 @@ def validate_closed_form(
             else:
                 sig = 0.0 if diff == 0.0 else float("inf")
             rows.append(TermCheck(k, term, float(cf), float(sim), float(se), rel, sig))
-    sinr_mc = rate.mc_sinr(est, scn)
-    sinr_closed = rate.sinr_for(ctx, layout)
+    sinr_closed = closed.sinr(scn.tx_power, scn.noise_power)
+    sinr_mc = est.sinr(scn.tx_power, scn.noise_power)
     rel_err = np.abs(sinr_closed - sinr_mc) / sinr_closed
     ok = all(r.sigmas <= 4.0 for r in rows)
     return ValidationReport(

@@ -280,6 +280,8 @@ def run_multistart(
     Advances the default grid and `restarts - 1` random feasible layouts
     as one batch, returning the layout whose best objective is highest
     (the first such start on a tie) together with every objective trace.
+    The soft-min can rank a layout first whose true min rate is below the
+    fixed grid's (`grid_layout`); the grid is returned then instead.
     Raises `ScenarioError` when no start reaches a finite objective.
     """
     if restarts < 1:
@@ -293,4 +295,8 @@ def run_multistart(
         raise ScenarioError(
             f"no gradient start reached a finite objective: {best_g.tolist()}"
         )
-    return layouts[int(np.argmax(np.where(finite, best_g, -np.inf)))], histories
+    pick = layouts[int(np.argmax(np.where(finite, best_g, -np.inf)))]
+    fpa = grid_layout(scn)
+    if rate.min_rate(pick, scn) < rate.min_rate(fpa, scn):
+        return fpa, histories
+    return pick, histories

@@ -24,18 +24,20 @@ with q the per-entry pilot noise variance (noise_over_taup), and
 
 The achievable rate is ``prelog * log2(1 + SINR_k)``.  Every I_ki is
 nonnegative, so dropping them bounds every layout's rate from above;
-`ClosedFormContext.rate_bound` is that bound for the best user.  `sinr_for`
-evaluates it and `sinr_gradients` its derivative w.r.t. the antenna
-positions; both build the denominator through one helper over the
-``|hbar_k^H hbar_i|^2`` entries, and the LoS responses come from
-`channel.steering`.
+`ClosedFormContext.rate_bound` is that bound for the best user.
+`terms_at` gives the four expectations at a batch of layouts as a
+`Terms` record, whose `Terms.sinr` is the one place the ratio is
+written.  `sinr_for` evaluates it and `sinr_gradients` its derivative
+w.r.t. the antenna positions, over the same record's denominator; the
+LoS responses come from `channel.steering`.
 
 Monte Carlo
 -----------
 `mc_uatf_sinr` estimates the same four expectations by simulation,
-running the full pilot and estimation chain per trial.  It shares no
-algebra with the closed form beyond the channel model, so the two act
-as independent checks on each other.
+running the full pilot and estimation chain per trial, and returns them
+as the same record with standard errors.  It shares no algebra with the
+closed form beyond the channel model, so the two act as independent
+checks on each other.
 """
 
 from __future__ import annotations
@@ -117,6 +119,24 @@ class RunningStats:
 
 
 @dataclass(frozen=True)
+class Terms:
+    """The four expectations of every user's SINR, each shaped (..., K)."""
+
+    desired: np.ndarray   # |E{hhat_k^H h_k}|^2
+    leak: np.ndarray      # var{hhat_k^H h_k}
+    interf: np.ndarray    # sum_{i != k} E{|hhat_k^H h_i|^2}
+    noise: np.ndarray     # E{||hhat_k||^2}
+
+    def denominator(self, tx_power: float, noise_power: float) -> np.ndarray:
+        p = tx_power
+        return p * self.leak + p * self.interf + noise_power * self.noise
+
+    def sinr(self, tx_power: float, noise_power: float) -> np.ndarray:
+        """The use-and-then-forget SINR: p desired over the denominator."""
+        return tx_power * self.desired / self.denominator(tx_power, noise_power)
+
+
+@dataclass(frozen=True)
 class ClosedFormContext:
     """Layout-independent pieces of the SINR, precomputed per scenario."""
 
@@ -181,8 +201,7 @@ def closed_form_context(scn: Scenario) -> ClosedFormContext:
     )
     for arr in arrays.values():
         arr.flags.writeable = False
-    p = scn.tx_power
-    free_sinr = p * e_signal / (p * e_leak + scn.noise_power * e_noise)
+    free_sinr = Terms(e_signal, e_leak, 0.0, e_noise).sinr(scn.tx_power, scn.noise_power)
     return ClosedFormContext(
         wavelength=scn.wavelength,
         tx_power=scn.tx_power,
@@ -199,24 +218,20 @@ def los_cross(ctx: ClosedFormContext, layouts: np.ndarray) -> np.ndarray:
     return np.einsum("...km,...im->...ki", steer.conj(), steer)
 
 
-def _interference_sum(ctx: ClosedFormContext, fsq: np.ndarray) -> np.ndarray:
-    """Interference each user sees, sum_i I_ki, (..., K), from `fsq` (..., K, K).
-
-    `fsq` holds the squared LoS cross terms ``|hbar_k^H hbar_i|^2``.
-    """
-    return np.sum(ctx.i_const + ctx.i_coupling * fsq, axis=-1)
+def _terms(ctx: ClosedFormContext, fsq: np.ndarray) -> Terms:
+    """Closed-form terms from `fsq` (..., K, K), the ``|hbar_k^H hbar_i|^2``."""
+    interf = np.sum(ctx.i_const + ctx.i_coupling * fsq, axis=-1)
+    return Terms(ctx.e_signal, ctx.e_leak, interf, ctx.e_noise)
 
 
-def _denominator(ctx: ClosedFormContext, fsq: np.ndarray) -> np.ndarray:
-    """SINR denominator of every user, (..., K), from `fsq` as above."""
-    p, interf = ctx.tx_power, _interference_sum(ctx, fsq)
-    return p * ctx.e_leak + p * interf + ctx.noise_power * ctx.e_noise
+def terms_at(ctx: ClosedFormContext, layouts: np.ndarray) -> Terms:
+    """Closed-form terms of every user for a batch of layouts, (..., K)."""
+    return _terms(ctx, np.abs(los_cross(ctx, layouts)) ** 2)
 
 
 def sinr_for(ctx: ClosedFormContext, layouts: np.ndarray) -> np.ndarray:
     """Closed-form SINR of every user for a batch of layouts, (..., K)."""
-    fsq = np.abs(los_cross(ctx, layouts)) ** 2
-    return ctx.tx_power * ctx.e_signal / _denominator(ctx, fsq)
+    return terms_at(ctx, layouts).sinr(ctx.tx_power, ctx.noise_power)
 
 
 def sinr_gradients(ctx: ClosedFormContext, layouts: np.ndarray) -> np.ndarray:
@@ -230,7 +245,7 @@ def sinr_gradients(ctx: ClosedFormContext, layouts: np.ndarray) -> np.ndarray:
     steer = channel.steering(ctx.dirs, layouts, ctx.wavelength)
     # not los_cross: its einsum differs in the last bits and changes trajectories
     gram = steer.conj() @ np.swapaxes(steer, -1, -2)  # (..., K, K) LoS cross terms
-    denom = _denominator(ctx, np.abs(gram) ** 2)
+    denom = _terms(ctx, np.abs(gram) ** 2).denominator(ctx.tx_power, ctx.noise_power)
 
     diff_dir = ctx.dirs[None, :, :] - ctx.dirs[:, None, :]                # (K, K, 2)
     cross = steer.conj()[..., :, None, :] * steer[..., None, :, :]        # (..., K, K, M)
@@ -252,15 +267,11 @@ def min_rate(layout: np.ndarray, scn: Scenario) -> float:
 
 
 @dataclass(frozen=True)
-class McEstimate:
+class McEstimate(Terms):
     """Simulated values of the four SINR expectations with standard errors."""
 
-    desired: np.ndarray   # (K,) |E{hhat^H h}|^2
-    leak: np.ndarray      # (K,) var{hhat^H h}
-    interf: np.ndarray    # (K,) sum_i E{|hhat_k^H h_i|^2}
-    noise: np.ndarray     # (K,) E{||hhat_k||^2}
     trials: int
-    se: dict[str, np.ndarray]
+    se: Terms
 
 
 def mc_uatf_sinr(
@@ -315,12 +326,12 @@ def mc_uatf_sinr(
     mean_z = s_z.mean
     desired = np.abs(mean_z) ** 2
     leak = s_zsq.mean - desired
-    se = {
-        "desired": 2.0 * np.abs(mean_z) * s_z.sem(),
-        "leak": s_w.sem(),
-        "interf": s_int.sem(),
-        "noise": s_noise.sem(),
-    }
+    se = Terms(
+        desired=2.0 * np.abs(mean_z) * s_z.sem(),
+        leak=s_w.sem(),
+        interf=s_int.sem(),
+        noise=s_noise.sem(),
+    )
     return McEstimate(
         desired=desired,
         leak=leak,
@@ -329,18 +340,6 @@ def mc_uatf_sinr(
         trials=trials,
         se=se,
     )
-
-
-def mc_sinr(est: McEstimate, scn: Scenario) -> np.ndarray:
-    """SINR from simulated expectations, mirroring the closed-form ratio."""
-    p = scn.tx_power
-    return p * est.desired / (
-        p * est.leak + p * est.interf + scn.noise_power * est.noise
-    )
-
-
-def mc_rates(est: McEstimate, scn: Scenario) -> np.ndarray:
-    return scn.prelog * np.log2(1.0 + mc_sinr(est, scn))
 
 
 @dataclass(frozen=True)

@@ -205,7 +205,9 @@ def validate_scenario(scn: Scenario) -> Scenario:
     Each field's own range (`_FIELD_RULES`) is checked before the pilot
     length's relations, and all before the users' LMMSE gains, which
     divide by them.  A gain of 0 or 1 means one of its two variances is
-    negligible against the other; the message names the keys behind each.
+    negligible against the other, and 0/0 that both vanish; the message
+    names the keys behind each.  A Rician factor whose square overflows is
+    rejected too, since the closed form squares it.
     """
     _require_finite(scn)
     _require_finite(scn.hyper)
@@ -226,6 +228,17 @@ def validate_scenario(scn: Scenario) -> Scenario:
         )
     for k, u in enumerate(scn.users):
         _require_finite(u, f"user {k}: ")
+        if not math.isfinite(u.rician * u.rician):
+            raise ScenarioError(
+                f"user {k}: Rician factor {u.rician:.3g} (rician, rician_db) "
+                "overflows when the closed form squares it"
+            )
+        if u.nlos_power == 0 and scn.noise_over_taup == 0:
+            raise ScenarioError(
+                f"user {k}: LMMSE gain is 0/0: diffuse variance 0 (path_loss_ref_db, "
+                "path_loss_exp) and pilot noise variance 0 (tx_power_dbm, "
+                "noise_power_dbm, pilot_len) both vanish"
+            )
     if len(scn.users) != scn.k_users:
         raise ScenarioError(
             f"k_users is {scn.k_users} but {len(scn.users)} users given"

@@ -146,13 +146,18 @@ def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
             "LMMSE gain is 0.0: diffuse variance 0 (path_loss_ref_db, "
             "path_loss_exp) is negligible",
         ),
+        # finite, but its square in the closed form is not
+        (
+            "rician = 6", "rician_db = 3000", [],
+            "user 0: Rician factor 1e+300 (rician, rician_db) overflows",
+        ),
     ],
     ids=[
         "users-seed", "users-count", "hyper-seed", "cli-seed", "percent",
         "pilot-zero", "pilot-negative", "power-inf", "ga-infeasible", "not-utf8",
         "tx-power-overflow", "noise-power-overflow", "rician-db-overflow",
         "path-loss-overflow", "rician-db-sweep-overflow", "est-gain-one",
-        "est-gain-zero",
+        "est-gain-zero", "rician-db-squared-overflow",
     ],
 )
 def test_run_rejects_bad_input(
@@ -168,6 +173,30 @@ def test_run_rejects_bad_input(
     )
     assert code == 2
     assert needle in capsys.readouterr().err
+
+
+def test_run_rejects_vanishing_gain_variances(tmp_path, capsys, monkeypatch):
+    # the diffuse and the pilot noise variance both round to 0, so the
+    # LMMSE gain c / (c + q) would be 0/0
+    monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
+    ini = write_ini(tmp_path, m_antennas=4, k_users=2)
+    text = ini.read_text()
+    for old, new in [
+        ("tx_power_dbm = 30", "tx_power_dbm = 3000"),
+        ("noise_power_dbm = -104", "noise_power_dbm = -3200"),
+        ("path_loss_ref_db = -40", "path_loss_ref_db = -4000"),
+    ]:
+        text = text.replace(old, new, 1)
+    ini.write_text(text)
+    code = cli.main(
+        ["run", "--scenario", str(ini), "--algos", "fpa", "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    assert (
+        "user 0: LMMSE gain is 0/0: diffuse variance 0 (path_loss_ref_db, "
+        "path_loss_exp) and pilot noise variance 0 (tx_power_dbm, "
+        "noise_power_dbm, pilot_len) both vanish"
+    ) in capsys.readouterr().err
 
 
 def test_run_bad_algorithm(tmp_path, capsys, monkeypatch):

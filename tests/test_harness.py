@@ -316,6 +316,16 @@ def test_validate_closed_form_passes(table1_k3):
     assert "PASS" in text and "sinr" in text and "10000 trials" in text
 
 
+def test_validate_closed_form_golden_report():
+    # pins every term row and both SINR vectors at full precision: any change
+    # to the closed form, the oracle or the way the report reads them shows here
+    rep = harness.validate_closed_form(SCENARIO_DIR / "table1_k3.ini", 20_000, seed=5)
+    values = [(r.user, r.term, r.closed, r.mc, r.se) for r in rep.rows]
+    values += rep.sinr_closed.tolist() + rep.sinr_mc.tolist()
+    digest = hashlib.md5(repr(values).encode()).hexdigest()
+    assert digest == "2cb9f1dee92f1ec69007554386f3ffee"
+
+
 def test_validate_closed_form_tracks_noise_scaling(tmp_path):
     # 100x noise changes every estimator gain; closed form and simulation
     # must move together and still agree

@@ -14,6 +14,7 @@ from fas_optim.scenario import (
     Scenario,
     ScenarioError,
     derive_user,
+    grid_layout,
     upa_layout,
     validate_scenario,
 )
@@ -532,7 +533,39 @@ def test_batched_starts_match_single_runs(problem, accelerated):
         assert value == opt_grad.smoothed_objective(single, scn)
     best, multi_histories = opt_grad.run_multistart(scn, seed, 4, accelerated)
     assert multi_histories == histories
-    np.testing.assert_array_equal(best, layouts[int(np.argmax(best_g))])
+    pick, grid = layouts[int(np.argmax(best_g))], grid_layout(scn)
+    below = rate.min_rate(pick, scn) < rate.min_rate(grid, scn)
+    np.testing.assert_array_equal(best, grid if below else pick)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.integers(1, 3),
+    st.integers(2, 4),
+    st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_run_multistart_feasible_and_never_below_fpa(k, m, mu, seed, data):
+    # a small mu makes the soft-min favour the mean rate, so the best soft-min
+    # start can have a lower min rate than the fixed grid
+    angle, distance = st.floats(0.2, 2.9), st.floats(50.0, 70.0)
+    angles = [(data.draw(angle), data.draw(angle)) for _ in range(k)]
+    distances = [data.draw(distance) for _ in range(k)]
+    scn = small_scenario(angles, m=m, distances=distances, mu=mu)
+    layout, _ = opt_grad.run_multistart(scn, seed, restarts=2)
+    assert np.all(np.abs(layout) <= scn.region_size / 2.0)
+    assert opt_ga.violation_set(layout, scn.d_min) == []
+    assert rate.min_rate(layout, scn) >= rate.min_rate(grid_layout(scn), scn)
+
+
+def test_run_multistart_falls_back_to_fpa():
+    # at mu = 0.3 the start with the best soft-min ends on a min rate of 0.600,
+    # below the grid's 0.718, so the grid is returned
+    angles = [(0.3, 0.6), (0.4, 1.4), (1.2, 2.5)]
+    scn = small_scenario(angles, m=2, distances=[57.0, 51.0, 65.0], mu=0.3)
+    layout, _ = opt_grad.run_multistart(scn, seed=2, restarts=2)
+    np.testing.assert_array_equal(layout, grid_layout(scn))
 
 
 def test_run_multistart_single_restart_is_default_run(table1_k3):

@@ -126,11 +126,12 @@ def test_context_terms_are_layout_free():
     zeros = np.zeros((2, 4))
     layout = np.random.default_rng(4).uniform(-0.3, 0.3, (2, 4))
     for lay in (zeros, layout):
-        fsq = np.abs(rate.los_cross(ctx, lay)) ** 2
-        want = p * ctx.e_signal / (
-            p * ctx.e_leak + p * rate._interference_sum(ctx, fsq) + s2 * ctx.e_noise
-        )
+        interf = pair_interference(ctx, lay).sum(axis=-1)
+        want = p * ctx.e_signal / (p * ctx.e_leak + p * interf + s2 * ctx.e_noise)
         np.testing.assert_array_equal(rate.sinr_for(ctx, lay), want)
+        terms = rate.terms_at(ctx, lay)
+        np.testing.assert_array_equal(terms.interf, interf)
+        np.testing.assert_array_equal(terms.sinr(p, s2), want)
     assert not np.allclose(
         np.abs(rate.los_cross(ctx, zeros)), np.abs(rate.los_cross(ctx, layout))
     )
@@ -317,15 +318,14 @@ def test_mc_strong_los_limit():
     layout = np.random.default_rng(8).uniform(-0.3, 0.3, (2, 4))
     ctx = rate.closed_form_context(scn)
     est = rate.mc_uatf_sinr(layout, scn, 4000, seed=9)
-    fsq = np.abs(rate.los_cross(ctx, layout)) ** 2
     np.testing.assert_allclose(est.desired, ctx.e_signal, rtol=1e-3)
     np.testing.assert_allclose(est.noise, ctx.e_noise, rtol=1e-3)
     np.testing.assert_allclose(
-        est.interf, rate._interference_sum(ctx, fsq), rtol=1e-3
+        est.interf, pair_interference(ctx, layout).sum(axis=-1), rtol=1e-3
     )
     assert np.all(np.abs(est.leak - ctx.e_leak) <= 1e-3 * ctx.e_signal)
     np.testing.assert_allclose(
-        rate.mc_sinr(est, scn), rate.sinr_for(ctx, layout), rtol=3e-3
+        est.sinr(scn.tx_power, scn.noise_power), rate.sinr_for(ctx, layout), rtol=3e-3
     )
 
 
@@ -333,19 +333,15 @@ def test_mc_agrees_with_closed_form(table1_k3):
     layout = upa_layout(9, 0.05, 0.6)
     ctx = rate.closed_form_context(table1_k3)
     est = rate.mc_uatf_sinr(layout, table1_k3, 20_000, seed=7)
-    fsq = np.abs(rate.los_cross(ctx, layout)) ** 2
-    assert np.all(np.abs(est.desired - ctx.e_signal) <= 4.0 * est.se["desired"])
-    assert np.all(np.abs(est.leak - ctx.e_leak) <= 4.0 * est.se["leak"])
-    assert np.all(
-        np.abs(est.interf - rate._interference_sum(ctx, fsq))
-        <= 4.0 * est.se["interf"]
-    )
-    assert np.all(np.abs(est.noise - ctx.e_noise) <= 4.0 * est.se["noise"])
+    interf = pair_interference(ctx, layout).sum(axis=-1)
+    assert np.all(np.abs(est.desired - ctx.e_signal) <= 4.0 * est.se.desired)
+    assert np.all(np.abs(est.leak - ctx.e_leak) <= 4.0 * est.se.leak)
+    assert np.all(np.abs(est.interf - interf) <= 4.0 * est.se.interf)
+    assert np.all(np.abs(est.noise - ctx.e_noise) <= 4.0 * est.se.noise)
+    sinr = est.sinr(table1_k3.tx_power, table1_k3.noise_power)
+    np.testing.assert_allclose(sinr, rate.sinr_for(ctx, layout), rtol=0.02)
     np.testing.assert_allclose(
-        rate.mc_sinr(est, table1_k3), rate.sinr_for(ctx, layout), rtol=0.02
-    )
-    np.testing.assert_allclose(
-        rate.mc_rates(est, table1_k3), rate.rates_for(ctx, layout), rtol=0.02
+        table1_k3.prelog * np.log2(1.0 + sinr), rate.rates_for(ctx, layout), rtol=0.02
     )
 
 
@@ -354,7 +350,7 @@ def test_mc_error_shrinks_like_root_n(table1_k3):
     small = rate.mc_uatf_sinr(layout, table1_k3, 1_000, seed=5)
     big = rate.mc_uatf_sinr(layout, table1_k3, 100_000, seed=6)
     for key in ("desired", "leak", "interf", "noise"):
-        ratio = np.mean(small.se[key] / big.se[key])
+        ratio = np.mean(getattr(small.se, key) / getattr(big.se, key))
         assert 7.0 <= ratio <= 14.0, (key, ratio)
 
 
