@@ -3,7 +3,8 @@
 Subcommands: `run` executes a sweep and writes CSV/SVG artifacts,
 `validate` compares the closed-form rate terms against simulation, and
 `lemmas` spot-checks the Gaussian moment identities.  Exit codes:
-0 success, 1 a validation check failed, 2 usage or configuration error.
+0 success, 1 a validation check failed, 2 usage or configuration error,
+3 any other error (an internal fault or a resource limit).
 """
 
 from __future__ import annotations
@@ -100,12 +101,12 @@ def main(argv=None) -> int:
     handlers = {"run": _cmd_run, "validate": _cmd_validate, "lemmas": _cmd_lemmas}
     try:
         return handlers[args.command](args)
-    except ScenarioError as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:  # e.g. MemoryError: reported, never a traceback
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

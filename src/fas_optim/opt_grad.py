@@ -11,12 +11,12 @@ step only when the objective grows enough and the trial layout keeps
 every antenna pair at least `d_min` apart.  A momentum sequence in the
 style of accelerated first-order methods extrapolates between
 consecutive accepted points; the plain variant is the same loop with
-momentum weight zero.  Each new iterate is scored by one SINR pass that
-gives both its objective value and the gradient the next line search
-starts from.  The best feasible point seen is returned, so a late
-momentum overshoot cannot degrade the result.  The SINR and its
-position gradient come from `rate`; this module adds only the soft-min
-chain rule, the line search and the ascent loop.
+momentum weight zero.  Each new iterate is scored by one LoS pass
+(`rate.sinr_gradients`) that gives both its objective value and the
+gradient the next line search starts from.  The best feasible point seen
+is returned, so a late momentum overshoot cannot degrade the result.
+The SINR and its position gradient come from `rate`; this module adds
+only the soft-min chain rule, the line search and the ascent loop.
 
 The objective is multimodal in the antenna positions, so `run_multistart`
 repeats the ascent from random feasible layouts and keeps the best.  All
@@ -34,14 +34,9 @@ import numpy as np
 
 from . import rate
 from .opt_ga import project, violation_counts, violation_set
-from .scenario import Scenario, ScenarioError, grid_layout
+from .scenario import Scenario, ScenarioError, grid_layout, line_search_steps
 
-ZETA_MIN_FACTOR = 1e-8  # line search gives up below this fraction of wavelength
 LINE_SEARCH_PREFIX = 40  # candidates scored per chunk; the accepted one is rarely later
-
-
-class LineSearchExhausted(RuntimeError):
-    """No step length satisfied both the increase and spacing conditions."""
 
 
 def _soft_min(rates: np.ndarray, mu: float) -> np.ndarray:
@@ -58,7 +53,7 @@ def smoothed_objective(layout: np.ndarray, scn: Scenario) -> np.ndarray:
 
 
 def _value_and_gradient(
-    ctx: rate.ClosedFormContext, layout: np.ndarray, mu: float
+    layout: np.ndarray, scn: Scenario
 ) -> tuple[np.ndarray, np.ndarray]:
     """Smoothed objective (...,) and its gradient (..., 2, M) from one SINR pass.
 
@@ -67,18 +62,18 @@ def _value_and_gradient(
     ((1 + SINR_k) ln 2) times the pilot-overhead prelog, normalized by
     the weight sum.
     """
-    sinr = rate.sinr_for(ctx, layout)
+    ctx, mu = rate.closed_form_context(scn), scn.hyper.mu
+    sinr, dsinr = rate.sinr_gradients(ctx, layout)
     rates = ctx.prelog * np.log2(1.0 + sinr)
     weights = np.exp(-mu * (rates - rates.min(axis=-1, keepdims=True)))
     weights = weights / weights.sum(axis=-1, keepdims=True)
-    dsinr = rate.sinr_gradients(ctx, layout)
     coeff = ctx.prelog * weights / ((1.0 + sinr) * math.log(2.0))
     return _soft_min(rates, mu), np.einsum("...k,...kdm->...dm", coeff, dsinr)
 
 
 def objective_gradient(layout: np.ndarray, scn: Scenario) -> np.ndarray:
     """Gradient of the smoothed objective w.r.t. positions, shape (..., 2, M)."""
-    return _value_and_gradient(rate.closed_form_context(scn), layout, scn.hyper.mu)[1]
+    return _value_and_gradient(layout, scn)[1]
 
 
 def next_momentum(l_cur: float) -> float:
@@ -101,19 +96,18 @@ def _line_search(
     stays bounded however many steps `kappa` makes; only candidates that
     pass the increase test are spacing-checked.  The first passing step
     is the one the sequential shrink loop takes.  Returns the steps, the
-    accepted trial layouts and their objective values, NaN for a layout
-    with no passing step; raises `LineSearchExhausted` when no layout
-    has one down to ``1e-8 * wavelength``.
+    accepted trial layouts and their objective values; a layout with no
+    passing step down to ``1e-8 * wavelength`` gets NaN in all three,
+    also when no layout has one.
     """
     hyp = scn.hyper
-    ctx = rate.closed_form_context(scn)
     point = np.asarray(point, dtype=float)
     batch = point.shape[:-2]
     points = point.reshape(-1, *point.shape[-2:])
     grads = np.asarray(grad, dtype=float).reshape(points.shape)
     g_values = np.asarray(g_value, dtype=float).reshape(-1)
     grad_sq = np.sum(grads.reshape(len(grads), -1) ** 2, axis=-1)
-    n_steps = math.ceil(math.log(ZETA_MIN_FACTOR) / math.log(hyp.kappa)) + 1
+    n_steps = line_search_steps(hyp.kappa)
     zetas = scn.wavelength * hyp.kappa ** np.arange(n_steps)
 
     steps = np.full(len(points), np.nan)
@@ -128,7 +122,7 @@ def _line_search(
             points[pending, None] + zetas[lo:hi, None, None] * grads[pending, None],
             scn.region_size,
         )
-        g_trials = _soft_min(rate.rates_for(ctx, cands), hyp.mu)
+        g_trials = smoothed_objective(cands, scn)
         grew = g_trials >= g_values[pending, None] + (
             hyp.varpi * zetas[lo:hi] * grad_sq[pending, None]
         )
@@ -141,10 +135,6 @@ def _line_search(
         layouts[rows] = cands[hit, first]
         values[rows] = g_trials[hit, first]
         pending = pending[~hit]
-    if pending.size == len(points):
-        raise LineSearchExhausted(
-            f"no step in [{zetas[-1]:.3e}, {zetas[0]:.3e}] improved the objective"
-        )
     return (
         steps.reshape(batch)[()],
         layouts.reshape(point.shape),
@@ -187,19 +177,17 @@ def _ascend(
                 f"initial layout violates the antenna spacing limit at pairs {pairs}"
             )
 
-    ctx = rate.closed_form_context(scn)
-    g_cur, grad = _value_and_gradient(ctx, t_curr, hyp.mu)
+    g_cur, grad = _value_and_gradient(t_curr, scn)
     histories = [[float(g)] for g in g_cur]
     best_g, best_layout = g_cur.copy(), t_curr.copy()
     v_prev = t_curr.copy()
     live = np.arange(len(t_curr))
     l_cur = 0.5  # shared: every live start is at the same iteration
     for _ in range(hyp.grad_max_iter):
-        try:
-            steps, v_cur, g_v = _line_search(t_curr[live], grad[live], scn, g_cur[live])
-        except LineSearchExhausted:
-            break  # no usable ascent step left for any start; treat as converged
+        steps, v_cur, g_v = _line_search(t_curr[live], grad[live], scn, g_cur[live])
         found = ~np.isnan(steps)
+        if not found.any():
+            break  # no usable ascent step left for any start; treat as converged
         live, v_cur, g_v = live[found], v_cur[found], g_v[found]
         _keep_best(best_g, best_layout, live, v_cur, g_v)  # always feasible
 
@@ -208,7 +196,7 @@ def _ascend(
         l_next = next_momentum(l_cur)
         momentum = (l_cur - 1.0) / l_next if accelerated else 0.0
         t_next = project(v_cur + momentum * (v_cur - v_prev[live]), scn.region_size)
-        g_next, grad[live] = _value_and_gradient(ctx, t_next, hyp.mu)
+        g_next, grad[live] = _value_and_gradient(t_next, scn)
         ok = violation_counts(t_next, scn.d_min) == 0
         _keep_best(best_g, best_layout, live[ok], t_next[ok], g_next[ok])
         l_cur = l_next

@@ -27,9 +27,9 @@ nonnegative, so dropping them bounds every layout's rate from above;
 `ClosedFormContext.rate_bound` is that bound for the best user.
 `terms_at` gives the four expectations at a batch of layouts as a
 `Terms` record, whose `Terms.sinr` is the one place the ratio is
-written.  `sinr_for` evaluates it and `sinr_gradients` its derivative
-w.r.t. the antenna positions, over the same record's denominator; the
-LoS responses come from `channel.steering`.
+written.  `sinr_for` evaluates it; `sinr_gradients` gives it together
+with its derivative w.r.t. the antenna positions from one pass over the
+LoS responses, which come from `channel.steering`.
 
 Monte Carlo
 -----------
@@ -212,10 +212,14 @@ def closed_form_context(scn: Scenario) -> ClosedFormContext:
     )
 
 
+def _gram(steer: np.ndarray) -> np.ndarray:
+    """Gram matrix of LoS responses `steer` (..., K, M), shape (..., K, K)."""
+    return np.einsum("...km,...im->...ki", steer.conj(), steer)
+
+
 def los_cross(ctx: ClosedFormContext, layouts: np.ndarray) -> np.ndarray:
     """Gram matrix of LoS responses, shape (..., K, K); diagonal equals M."""
-    steer = channel.steering(ctx.dirs, layouts, ctx.wavelength)
-    return np.einsum("...km,...im->...ki", steer.conj(), steer)
+    return _gram(channel.steering(ctx.dirs, layouts, ctx.wavelength))
 
 
 def _terms(ctx: ClosedFormContext, fsq: np.ndarray) -> Terms:
@@ -234,16 +238,20 @@ def sinr_for(ctx: ClosedFormContext, layouts: np.ndarray) -> np.ndarray:
     return terms_at(ctx, layouts).sinr(ctx.tx_power, ctx.noise_power)
 
 
-def sinr_gradients(ctx: ClosedFormContext, layouts: np.ndarray) -> np.ndarray:
-    """Derivatives of every user's SINR w.r.t. positions, shape (..., K, 2, M).
+def sinr_gradients(
+    ctx: ClosedFormContext, layouts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every user's SINR (..., K) and its derivatives w.r.t. positions (..., K, 2, M).
 
-    Positions enter only through the LoS cross terms, so the derivative
-    routes through d|f_ki|^2 = 2 Re{(df_ki) conj(f_ki)} with
+    Both come from one `channel.steering` call; the SINR equals `sinr_for`
+    bit for bit.  Positions enter only through the LoS cross terms, so the
+    derivative routes through d|f_ki|^2 = 2 Re{(df_ki) conj(f_ki)} with
     df_ki/dt_u = j (2 pi / wavelength) (dir_i - dir_k) conj(e_k(t_u)) e_i(t_u).
     """
     wavenum = 2.0 * np.pi / ctx.wavelength
     steer = channel.steering(ctx.dirs, layouts, ctx.wavelength)
-    # not los_cross: its einsum differs in the last bits and changes trajectories
+    sinr = _terms(ctx, np.abs(_gram(steer)) ** 2).sinr(ctx.tx_power, ctx.noise_power)
+    # not _gram: its einsum differs in the last bits and changes trajectories
     gram = steer.conj() @ np.swapaxes(steer, -1, -2)  # (..., K, K) LoS cross terms
     denom = _terms(ctx, np.abs(gram) ** 2).denominator(ctx.tx_power, ctx.noise_power)
 
@@ -253,7 +261,7 @@ def sinr_gradients(ctx: ClosedFormContext, layouts: np.ndarray) -> np.ndarray:
     dfsq = 2.0 * np.real(dgram * gram.conj()[..., None, None])           # (..., K, K, 2, M)
     dinterf = np.sum(ctx.i_coupling[:, :, None, None] * dfsq, axis=-3)
     p = ctx.tx_power
-    return -(p**2) * ctx.e_signal[:, None, None] * dinterf / (denom**2)[..., None, None]
+    return sinr, -(p**2) * ctx.e_signal[:, None, None] * dinterf / (denom**2)[..., None, None]
 
 
 def rates_for(ctx: ClosedFormContext, layouts: np.ndarray) -> np.ndarray:

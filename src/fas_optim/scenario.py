@@ -170,6 +170,15 @@ class Scenario:
         return (self.coherence_len - self.pilot_len) / self.coherence_len
 
 
+ZETA_MIN_FACTOR = 1e-8  # line search gives up below this fraction of wavelength
+KAPPA_MAX = 0.99  # 1834 line-search steps; the count grows as 1 / (1 - kappa)
+
+
+def line_search_steps(kappa: float) -> int:
+    """Candidate steps ``wavelength * kappa**n`` down to `ZETA_MIN_FACTOR` of it."""
+    return math.ceil(math.log(ZETA_MIN_FACTOR) / math.log(kappa)) + 1
+
+
 def _require_finite(obj, prefix: str = "") -> None:
     """Reject a NaN or infinite float field of a dataclass, naming it."""
     for f in dataclasses.fields(obj):
@@ -202,8 +211,9 @@ _FIELD_RULES = (
 def validate_scenario(scn: Scenario) -> Scenario:
     """Check scenario invariants, raising `ScenarioError` naming the field.
 
-    Each field's own range (`_FIELD_RULES`) is checked before the pilot
-    length's relations, and all before the users' LMMSE gains, which
+    Each field's own range (`_FIELD_RULES`, then `KAPPA_MAX`, which bounds
+    the line search's step count) is checked before the pilot length's
+    relations, and all before the users' LMMSE gains, which
     divide by them.  A gain of 0 or 1 means one of its two variances is
     negligible against the other, and 0/0 that both vanish; the message
     names the keys behind each.  A Rician factor whose square overflows is
@@ -216,6 +226,12 @@ def validate_scenario(scn: Scenario) -> Scenario:
         value = getattr(holders[holder], name)
         if not test(value):
             raise ScenarioError(f"{name} {requirement}, got {value}")
+    if scn.hyper.kappa > KAPPA_MAX:
+        raise ScenarioError(
+            f"kappa must be <= {KAPPA_MAX}, got {scn.hyper.kappa}: the line search "
+            f"would try up to {line_search_steps(scn.hyper.kappa)} steps "
+            f"({line_search_steps(KAPPA_MAX)} at {KAPPA_MAX})"
+        )
     if scn.pilot_len < scn.k_users:
         raise ScenarioError(
             f"pilot_len < k_users ({scn.pilot_len} < {scn.k_users}): "

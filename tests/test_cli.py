@@ -151,13 +151,15 @@ def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
             "rician = 6", "rician_db = 3000", [],
             "user 0: Rician factor 1e+300 (rician, rician_db) overflows",
         ),
+        # legal but so close to 1 that the line search would crawl
+        ("kappa = 0.8", "kappa = 0.9999", [], "kappa must be <= 0.99, got 0.9999"),
     ],
     ids=[
         "users-seed", "users-count", "hyper-seed", "cli-seed", "percent",
         "pilot-zero", "pilot-negative", "power-inf", "ga-infeasible", "not-utf8",
         "tx-power-overflow", "noise-power-overflow", "rician-db-overflow",
         "path-loss-overflow", "rician-db-sweep-overflow", "est-gain-one",
-        "est-gain-zero", "rician-db-squared-overflow",
+        "est-gain-zero", "rician-db-squared-overflow", "kappa-crawl",
     ],
 )
 def test_run_rejects_bad_input(
@@ -291,3 +293,26 @@ def test_lemmas_bad_input_exit_code(capsys, argv, needle):
     code = cli.main(["lemmas", *argv])
     assert code == 2
     assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "target, name, argv",
+    [
+        (harness, "run_experiment", ["run", "--scenario", "x.ini", "--out", "o"]),
+        (rate, "lemma_checks", ["lemmas", "--m", "100000", "--trials", "2"]),
+    ],
+    ids=["run", "lemmas"],
+)
+def test_unexpected_error_exits_3(capsys, monkeypatch, target, name, argv):
+    # exit 1 means only a failed validation check; anything unforeseen,
+    # such as an array too large to allocate, is reported in one line
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(target, name, out_of_memory)
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: internal error: MemoryError: Unable to allocate 74.5 GiB for an array\n"
+    )
+    assert captured.out == ""

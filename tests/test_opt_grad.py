@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fas_optim import opt_ga, opt_grad, rate
+from fas_optim import channel, opt_ga, opt_grad, rate
 from fas_optim.scenario import (
+    ZETA_MIN_FACTOR,
     Scenario,
     ScenarioError,
     derive_user,
@@ -103,7 +104,7 @@ def test_soft_min_single_user_is_exact():
 
 def _dsinr(layout, scn):
     """Every user's SINR gradient, shape (K, 2, M)."""
-    return rate.sinr_gradients(rate.closed_form_context(scn), layout)
+    return rate.sinr_gradients(rate.closed_form_context(scn), layout)[1]
 
 
 def test_sinr_gradient_single_user_is_zero():
@@ -195,7 +196,7 @@ def _step(point, grad, scn):
 def _reference_search(point, grad, scn):
     # transparent reimplementation of the candidate schedule for checking
     hyp = scn.hyper
-    n = math.ceil(math.log(opt_grad.ZETA_MIN_FACTOR) / math.log(hyp.kappa)) + 1
+    n = math.ceil(math.log(ZETA_MIN_FACTOR) / math.log(hyp.kappa)) + 1
     zetas = scn.wavelength * hyp.kappa ** np.arange(n)
     trials = opt_grad.project(
         point[None] + zetas[:, None, None] * grad[None], scn.region_size
@@ -327,8 +328,10 @@ def test_backtrack_exhausts_on_boundary_grid(table1_k3):
     # candidate violates, down to the smallest step
     point = upa_layout(9, table1_k3.d_min, table1_k3.region_size)
     grad = -point.copy()
-    with pytest.raises(opt_grad.LineSearchExhausted, match="no step in"):
-        _step(point, grad, table1_k3)
+    g_value = opt_grad.smoothed_objective(point, table1_k3)
+    step, layout, value = opt_grad._line_search(point, grad, table1_k3, g_value)
+    assert np.isnan(step) and np.isnan(value)
+    assert layout.shape == point.shape and np.isnan(layout).all()
 
 
 def test_line_search_memory_stays_bounded_for_fine_kappa():
@@ -340,12 +343,13 @@ def test_line_search_memory_stays_bounded_for_fine_kappa():
     g_value = opt_grad.smoothed_objective(point, scn)
     tracemalloc.start()
     try:
-        with pytest.raises(opt_grad.LineSearchExhausted):
-            opt_grad._line_search(point, -point, scn, g_value)  # pushed together
+        # pushed together
+        step, layout, value = opt_grad._line_search(point, -point, scn, g_value)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
+    assert np.isnan(step) and np.isnan(value) and np.isnan(layout).all()
 
 
 # ------------------------------------------------------------- full ascents
@@ -420,17 +424,36 @@ def test_run_gradient_evaluates_each_iterate_once(table1_k5, monkeypatch):
     assert calls <= 3 * iterations + 2
 
 
+def test_value_and_gradient_is_one_steering_pass(table1_k5, monkeypatch):
+    # one LoS pass gives the value, the bits of the soft-min of `rates_for`,
+    # and the gradient
+    rng = np.random.default_rng(4)
+    layouts = np.stack([opt_grad.random_feasible_layout(table1_k5, rng) for _ in range(3)])
+    calls = 0
+    steering = channel.steering
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return steering(*args)
+
+    monkeypatch.setattr(channel, "steering", counting)
+    value, _ = opt_grad._value_and_gradient(layouts, table1_k5)
+    assert calls == 1
+    np.testing.assert_array_equal(value, opt_grad.smoothed_objective(layouts, table1_k5))
+
+
 @pytest.mark.parametrize("accelerated", [True, False])
 def test_ascent_scores_each_iterate_in_one_pass(table1_k5, monkeypatch, accelerated):
-    # outside the line search: one SINR pass at the start and one per
+    # outside the line search: one LoS pass at the start and one per
     # iteration, which gives both the new iterate's value and its gradient
     outside, in_search = 0, False
-    sinr_for, line_search = rate.sinr_for, opt_grad._line_search
+    steering, line_search = channel.steering, opt_grad._line_search
 
-    def counting(ctx, layouts):
+    def counting(*args):
         nonlocal outside
         outside += not in_search
-        return sinr_for(ctx, layouts)
+        return steering(*args)
 
     def searching(*args):
         nonlocal in_search
@@ -440,7 +463,7 @@ def test_ascent_scores_each_iterate_in_one_pass(table1_k5, monkeypatch, accelera
         finally:
             in_search = False
 
-    monkeypatch.setattr(rate, "sinr_for", counting)
+    monkeypatch.setattr(channel, "steering", counting)
     monkeypatch.setattr(opt_grad, "_line_search", searching)
     _, history = opt_grad.run_gradient(table1_k5, accelerated=accelerated)
     iterations = len(history) - 1
@@ -498,10 +521,9 @@ def test_run_multistart_guards_and_traces(table1_k3):
 
 
 def test_run_multistart_rejects_non_finite_objective(table1_k3, monkeypatch):
-    real = rate.sinr_for
-    monkeypatch.setattr(
-        rate, "sinr_for", lambda ctx, layouts: np.nan * real(ctx, layouts)
-    )
+    # NaN LoS responses reach both the ascent's own pass and the line search
+    real = channel.steering
+    monkeypatch.setattr(channel, "steering", lambda *args: np.nan * real(*args))
     with pytest.raises(ScenarioError, match="no gradient start reached a finite"):
         opt_grad.run_multistart(table1_k3, seed=0, restarts=3)
 

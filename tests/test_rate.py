@@ -261,9 +261,18 @@ def test_sinr_gradients_match_finite_differences(problem):
     # central differences of every user's SINR, all positions in two batches
     up, down = rate.sinr_for(ctx, layout + steps), rate.sinr_for(ctx, layout - steps)
     fd = ((up - down) / (2 * h)).T.reshape(scn.k_users, *layout.shape)
-    analytic = rate.sinr_gradients(ctx, layout)
+    analytic = rate.sinr_gradients(ctx, layout)[1]
     err = np.linalg.norm(fd - analytic, axis=(1, 2)) / np.linalg.norm(fd, axis=(1, 2))
     assert np.all(err < 1e-5)
+
+
+def test_sinr_gradients_sinr_is_sinr_for(table1_k5):
+    # the SINR beside the derivative is `sinr_for`'s, bit for bit
+    ctx = rate.closed_form_context(table1_k5)
+    layouts = np.random.default_rng(3).uniform(-0.3, 0.3, (4, 2, 9))
+    np.testing.assert_array_equal(
+        rate.sinr_gradients(ctx, layouts)[0], rate.sinr_for(ctx, layouts)
+    )
 
 
 @settings(max_examples=100, deadline=None, database=None)

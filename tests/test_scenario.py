@@ -180,6 +180,11 @@ def test_validate_rejects_bad_numbers(table1_k3):
         ({"noise_power": 0.0}, "noise_power"),
         ({"hyper": HyperParams(mu=0.0)}, "mu"),
         ({"hyper": HyperParams(kappa=1.0)}, "kappa"),
+        # a legal shrink factor so close to 1 the line search crawls
+        (
+            {"hyper": HyperParams(kappa=0.9999)},
+            r"kappa must be <= 0.99, got 0.9999: .* up to 184199 steps \(1834 at 0.99\)",
+        ),
         ({"hyper": HyperParams(varpi=0.0)}, "varpi"),
         ({"hyper": HyperParams(ga_pop=1)}, "ga_pop"),
         ({"hyper": HyperParams(ga_max_iter=-5)}, "ga_max_iter"),
@@ -201,6 +206,11 @@ def test_validate_rejects_bad_numbers(table1_k3):
         bad = dataclasses.replace(table1_k3, **changes)
         with pytest.raises(ScenarioError, match=needle):
             validate_scenario(bad)
+
+
+def test_validate_accepts_kappa_at_bound(table1_k3):
+    hyper = dataclasses.replace(table1_k3.hyper, kappa=0.99)
+    assert validate_scenario(dataclasses.replace(table1_k3, hyper=hyper)).hyper.kappa == 0.99
 
 
 def test_redraw_users_same_seed_is_identity(table1_k3):

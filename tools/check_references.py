@@ -1,0 +1,68 @@
+"""Rerun the reference sweeps and compare their summary.csv md5s with the pinned ones.
+
+Usage:  python tools/check_references.py
+
+Each sweep runs `scenarios/table1_k5.ini` with 2 repeats through
+`harness.run_experiment` of this checkout's `src/`, the same as
+
+    fas-optim run --scenario scenarios/table1_k5.ini --sweep AXIS=V1,V2,...
+                  --repeats 2 --algos ALGOS --seed SEED --out DIR
+
+in a temporary directory.  A change meant to keep results bit-identical
+must leave every md5 as pinned.  Prints one line per sweep and exits 1
+on any mismatch.  Runs `FAS_OPTIM_THREADS` workers, 2 when it is unset;
+summary.csv does not depend on the worker count.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from fas_optim import harness  # noqa: E402
+
+SCENARIO = ROOT / "scenarios" / "table1_k5.ini"
+REPEATS = 2
+
+# (axis, values, algorithms, master seed, summary.csv md5)
+REFERENCES = (
+    ("m_antennas", (4, 5, 6, 7, 8, 9), "ga,grad,fpa", 7, "6a017877b65706fa1239f6aad3a0d927"),
+    ("k_users", (3, 5, 7, 9), "ga,fpa", 3, "018c1746ea791dcb619a075afd8e2d7a"),
+    ("k_users", (3, 5, 7, 9), "grad,fpa", 3, "a5950a91e5fb6b0dca1d46cac2d4dfcc"),
+    ("region_over_lambda", (2.5, 4, 6), "grad,fpa", 5, "f49d78ae85e7f07bbd1dac8012eb6c69"),
+)
+
+
+def summary_md5(axis: str, values: tuple, algos: str, seed: int, out: Path) -> str:
+    """md5 of the summary.csv the sweep writes into `out`."""
+    sweep = harness.SweepSpec(
+        axis=axis,
+        values=tuple(float(v) for v in values),  # as the CLI parses them
+        repeats=REPEATS,
+        algorithms=tuple(algos.split(",")),
+    )
+    harness.run_experiment(SCENARIO, sweep, out, seed=seed)
+    return hashlib.md5((out / "summary.csv").read_bytes()).hexdigest()
+
+
+def main() -> int:
+    os.environ.setdefault("FAS_OPTIM_THREADS", "2")
+    mismatches = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (axis, values, algos, seed, pinned) in enumerate(REFERENCES):
+            got = summary_md5(axis, values, algos, seed, Path(tmp) / str(i))
+            ok = got == pinned
+            mismatches += not ok
+            sweep = f"{axis}={','.join(map(str, values))} {algos} seed {seed}"
+            print(f"{'ok' if ok else 'MISMATCH':8} {got}  pinned {pinned}  {sweep}")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
