@@ -147,11 +147,9 @@ def _run_task(task) -> ResultRow:
     elif algorithm == "ga":
         layout, history = opt_ga.run_ga(scn, seed=opt_seed)
         iterations = len(history) - 1
-    elif algorithm == "grad":
+    else:  # "grad"; validate_sweep rejects any other name before a task exists
         layout, histories = opt_grad.run_multistart(scn, seed=opt_seed)
         iterations = sum(len(h) - 1 for h in histories)
-    else:
-        raise ScenarioError(f"unknown algorithm {algorithm!r}")
     value_rate = rate.min_rate(layout, scn)
     wall_ms = (time.perf_counter() - start) * 1e3
     mc_min = None

@@ -213,6 +213,22 @@ def _ascend(
     return best_layout, best_g, histories
 
 
+def _pick(scn: Scenario, layouts: np.ndarray, best_g: np.ndarray) -> np.ndarray:
+    """Best start's layout (the first on a tie), or the grid if its min rate is higher.
+
+    The soft-min can rank first a layout whose min rate is below the grid's
+    (`grid_layout`).  Raises `ScenarioError` if no objective is finite.
+    """
+    finite = np.isfinite(best_g)
+    if not finite.any():
+        raise ScenarioError(
+            f"no gradient start reached a finite objective: {best_g.tolist()}"
+        )
+    pick = layouts[int(np.argmax(np.where(finite, best_g, -np.inf)))]
+    fpa = grid_layout(scn)
+    return fpa if rate.min_rate(pick, scn) < rate.min_rate(fpa, scn) else pick
+
+
 def run_gradient(
     scn: Scenario, init: np.ndarray | None = None, accelerated: bool = True
 ) -> tuple[np.ndarray, list[float]]:
@@ -220,12 +236,12 @@ def run_gradient(
 
     Stops when the objective change between consecutive iterates falls
     below `hyper.grad_tol`, when the line search gives up, or at
-    `hyper.grad_max_iter`.  Returns the best feasible layout seen
-    (momentum overshoots never count) and the objective trace.
+    `hyper.grad_max_iter`.  Returns the `_pick` of the best feasible layout
+    seen (momentum overshoots never count) and the objective trace.
     """
     start = default_init(scn) if init is None else np.asarray(init, dtype=float)
-    layouts, _, histories = _ascend(scn, start[None], accelerated)
-    return layouts[0], histories[0]
+    layouts, best_g, histories = _ascend(scn, start[None], accelerated)
+    return _pick(scn, layouts, best_g), histories[0]
 
 
 SAMPLE_ATTEMPTS = 200  # per-antenna budget when drawing random layouts
@@ -266,11 +282,8 @@ def run_multistart(
     """Best gradient run over the grid init plus random restarts.
 
     Advances the default grid and `restarts - 1` random feasible layouts
-    as one batch, returning the layout whose best objective is highest
-    (the first such start on a tie) together with every objective trace.
-    The soft-min can rank a layout first whose true min rate is below the
-    fixed grid's (`grid_layout`); the grid is returned then instead.
-    Raises `ScenarioError` when no start reaches a finite objective.
+    as one batch, returning the `_pick` among their best layouts together
+    with every objective trace.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -278,13 +291,4 @@ def run_multistart(
     inits = [default_init(scn)]
     inits += [random_feasible_layout(scn, rng) for _ in range(restarts - 1)]
     layouts, best_g, histories = _ascend(scn, np.stack(inits), accelerated)
-    finite = np.isfinite(best_g)
-    if not finite.any():
-        raise ScenarioError(
-            f"no gradient start reached a finite objective: {best_g.tolist()}"
-        )
-    pick = layouts[int(np.argmax(np.where(finite, best_g, -np.inf)))]
-    fpa = grid_layout(scn)
-    if rate.min_rate(pick, scn) < rate.min_rate(fpa, scn):
-        return fpa, histories
-    return pick, histories
+    return _pick(scn, layouts, best_g), histories

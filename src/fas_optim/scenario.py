@@ -5,8 +5,9 @@ optimizers need: array size, movement region, transmit/noise powers,
 frame structure, and per-user large-scale statistics.  Users store only
 geometry and path loss; diffuse powers and LMMSE gains are derived
 (`UserStats.nlos_power`, `Scenario.est_gains`), so no field change can
-leave them stale.  Scenarios are built programmatically or loaded from
-INI files (see `load_scenario`).
+leave them stale.  A `Scenario` is built in code (`dataclasses.replace`
+too) or loaded from an INI file (`load_scenario`); either way it checks
+itself and raises `ScenarioError` naming the first bad field.
 
 Lengths are in meters, powers in watts, angles in radians.
 """
@@ -88,12 +89,6 @@ def derive_user(
     """
     if distance <= 0:
         raise ScenarioError(f"distance must be positive, got {distance}")
-    if rician < 0:
-        raise ScenarioError(f"rician must be nonnegative, got {rician}")
-    if not 0.0 <= elevation <= math.pi:
-        raise ScenarioError(f"elevation out of [0, pi]: {elevation}")
-    if not 0.0 <= azimuth <= math.pi:
-        raise ScenarioError(f"azimuth out of [0, pi]: {azimuth}")
     path_loss = path_loss_ref * distance ** (-path_loss_exp)
     return UserStats(path_loss, rician, elevation, azimuth)
 
@@ -140,7 +135,17 @@ class HyperParams:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Full problem instance for rate evaluation and position design."""
+    """Full problem instance for rate evaluation and position design.
+
+    Every instance is valid: building one, `dataclasses.replace` included,
+    raises `ScenarioError` naming the first field that breaks an invariant.
+    Each field's own range (the rule tables, then `KAPPA_MAX`, which bounds the
+    line search's step count) is checked before the pilot length's relations,
+    and all before the users' LMMSE gains, which divide by them.  A gain of 0
+    or 1 means one of its two variances is negligible against the other, and
+    0/0 that both vanish; the message names the keys behind each.  A Rician
+    factor whose square overflows is rejected too, as the closed form squares it.
+    """
 
     m_antennas: int
     k_users: int
@@ -154,6 +159,57 @@ class Scenario:
     users: tuple[UserStats, ...]
     hyper: HyperParams = HyperParams()
     user_model: UserModel | None = None
+
+    def __post_init__(self) -> None:
+        _require_finite(self)
+        _require_finite(self.hyper)
+        _check_rules(self, _SCENARIO_RULES)
+        _check_rules(self.hyper, _HYPER_RULES)
+        if self.hyper.kappa > KAPPA_MAX:
+            raise ScenarioError(
+                f"kappa must be <= {KAPPA_MAX}, got {self.hyper.kappa}: the line "
+                f"search would try up to {line_search_steps(self.hyper.kappa)} steps "
+                f"({line_search_steps(KAPPA_MAX)} at {KAPPA_MAX})"
+            )
+        if self.pilot_len < self.k_users:
+            raise ScenarioError(
+                f"pilot_len < k_users ({self.pilot_len} < {self.k_users}): "
+                "orthogonal pilots need one column per user"
+            )
+        if self.pilot_len >= self.coherence_len:
+            raise ScenarioError(
+                f"pilot_len must leave room for data: {self.pilot_len} >= "
+                f"coherence_len {self.coherence_len}"
+            )
+        for k, u in enumerate(self.users):
+            _require_finite(u, f"user {k}: ")
+            _check_rules(u, _USER_RULES, f"user {k}: ")
+            if not math.isfinite(u.rician * u.rician):
+                raise ScenarioError(
+                    f"user {k}: Rician factor {u.rician:.3g} (rician, rician_db) "
+                    "overflows when the closed form squares it"
+                )
+            if u.nlos_power == 0 and self.noise_over_taup == 0:
+                raise ScenarioError(
+                    f"user {k}: LMMSE gain is 0/0: diffuse variance 0 "
+                    "(path_loss_ref_db, path_loss_exp) and pilot noise variance 0 "
+                    "(tx_power_dbm, noise_power_dbm, pilot_len) both vanish"
+                )
+        if len(self.users) != self.k_users:
+            raise ScenarioError(
+                f"k_users is {self.k_users} but {len(self.users)} users given"
+            )
+        for k, (u, gain) in enumerate(zip(self.users, self.est_gains)):
+            if not 0 < gain < 1:
+                c = f"diffuse variance {u.nlos_power:.3g} (path_loss_ref_db, path_loss_exp)"
+                q = (
+                    f"pilot noise variance {self.noise_over_taup:.3g} "
+                    "(tx_power_dbm, noise_power_dbm, pilot_len)"
+                )
+                small, big = (c, q) if not gain > 0 else (q, c)
+                raise ScenarioError(
+                    f"user {k}: LMMSE gain is {gain}: {small} is negligible against {big}"
+                )
 
     @property
     def noise_over_taup(self) -> float:
@@ -187,90 +243,38 @@ def _require_finite(obj, prefix: str = "") -> None:
             raise ScenarioError(f"{prefix}{f.name} must be finite, got {value}")
 
 
-# (holder, field, test, requirement) per scalar field, checked in order;
-# a field failing its test is reported as "{field} {requirement}, got {value}"
-_FIELD_RULES = (
-    ("scenario", "m_antennas", lambda v: v >= 1, "must be >= 1"),
-    ("scenario", "k_users", lambda v: v >= 1, "must be >= 1"),
-    ("scenario", "wavelength", lambda v: v > 0, "must be positive"),
-    ("scenario", "region_size", lambda v: v > 0, "must be positive"),
-    ("scenario", "d_min", lambda v: v >= 0, "must be nonnegative"),
-    ("scenario", "tx_power", lambda v: v > 0, "must be positive"),
-    ("scenario", "noise_power", lambda v: v > 0, "must be positive"),
-    ("hyper", "mu", lambda v: v > 0, "must be positive"),
-    ("hyper", "kappa", lambda v: 0 < v < 1, "must lie in (0, 1)"),
-    ("hyper", "varpi", lambda v: 0 < v < 1, "must lie in (0, 1)"),
-    ("hyper", "ga_pop", lambda v: v >= 2, "must be >= 2"),
-    ("hyper", "ga_max_iter", lambda v: v >= 1, "must be >= 1"),
-    ("hyper", "grad_max_iter", lambda v: v >= 1, "must be >= 1"),
-    ("hyper", "grad_tol", lambda v: v > 0, "must be positive"),
-    ("hyper", "seed", lambda v: v >= 0, "must be >= 0"),
-)
-
-
-def validate_scenario(scn: Scenario) -> Scenario:
-    """Check scenario invariants, raising `ScenarioError` naming the field.
-
-    Each field's own range (`_FIELD_RULES`, then `KAPPA_MAX`, which bounds
-    the line search's step count) is checked before the pilot length's
-    relations, and all before the users' LMMSE gains, which
-    divide by them.  A gain of 0 or 1 means one of its two variances is
-    negligible against the other, and 0/0 that both vanish; the message
-    names the keys behind each.  A Rician factor whose square overflows is
-    rejected too, since the closed form squares it.
-    """
-    _require_finite(scn)
-    _require_finite(scn.hyper)
-    holders = {"scenario": scn, "hyper": scn.hyper}
-    for holder, name, test, requirement in _FIELD_RULES:
-        value = getattr(holders[holder], name)
+def _check_rules(obj, rules, prefix: str = "") -> None:
+    """Reject the first field of `obj` failing its (field, test, requirement) rule."""
+    for name, test, requirement in rules:
+        value = getattr(obj, name)
         if not test(value):
-            raise ScenarioError(f"{name} {requirement}, got {value}")
-    if scn.hyper.kappa > KAPPA_MAX:
-        raise ScenarioError(
-            f"kappa must be <= {KAPPA_MAX}, got {scn.hyper.kappa}: the line search "
-            f"would try up to {line_search_steps(scn.hyper.kappa)} steps "
-            f"({line_search_steps(KAPPA_MAX)} at {KAPPA_MAX})"
-        )
-    if scn.pilot_len < scn.k_users:
-        raise ScenarioError(
-            f"pilot_len < k_users ({scn.pilot_len} < {scn.k_users}): "
-            "orthogonal pilots need one column per user"
-        )
-    if scn.pilot_len >= scn.coherence_len:
-        raise ScenarioError(
-            f"pilot_len must leave room for data: {scn.pilot_len} >= "
-            f"coherence_len {scn.coherence_len}"
-        )
-    for k, u in enumerate(scn.users):
-        _require_finite(u, f"user {k}: ")
-        if not math.isfinite(u.rician * u.rician):
-            raise ScenarioError(
-                f"user {k}: Rician factor {u.rician:.3g} (rician, rician_db) "
-                "overflows when the closed form squares it"
-            )
-        if u.nlos_power == 0 and scn.noise_over_taup == 0:
-            raise ScenarioError(
-                f"user {k}: LMMSE gain is 0/0: diffuse variance 0 (path_loss_ref_db, "
-                "path_loss_exp) and pilot noise variance 0 (tx_power_dbm, "
-                "noise_power_dbm, pilot_len) both vanish"
-            )
-    if len(scn.users) != scn.k_users:
-        raise ScenarioError(
-            f"k_users is {scn.k_users} but {len(scn.users)} users given"
-        )
-    for k, (u, gain) in enumerate(zip(scn.users, scn.est_gains)):
-        if not 0 < gain < 1:
-            c = f"diffuse variance {u.nlos_power:.3g} (path_loss_ref_db, path_loss_exp)"
-            q = (
-                f"pilot noise variance {scn.noise_over_taup:.3g} "
-                "(tx_power_dbm, noise_power_dbm, pilot_len)"
-            )
-            small, big = (c, q) if not gain > 0 else (q, c)
-            raise ScenarioError(
-                f"user {k}: LMMSE gain is {gain}: {small} is negligible against {big}"
-            )
-    return scn
+            raise ScenarioError(f"{prefix}{name} {requirement}, got {value}")
+
+
+_SCENARIO_RULES = (
+    ("m_antennas", lambda v: v >= 1, "must be >= 1"),
+    ("k_users", lambda v: v >= 1, "must be >= 1"),
+    ("wavelength", lambda v: v > 0, "must be positive"),
+    ("region_size", lambda v: v > 0, "must be positive"),
+    ("d_min", lambda v: v >= 0, "must be nonnegative"),
+    ("tx_power", lambda v: v > 0, "must be positive"),
+    ("noise_power", lambda v: v > 0, "must be positive"),
+)
+_HYPER_RULES = (
+    ("mu", lambda v: v > 0, "must be positive"),
+    ("kappa", lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    ("varpi", lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    ("ga_pop", lambda v: v >= 2, "must be >= 2"),
+    ("ga_max_iter", lambda v: v >= 1, "must be >= 1"),
+    ("grad_max_iter", lambda v: v >= 1, "must be >= 1"),
+    ("grad_tol", lambda v: v > 0, "must be positive"),
+    ("seed", lambda v: v >= 0, "must be >= 0"),
+)
+_USER_RULES = (
+    ("rician", lambda v: v >= 0, "must be nonnegative"),
+    ("elevation", lambda v: 0.0 <= v <= math.pi, "must lie in [0, pi]"),
+    ("azimuth", lambda v: 0.0 <= v <= math.pi, "must lie in [0, pi]"),
+)
 
 
 def redraw_users(scn: Scenario, seed: int, *, count: int | None = None) -> Scenario:
@@ -285,11 +289,9 @@ def redraw_users(scn: Scenario, seed: int, *, count: int | None = None) -> Scena
     # keep tau = K when the user count is swept
     pilot_len = scn.pilot_len if count in (None, scn.k_users) else count
     model = dataclasses.replace(scn.user_model, seed=seed, count=k)
-    return validate_scenario(
-        dataclasses.replace(
-            scn, k_users=k, pilot_len=pilot_len, users=random_users(model),
-            user_model=model,
-        )
+    return dataclasses.replace(
+        scn, k_users=k, pilot_len=pilot_len, users=random_users(model),
+        user_model=model,
     )
 
 
@@ -456,19 +458,17 @@ def load_scenario(path) -> Scenario:
         users = random_users(model)
 
     hyper_items = parser.items("hyper") if parser.has_section("hyper") else ()
-    return validate_scenario(
-        Scenario(
-            m_antennas=sys_sec["m_antennas"],
-            k_users=sys_sec["k_users"],
-            wavelength=sys_sec["wavelength_m"],
-            region_size=sys_sec["region_size_m"],
-            d_min=sys_sec.get("d_min_m", sys_sec["wavelength_m"] / 2.0),
-            tx_power=sys_sec["tx_power_dbm"],
-            noise_power=sys_sec["noise_power_dbm"],
-            coherence_len=sys_sec["coherence_len"],
-            pilot_len=sys_sec.get("pilot_len", sys_sec["k_users"]),
-            users=users,
-            hyper=HyperParams(**_Section("hyper", hyper_items, _HYPER_KEYS)),
-            user_model=model,
-        )
+    return Scenario(
+        m_antennas=sys_sec["m_antennas"],
+        k_users=sys_sec["k_users"],
+        wavelength=sys_sec["wavelength_m"],
+        region_size=sys_sec["region_size_m"],
+        d_min=sys_sec.get("d_min_m", sys_sec["wavelength_m"] / 2.0),
+        tx_power=sys_sec["tx_power_dbm"],
+        noise_power=sys_sec["noise_power_dbm"],
+        coherence_len=sys_sec["coherence_len"],
+        pilot_len=sys_sec.get("pilot_len", sys_sec["k_users"]),
+        users=users,
+        hyper=HyperParams(**_Section("hyper", hyper_items, _HYPER_KEYS)),
+        user_model=model,
     )

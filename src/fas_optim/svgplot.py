@@ -27,8 +27,6 @@ def _fmt(v: float) -> str:
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 

@@ -17,7 +17,6 @@ from fas_optim.scenario import (
     UserModel,
     random_users,
     redraw_users,
-    validate_scenario,
 )
 
 REPS = 6        # repeats per sweep point in the trend checks
@@ -146,19 +145,17 @@ def _random_instance(m, k, seed):
     rician = float(rng.choice(np.array([0.5, 6.0, 40.0])))
     noise = 10.0 ** (-13.4)
     users = random_users(UserModel(seed, k, rician=rician))
-    scn = validate_scenario(
-        Scenario(
-            m_antennas=m,
-            k_users=k,
-            wavelength=0.1,
-            region_size=0.6,
-            d_min=0.05,
-            tx_power=1.0,
-            noise_power=noise,
-            coherence_len=196,
-            pilot_len=k,
-            users=users,
-        )
+    scn = Scenario(
+        m_antennas=m,
+        k_users=k,
+        wavelength=0.1,
+        region_size=0.6,
+        d_min=0.05,
+        tx_power=1.0,
+        noise_power=noise,
+        coherence_len=196,
+        pilot_len=k,
+        users=users,
     )
     return scn, rng.uniform(-0.3, 0.3, (2, m))
 
@@ -266,19 +263,17 @@ def test_criterion_08_returned_layouts_feasible(geometry_runs):
         d_min = (0.03, 0.05, 0.07)[i % 3]
         noise = 10.0 ** (-13.4)
         users = random_users(UserModel(500 + i, 2))
-        scn = validate_scenario(
-            Scenario(
-                m_antennas=m,
-                k_users=2,
-                wavelength=0.1,
-                region_size=region,
-                d_min=d_min,
-                tx_power=1.0,
-                noise_power=noise,
-                coherence_len=196,
-                pilot_len=2,
-                users=users,
-            )
+        scn = Scenario(
+            m_antennas=m,
+            k_users=2,
+            wavelength=0.1,
+            region_size=region,
+            d_min=d_min,
+            tx_power=1.0,
+            noise_power=noise,
+            coherence_len=196,
+            pilot_len=2,
+            users=users,
         )
         ga_layout, _ = opt_ga.run_ga(scn, seed=600 + i)
         grad_layout, _ = opt_grad.run_multistart(scn, seed=700 + i, restarts=2)

@@ -153,6 +153,23 @@ def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
         ),
         # legal but so close to 1 that the line search would crawl
         ("kappa = 0.8", "kappa = 0.9999", [], "kappa must be <= 0.99, got 0.9999"),
+        # files the loader cannot take apart
+        ("m_antennas = 4\n", "", [], "missing key in [system]: m_antennas"),
+        (
+            "m_antennas = 4", "m_antennas = 4\nm_antennas = 5", [],
+            "scenario parse error in",
+        ),
+        ("[system]", "orphan = 1\n[system]", [], "scenario parse error in"),
+        (
+            "[users]\nseed = 12\ncount = 2\nd_min_m = 50\nd_max_m = 70\nrician = 6\n"
+            "path_loss_ref_db = -40\npath_loss_exp = 2.8\n", "", [],
+            "scenario file needs [system] and [users] sections",
+        ),
+        # an explicit user's angle is checked where the scenario holds it
+        (
+            "seed = 12\ncount = 2\n", "user1 = 55 4.0 1\nuser2 = 60 1 1\n", [],
+            "user 0: elevation must lie in [0, pi], got 4.0",
+        ),
     ],
     ids=[
         "users-seed", "users-count", "hyper-seed", "cli-seed", "percent",
@@ -160,6 +177,8 @@ def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
         "tx-power-overflow", "noise-power-overflow", "rician-db-overflow",
         "path-loss-overflow", "rician-db-sweep-overflow", "est-gain-one",
         "est-gain-zero", "rician-db-squared-overflow", "kappa-crawl",
+        "missing-key", "duplicate-key", "key-before-section", "no-users-section",
+        "explicit-user-elevation",
     ],
 )
 def test_run_rejects_bad_input(

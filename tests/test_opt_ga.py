@@ -13,6 +13,7 @@ from fas_optim.scenario import (
     db_to_linear,
     dbm_to_watt,
     grid_layout,
+    random_users,
     redraw_users,
     upa_layout,
 )
@@ -81,6 +82,7 @@ def ga_scenarios(draw):
     k, m = draw(st.integers(2, 3) if strong else st.integers(1, 4)), draw(st.integers(2, 6))
     rician_db = draw(st.floats(33.0, 40.0) if strong else st.floats(0.0, 20.0))
     tx_power = 10.0 ** draw(st.floats(1.0, 3.0) if strong else st.floats(-3.0, 0.0))
+    model = UserModel(seed=0, count=k, rician=db_to_linear(rician_db))
     scn = Scenario(
         m_antennas=m,
         k_users=k,
@@ -91,9 +93,9 @@ def ga_scenarios(draw):
         noise_power=dbm_to_watt(-104.0),
         coherence_len=196,
         pilot_len=k,
-        users=(),
+        users=random_users(model),
         hyper=HyperParams(ga_pop=20, ga_max_iter=40),
-        user_model=UserModel(seed=0, count=k, rician=db_to_linear(rician_db)),
+        user_model=model,
     )
     return redraw_users(scn, draw(st.integers(0, 2**16))), draw(st.integers(0, 2**16))
 

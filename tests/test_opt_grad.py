@@ -9,15 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fas_optim import channel, opt_ga, opt_grad, rate
+from fas_optim import channel, opt_ga, opt_grad, rate, scenario
+from fas_optim.harness import seed_for
 from fas_optim.scenario import (
     ZETA_MIN_FACTOR,
     Scenario,
     ScenarioError,
     derive_user,
     grid_layout,
+    redraw_users,
     upa_layout,
-    validate_scenario,
 )
 
 Q = 1e-10
@@ -42,8 +43,7 @@ def small_scenario(angles, m=4, distances=None, mu=100.0):
         pilot_len=k,
         users=users,
     )
-    scn = dataclasses.replace(scn, hyper=dataclasses.replace(scn.hyper, mu=mu))
-    return validate_scenario(scn)
+    return dataclasses.replace(scn, hyper=dataclasses.replace(scn.hyper, mu=mu))
 
 
 def fd_gradient(fun, layout, h=1e-6):
@@ -334,9 +334,11 @@ def test_backtrack_exhausts_on_boundary_grid(table1_k3):
     assert layout.shape == point.shape and np.isnan(layout).all()
 
 
-def test_line_search_memory_stays_bounded_for_fine_kappa():
+def test_line_search_memory_stays_bounded_for_fine_kappa(monkeypatch):
     # kappa 0.9999 makes 184199 candidate steps; scored all at once past
-    # the first chunk they need tens of MiB even for one M=2, K=3 layout
+    # the first chunk they need tens of MiB even for one M=2, K=3 layout.
+    # A Scenario rejects kappa above KAPPA_MAX, so the bound is lifted here.
+    monkeypatch.setattr(scenario, "KAPPA_MAX", 1.0)
     scn = small_scenario([(0.4, 0.9), (1.3, 2.2), (2.0, 0.6)], m=2)
     scn = dataclasses.replace(scn, hyper=dataclasses.replace(scn.hyper, kappa=0.9999))
     point = np.array([[-0.025, 0.025], [0.0, 0.0]])  # exactly d_min apart
@@ -465,10 +467,21 @@ def test_ascent_scores_each_iterate_in_one_pass(table1_k5, monkeypatch, accelera
 
     monkeypatch.setattr(channel, "steering", counting)
     monkeypatch.setattr(opt_grad, "_line_search", searching)
-    _, history = opt_grad.run_gradient(table1_k5, accelerated=accelerated)
-    iterations = len(history) - 1
+    # the ascent alone: picking the result afterwards scores two more layouts
+    init = opt_grad.default_init(table1_k5)[None]
+    _, _, histories = opt_grad._ascend(table1_k5, init, accelerated)
+    iterations = len(histories[0]) - 1
     assert iterations > 10
     assert outside == iterations + 1
+
+
+def test_run_gradient_falls_back_to_fpa(table1_k3):
+    # the single grid start ends on a min rate of 2.791, below the grid's 2.897
+    scn = redraw_users(table1_k3, seed_for(1, 35))
+    grid = grid_layout(scn)
+    layout, _ = opt_grad.run_gradient(scn)
+    assert rate.min_rate(layout, scn) >= rate.min_rate(grid, scn)
+    np.testing.assert_array_equal(layout, grid)
 
 
 def test_run_gradient_deterministic(table1_k3):
@@ -548,14 +561,20 @@ def test_batched_starts_match_single_runs(problem, accelerated):
     inits = [opt_grad.default_init(scn)]
     inits += [opt_grad.random_feasible_layout(scn, rng) for _ in range(3)]
     layouts, best_g, histories = opt_grad._ascend(scn, np.stack(inits), accelerated)
+    grid = grid_layout(scn)
     for init, layout, value, history in zip(inits, layouts, best_g, histories):
-        single, single_history = opt_grad.run_gradient(scn, init, accelerated)
-        np.testing.assert_array_equal(layout, single)
-        assert history == single_history
-        assert value == opt_grad.smoothed_objective(single, scn)
+        alone, alone_g, alone_histories = opt_grad._ascend(scn, init[None], accelerated)
+        np.testing.assert_array_equal(layout, alone[0])
+        assert history == alone_histories[0]
+        assert value == alone_g[0] == opt_grad.smoothed_objective(alone[0], scn)
+        # run_gradient returns that start's layout, or the grid above it
+        picked, picked_history = opt_grad.run_gradient(scn, init, accelerated)
+        assert picked_history == history
+        below = rate.min_rate(alone[0], scn) < rate.min_rate(grid, scn)
+        np.testing.assert_array_equal(picked, grid if below else alone[0])
     best, multi_histories = opt_grad.run_multistart(scn, seed, 4, accelerated)
     assert multi_histories == histories
-    pick, grid = layouts[int(np.argmax(best_g))], grid_layout(scn)
+    pick = layouts[int(np.argmax(best_g))]
     below = rate.min_rate(pick, scn) < rate.min_rate(grid, scn)
     np.testing.assert_array_equal(best, grid if below else pick)
 

@@ -19,7 +19,6 @@ from fas_optim.scenario import (
     random_users,
     redraw_users,
     upa_layout,
-    validate_scenario,
 )
 from conftest import SCENARIO_DIR, write_ini
 
@@ -64,12 +63,23 @@ def test_derive_user_power_split_and_gain(table1_k3):
 def test_derive_user_rejects_bad_inputs():
     with pytest.raises(ScenarioError, match="distance must be positive"):
         derive_user(0.0, 0.5, 0.5)
-    with pytest.raises(ScenarioError, match="rician must be nonnegative"):
-        derive_user(50.0, 0.5, 0.5, rician=-1.0)
-    with pytest.raises(ScenarioError, match="elevation out of"):
-        derive_user(50.0, 4.0, 0.5)
-    with pytest.raises(ScenarioError, match="azimuth out of"):
-        derive_user(50.0, 0.5, -0.1)
+
+
+@pytest.mark.parametrize(
+    "field, value, needle",
+    [
+        ("rician", -1.0, "user 1: rician must be nonnegative, got -1.0"),
+        ("elevation", 4.0, r"user 1: elevation must lie in \[0, pi\], got 4.0"),
+        ("azimuth", -0.1, r"user 1: azimuth must lie in \[0, pi\], got -0.1"),
+    ],
+)
+def test_scenario_rejects_user_out_of_range(table1_k3, field, value, needle):
+    # the ranges are checked where a user is held, so a user built by hand
+    # or by derive_user is checked alike
+    users = list(table1_k3.users)
+    users[1] = dataclasses.replace(users[1], **{field: value})
+    with pytest.raises(ScenarioError, match=needle):
+        dataclasses.replace(table1_k3, users=tuple(users))
 
 
 def test_random_users_ranges_and_determinism():
@@ -152,21 +162,18 @@ def test_loaded_users_follow_model(table1_k3):
 
 
 def test_validate_rejects_short_pilots(table1_k3):
-    bad = dataclasses.replace(table1_k3, pilot_len=2)
     with pytest.raises(ScenarioError, match=r"pilot_len < k_users \(2 < 3\)"):
-        validate_scenario(bad)
+        dataclasses.replace(table1_k3, pilot_len=2)
 
 
 def test_validate_rejects_full_frame_pilots(table1_k3):
-    bad = dataclasses.replace(table1_k3, pilot_len=196)
     with pytest.raises(ScenarioError, match="pilot_len must leave room for data"):
-        validate_scenario(bad)
+        dataclasses.replace(table1_k3, pilot_len=196)
 
 
 def test_validate_rejects_user_count_mismatch(table1_k3):
-    bad = dataclasses.replace(table1_k3, k_users=4, pilot_len=4)
     with pytest.raises(ScenarioError, match="but 3 users given"):
-        validate_scenario(bad)
+        dataclasses.replace(table1_k3, k_users=4, pilot_len=4)
 
 
 def test_validate_rejects_bad_numbers(table1_k3):
@@ -203,14 +210,39 @@ def test_validate_rejects_bad_numbers(table1_k3):
         ),
     ]
     for changes, needle in cases:
-        bad = dataclasses.replace(table1_k3, **changes)
         with pytest.raises(ScenarioError, match=needle):
-            validate_scenario(bad)
+            dataclasses.replace(table1_k3, **changes)
 
 
 def test_validate_accepts_kappa_at_bound(table1_k3):
     hyper = dataclasses.replace(table1_k3.hyper, kappa=0.99)
-    assert validate_scenario(dataclasses.replace(table1_k3, hyper=hyper)).hyper.kappa == 0.99
+    assert dataclasses.replace(table1_k3, hyper=hyper).hyper.kappa == 0.99
+
+
+def test_building_rejects_faults_that_once_ran(table1_k3):
+    # each of these, built by hand, once reached the solvers and ran to a
+    # result (a NaN min rate for the negative Rician factor); building the
+    # scenario, directly or by replace, now names the field
+    bare = dataclasses.replace(table1_k3, user_model=None)
+    fields = {f.name: getattr(bare, f.name) for f in dataclasses.fields(bare)}
+    negative = dataclasses.replace(bare.users[0], rician=-0.5)
+    cases = [
+        ({"noise_power": -1e-13}, "noise_power must be positive, got -1e-13"),
+        ({"pilot_len": 1}, r"pilot_len < k_users \(1 < 3\)"),
+        (
+            {"hyper": dataclasses.replace(bare.hyper, kappa=1.5)},
+            r"kappa must lie in \(0, 1\), got 1.5",
+        ),
+        (
+            {"users": (negative,) + bare.users[1:]},
+            "user 0: rician must be nonnegative, got -0.5",
+        ),
+    ]
+    for changes, needle in cases:
+        with pytest.raises(ScenarioError, match=needle):
+            Scenario(**{**fields, **changes})
+        with pytest.raises(ScenarioError, match=needle):
+            dataclasses.replace(bare, **changes)
 
 
 def test_redraw_users_same_seed_is_identity(table1_k3):
