@@ -41,10 +41,17 @@ def los_matrix(layout: np.ndarray, users, wavelength: float) -> np.ndarray:
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard circular complex Gaussian, unit variance per entry."""
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / np.sqrt(2.0)
+    """Standard circular complex Gaussian, unit variance per entry.
+
+    The real parts are drawn first, then the imaginary parts; each is
+    scaled straight into its half of the result, so no complex temporary
+    is made.
+    """
+    scale = 1.0 / np.sqrt(2.0)
+    out = np.empty(shape, dtype=complex)
+    np.multiply(rng.standard_normal(shape), scale, out=out.real)
+    np.multiply(rng.standard_normal(shape), scale, out=out.imag)
+    return out
 
 
 def sample_channel(
@@ -64,5 +71,7 @@ def sample_channel(
     # per-entry LoS amplitude sqrt(nlos_power * rician), scatter std sqrt(nlos_power)
     los_amp = np.sqrt(scale * np.array([u.rician for u in users]))
     shape = hbar.shape if trials is None else (trials,) + hbar.shape
-    htilde = complex_normal(rng, shape)
-    return los_amp * hbar + np.sqrt(scale) * htilde
+    h = complex_normal(rng, shape)
+    h *= np.sqrt(scale)
+    h += los_amp * hbar
+    return h

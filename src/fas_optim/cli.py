@@ -52,6 +52,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--algos", default="ga,grad,fpa", help="comma-separated subset of ga,grad,fpa"
     )
     run.add_argument("--seed", type=int, default=None)
+    run.add_argument(
+        "--mc-trials",
+        type=int,
+        default=0,
+        help="Monte Carlo trials per task for the mc_min_rate column; 0 skips it",
+    )
     run.add_argument("--out", required=True, help="output directory")
 
     val = sub.add_parser("validate", help="closed form vs simulation")
@@ -68,7 +74,9 @@ def _cmd_run(args) -> int:
     sweep = _parse_sweep(args.sweep)
     algos = tuple(a for a in args.algos.split(",") if a)
     sweep = dataclasses.replace(sweep, repeats=args.repeats, algorithms=algos)
-    rows = harness.run_experiment(args.scenario, sweep, args.out, seed=args.seed)
+    rows = harness.run_experiment(
+        args.scenario, sweep, args.out, seed=args.seed, mc_trials=args.mc_trials
+    )
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

@@ -56,10 +56,16 @@ def observe_pilots(
     channels = np.asarray(channels)
     pilot_len = pilots.shape[0]
     energy = np.sqrt(pilot_len * tx_power)
-    block = energy * (channels @ pilots.conj().T)
+    block = channels @ pilots.conj().T
+    block *= energy
     if noise_power > 0:
-        block = block + np.sqrt(noise_power) * complex_normal(rng, block.shape)
-    return (block @ pilots) / energy
+        noise = complex_normal(rng, block.shape)
+        noise *= np.sqrt(noise_power)
+        block += noise
+        del noise
+    obs = block @ pilots
+    obs /= energy
+    return obs
 
 
 def lmmse_estimate(
@@ -74,4 +80,6 @@ def lmmse_estimate(
     los_amp = np.sqrt(
         np.array([u.nlos_power for u in users]) * np.array([u.rician for u in users])
     )
-    return gains * obs + (1.0 - gains) * los_amp * los
+    est = gains * obs
+    est += (1.0 - gains) * los_amp * los
+    return est

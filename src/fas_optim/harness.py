@@ -37,6 +37,7 @@ from .scenario import (
     grid_layout,
     load_scenario,
     redraw_users,
+    worker_count,
 )
 
 AXES = ("k_users", "m_antennas", "rician_db", "region_over_lambda", "none")
@@ -170,17 +171,9 @@ def _run_task(task) -> ResultRow:
     )
 
 
-def worker_count() -> int:
-    raw = os.environ.get("FAS_OPTIM_THREADS", "")
-    if not raw:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ScenarioError(f"FAS_OPTIM_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ScenarioError(f"FAS_OPTIM_THREADS must be >= 1, got {n}")
-    return n
+def _simulate_on_one_thread() -> None:
+    """Pool initializer: the tasks already run in parallel, so none spawns threads."""
+    os.environ["FAS_OPTIM_THREADS"] = "1"
 
 
 def run_experiment(
@@ -194,13 +187,19 @@ def run_experiment(
 
     `scenario` is a `Scenario` or a path to one.  Returns the rows in
     (axis value, repeat, algorithm) order.  Identical inputs give
-    identical rows apart from `wall_ms`.
+    identical rows apart from `wall_ms`.  With `mc_trials` > 0 every
+    task also simulates its layout (`rate.mc_uatf_sinr`) for the
+    `mc_min_rate` column.
     """
     scn = scenario if isinstance(scenario, Scenario) else load_scenario(scenario)
     validate_sweep(sweep)
     master = scn.hyper.seed if seed is None else seed
     if master < 0:
         raise ScenarioError(f"seed must be >= 0, got {master}")
+    if mc_trials < 0 or mc_trials == 1:
+        raise ScenarioError(
+            f"Monte Carlo trials (mc_trials, --mc-trials) must be 0 or >= 2, got {mc_trials}"
+        )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -220,7 +219,9 @@ def run_experiment(
 
     workers = worker_count()
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_simulate_on_one_thread
+        ) as pool:
             rows = list(pool.map(_run_task, tasks))
     else:
         rows = [_run_task(t) for t in tasks]

@@ -37,41 +37,71 @@ Monte Carlo
 running the full pilot and estimation chain per trial, and returns them
 as the same record with standard errors.  It shares no algebra with the
 closed form beyond the channel model, so the two act as independent
-checks on each other.
+checks on each other.  Trials run in batches of `MC_BATCH`, each on its
+own random stream and on up to `worker_count()` threads; the calling
+thread folds their results into `RunningStats` in batch order, so every
+estimate is bit-identical for any thread count.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterator
+from collections import deque
+from collections.abc import Callable, Iterator
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import channel, estimation
-from .scenario import Scenario, ScenarioError
+from .scenario import Scenario, ScenarioError, worker_count
 
 MC_BATCH = 8192  # trials per simulation batch; part of the reproducibility key
 
 
-def _mc_batches(
-    rng: np.random.Generator, trials: int
-) -> Iterator[tuple[np.random.Generator, int]]:
-    """Yield ``(stream, size)`` per batch of `MC_BATCH` trials; the last may be short.
+def _batch_results(
+    rng: np.random.Generator,
+    trials: int,
+    simulate: Callable[[np.random.Generator, int], tuple],
+) -> Iterator[tuple]:
+    """Yield ``simulate(stream, size)`` per batch of `MC_BATCH` trials, in batch order.
 
-    Each batch draws from its own stream spawned from `rng`, so results
-    depend only on `rng` and `trials`.
+    Each batch draws only from its own stream spawned from `rng`, and the
+    last may be short, so results depend only on `rng` and `trials`.
+    Batches run on `worker_count()` threads, inline when there is one
+    batch or one worker, with at most one batch more submitted than there
+    are workers, so finished results cannot pile up.  A batch that raises
+    cancels the batches not yet started and its exception reaches the caller.
     """
-    for i, stream in enumerate(rng.spawn(-(-trials // MC_BATCH))):
-        yield stream, min(MC_BATCH, trials - i * MC_BATCH)
+    n = -(-trials // MC_BATCH)
+    sizes = [min(MC_BATCH, trials - i * MC_BATCH) for i in range(n)]
+    batches = list(zip(rng.spawn(n), sizes))
+    workers = min(worker_count(), n)
+    if workers == 1:
+        for stream, size in batches:
+            yield simulate(stream, size)
+        return
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        ahead: deque[Future] = deque()
+        for stream, size in batches:
+            ahead.append(pool.submit(simulate, stream, size))
+            if len(ahead) > workers:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 class RunningStats:
     """Streaming mean and variance over the leading axis, mergeable.
 
-    Batches merge exactly (Chan's update), so a fixed partition of the
-    trial budget gives bit-identical results however batches are fed.
-    Complex data is allowed; deviations are measured with |.|^2.
+    Batches merge by Chan's update, whose rounding depends on the order of
+    the merges, so the simulations fold their batches in batch order: a
+    fixed partition of the trial budget then gives bit-identical results
+    however many threads computed the batches.  Complex data is allowed;
+    deviations are measured with |.|^2.
     """
 
     def __init__(self):
@@ -289,8 +319,9 @@ def mc_uatf_sinr(
 
     Each trial draws a fresh channel and pilot noise, runs despreading
     and LMMSE estimation, and accumulates the combiner statistics.
-    Trials are processed in fixed batches of `MC_BATCH`; results are
-    deterministic given `seed` (an int or a Generator).
+    Trials are processed in fixed batches of `MC_BATCH`, on up to
+    `worker_count()` threads; results are deterministic given `seed` (an
+    int or a Generator) and do not depend on the thread count.
 
     The leak term is the variance of ``z_k = hhat_k^H h_k``; its standard
     error comes from the influence function of the variance statistic,
@@ -310,18 +341,19 @@ def mc_uatf_sinr(
     s_noise = RunningStats()
     pilot_mean = None
 
-    for stream, b in _mc_batches(rng, trials):
+    def simulate(stream, b):
         h = channel.sample_channel(layout, scn.users, scn.wavelength, stream, trials=b)
         obs = estimation.observe_pilots(
             h, pilots, scn.tx_power, scn.noise_power, stream
         )
         hhat = estimation.lmmse_estimate(obs, scn.users, scn.est_gains, hbar)
+        del obs
         cross = np.einsum("bmk,bmi->bki", hhat.conj(), h)
-        z = np.einsum("bkk->bk", cross)
-        absq = np.abs(cross) ** 2
-        interf = absq.sum(axis=-1) - np.abs(z) ** 2
-        norms = np.sum(np.abs(hhat) ** 2, axis=1)
+        z = np.einsum("bkk->bk", cross).copy()  # a view would keep `cross` alive
+        interf = (np.abs(cross) ** 2).sum(axis=-1) - np.abs(z) ** 2
+        return z, interf, np.sum(np.abs(hhat) ** 2, axis=1)
 
+    for z, interf, norms in _batch_results(rng, trials, simulate):
         if pilot_mean is None:
             pilot_mean = z.mean(axis=0)
         zsq = np.abs(z) ** 2
@@ -393,13 +425,18 @@ def lemma_checks(m: int, trials: int, seed=0) -> LemmaReport:
     s_quart = RunningStats()
     s_bilin = RunningStats()
     s_quad = RunningStats()
-    for stream, b in _mc_batches(rng, trials):
+
+    def simulate(stream, b):
         ht = channel.complex_normal(stream, (b, m))
-        nsq = np.sum(np.abs(ht) ** 2, axis=1)
-        s_quart.update(nsq**2)
-        s_bilin.update((ht @ u1.conj()) * (ht @ u2.conj()))
+        quart = np.sum(np.abs(ht) ** 2, axis=1) ** 2
+        bilin = (ht @ u1.conj()) * (ht @ u2.conj())
         x = channel.complex_normal(stream, (b, m, n_side))
-        s_quad.update(x @ a_mat @ x.conj().swapaxes(-1, -2))
+        return quart, bilin, x @ a_mat @ x.conj().swapaxes(-1, -2)
+
+    for quart, bilin, quad in _batch_results(rng, trials, simulate):
+        s_quart.update(quart)
+        s_bilin.update(bilin)
+        s_quad.update(quad)
 
     expected = float(m**2 + m)
     quad_mean = s_quad.mean

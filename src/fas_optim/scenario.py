@@ -8,6 +8,7 @@ geometry and path loss; diffuse powers and LMMSE gains are derived
 leave them stale.  A `Scenario` is built in code (`dataclasses.replace`
 too) or loaded from an INI file (`load_scenario`); either way it checks
 itself and raises `ScenarioError` naming the first bad field.
+`worker_count` reads the one parallelism setting, `FAS_OPTIM_THREADS`.
 
 Lengths are in meters, powers in watts, angles in radians.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,24 @@ import numpy as np
 
 class ScenarioError(ValueError):
     """Raised when a scenario file or parameter set is inconsistent."""
+
+
+def worker_count() -> int:
+    """Workers for parallel work: `FAS_OPTIM_THREADS`, or the CPU count when unset.
+
+    It sizes the sweep's process pool and the Monte Carlo threads; no
+    result depends on it.
+    """
+    raw = os.environ.get("FAS_OPTIM_THREADS", "")
+    if not raw:
+        return os.cpu_count() or 1
+    try:
+        n = int(raw)
+    except ValueError:
+        raise ScenarioError(f"FAS_OPTIM_THREADS must be an integer, got {raw!r}")
+    if n < 1:
+        raise ScenarioError(f"FAS_OPTIM_THREADS must be >= 1, got {n}")
+    return n
 
 
 def dbm_to_watt(dbm: float) -> float:

@@ -30,6 +30,19 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
+def _widen(lo: float, hi: float) -> tuple[float, float]:
+    """`lo, hi`, or when they are equal a nonzero range around the value.
+
+    Its half-width is 1, or 2**-50 of the value from 2**50 up, where 1
+    nears the float spacing: from 2**53 up, value +- 1 rounds back to the
+    value and the plot's scale would divide by zero.
+    """
+    if hi != lo:
+        return lo, hi
+    half = max(1.0, abs(lo) * 2.0**-50)
+    return lo - half, hi + half
+
+
 def _bounds(series: list[Series]) -> tuple[float, float, float, float]:
     xs = [v for s in series for v in s.x]
     ys = []
@@ -37,12 +50,8 @@ def _bounds(series: list[Series]) -> tuple[float, float, float, float]:
         for i, v in enumerate(s.y):
             e = s.err[i] if s.err else 0.0
             ys.extend((v - e, v + e))
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    x_lo, x_hi = _widen(min(xs), max(xs))
+    y_lo, y_hi = _widen(min(ys), max(ys))
     pad_x, pad_y = 0.05 * (x_hi - x_lo), 0.08 * (y_hi - y_lo)
     return x_lo - pad_x, x_hi + pad_x, y_lo - pad_y, y_hi + pad_y
 

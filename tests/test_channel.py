@@ -141,6 +141,21 @@ def test_complex_normal_moments():
     assert abs(corr) < 4.0 * 0.5 / math.sqrt(200_000)
 
 
+@pytest.mark.parametrize("shape", [(), 7, (3, 4), (8192, 9, 5)])
+def test_complex_normal_bits_match_divided_sum(shape):
+    # The former expression.  Scaling each half by 1/sqrt(2) gives the same
+    # bits only because numpy divides a complex array by a real scalar as a
+    # multiply by the scalar's reciprocal; a numpy that divided each part
+    # by sqrt(2) instead would fail here.
+    rng = np.random.default_rng(23)
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    want = np.asarray((re + 1j * im) / np.sqrt(2.0))
+    got = complex_normal(np.random.default_rng(23), shape)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def test_sample_channel_shapes():
     rng = np.random.default_rng(0)
     layout = np.zeros((2, 4))

@@ -1,5 +1,8 @@
 """Command line entry points and exit codes."""
 
+import csv
+import math
+
 import numpy as np
 import pytest
 
@@ -218,6 +221,50 @@ def test_run_rejects_vanishing_gain_variances(tmp_path, capsys, monkeypatch):
         "path_loss_exp) and pilot noise variance 0 (tx_power_dbm, "
         "noise_power_dbm, pilot_len) both vanish"
     ) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1", "1"])
+def test_run_rejects_bad_mc_trials_up_front(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
+    ini = write_ini(tmp_path, m_antennas=4, k_users=2)
+    out = tmp_path / "o"
+    code = cli.main(
+        ["run", "--scenario", str(ini), "--algos", "fpa", "--mc-trials", value,
+         "--out", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"(mc_trials, --mc-trials) must be 0 or >= 2, got {value}" in err
+    assert not out.exists()  # rejected before any task ran
+
+
+def test_run_mc_trials_fills_column_at_any_worker_count(tmp_path, capsys, monkeypatch):
+    ini = write_ini(tmp_path, m_antennas=4, k_users=2)
+    outputs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("FAS_OPTIM_THREADS", workers)
+        out = tmp_path / workers
+        code = cli.main(
+            ["run", "--scenario", str(ini), "--sweep", "m_antennas=4,6", "--repeats", "2",
+             "--algos", "fpa", "--seed", "3", "--mc-trials", "10000", "--out", str(out)]
+        )
+        assert code == 0
+        with open(out / "results.csv", newline="") as fh:
+            mc = [row["mc_min_rate"] for row in csv.DictReader(fh)]
+        assert len(mc) == 4 and all(math.isfinite(float(v)) for v in mc)
+        outputs.append(((out / "summary.csv").read_bytes(), mc))
+    assert outputs[1] == outputs[0]
+
+
+def test_run_plots_one_huge_sweep_value(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
+    out = tmp_path / "o"
+    code = cli.main(
+        ["run", "--scenario", str(SCENARIO_DIR / "table1_k3.ini"), "--sweep",
+         "region_over_lambda=1e17", "--algos", "fpa", "--out", str(out)]
+    )
+    assert code == 0, capsys.readouterr().err
+    assert (out / "sweep_region_over_lambda.svg").read_text().count("<circle") == 1
 
 
 def test_run_bad_algorithm(tmp_path, capsys, monkeypatch):

@@ -126,3 +126,18 @@ def test_estimate_variance_is_gain_scaled():
     dev = est[:, 0, 0] - est[:, 0, 0].mean()
     var = np.mean(np.abs(dev) ** 2)
     assert var == pytest.approx(gains[0] * user.nlos_power, rel=0.02, abs=0)
+
+
+def test_estimation_leaves_its_arguments_alone():
+    rng = np.random.default_rng(6)
+    users = (derive_user(55.0, 0.5, 0.6), derive_user(60.0, 2.0, 1.0))
+    h = complex_normal(rng, (5, 4, 2))
+    los = complex_normal(rng, (4, 2))
+    pilots = make_pilots(3, 2)
+    args = [h, los, pilots]
+    kept = [a.copy() for a in args]
+    obs = observe_pilots(h, pilots, 1.0, 1e-3, rng)
+    kept_obs = obs.copy()
+    lmmse_estimate(obs, users, gains_at(users, 1e-3 / 3), los)
+    for arg, before in zip(args + [obs], kept + [kept_obs]):
+        assert arg.tobytes() == before.tobytes()

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from fas_optim import harness, opt_ga, rate, svgplot
-from fas_optim.scenario import ScenarioError, db_to_linear, redraw_users, upa_layout
+from fas_optim.scenario import (
+    ScenarioError,
+    db_to_linear,
+    redraw_users,
+    upa_layout,
+    worker_count,
+)
 from conftest import SCENARIO_DIR, write_ini
 
 
@@ -162,15 +168,28 @@ def test_fpa_baseline_row(table1_k3):
 
 def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("FAS_OPTIM_THREADS", "3")
-    assert harness.worker_count() == 3
+    assert worker_count() == 3
     monkeypatch.setenv("FAS_OPTIM_THREADS", "")
-    assert harness.worker_count() >= 1
+    assert worker_count() >= 1
     monkeypatch.setenv("FAS_OPTIM_THREADS", "zero")
     with pytest.raises(ScenarioError, match="must be an integer"):
-        harness.worker_count()
+        worker_count()
     monkeypatch.setenv("FAS_OPTIM_THREADS", "0")
     with pytest.raises(ScenarioError, match="must be >= 1"):
-        harness.worker_count()
+        worker_count()
+
+
+def test_pool_workers_simulate_on_one_thread(table1_k3, tmp_path, monkeypatch):
+    # Forked workers inherit this patch: a worker that gave its two-batch
+    # simulation a thread pool would fail its task.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool worker started simulation threads")
+
+    monkeypatch.setattr(rate, "ThreadPoolExecutor", refuse)
+    monkeypatch.setenv("FAS_OPTIM_THREADS", "2")
+    sweep = harness.SweepSpec(axis="k_users", values=(2, 3), algorithms=("fpa",))
+    rows = harness.run_experiment(table1_k3, sweep, tmp_path, mc_trials=rate.MC_BATCH + 1)
+    assert all(r.mc_min_rate is not None for r in rows)
 
 
 # -------------------------------------------------------------- experiments
@@ -394,6 +413,15 @@ def test_line_plot_degenerate_ranges(tmp_path):
         [svgplot.Series("s", (1.0, 2.0), (3.0, 3.0), (0.0, 0.0))],
     )
     assert (tmp_path / "one.svg").read_text().count("<circle") == 1
+
+
+def test_line_plot_widens_a_point_by_one_or_by_its_magnitude():
+    one = [svgplot.Series("s", (1.0,), (2.0,))]
+    assert svgplot._bounds(one) == pytest.approx((-0.1, 2.1, 0.84, 3.16), abs=1e-15)
+    # from 2**53 up, 1e17 +- 1 rounds back to 1e17
+    huge = [svgplot.Series("s", (1e17,), (-1e17,))]
+    x_lo, x_hi, y_lo, y_hi = svgplot._bounds(huge)
+    assert x_lo < 1e17 < x_hi and y_lo < -1e17 < y_hi
 
 
 def test_line_plot_rejects_empty(tmp_path):

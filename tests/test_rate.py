@@ -3,6 +3,8 @@
 import copy
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -398,3 +400,78 @@ def test_lemma_checks_guards():
         rate.lemma_checks(0, 100)
     with pytest.raises(ValueError, match="trials must be >= 2"):
         rate.lemma_checks(2, 1)
+
+
+# ------------------------------------------------------- batches on threads
+
+SHORT_LAST_BATCH = 3 * rate.MC_BATCH + 17
+
+
+def _mc_bits(est):
+    """Every value of an oracle estimate, as bytes."""
+    fields = [f.name for f in dataclasses.fields(rate.Terms)]
+    return [getattr(t, f).tobytes() for t in (est, est.se) for f in fields], est.trials
+
+
+def test_simulation_bits_do_not_depend_on_thread_count(table1_k3, monkeypatch):
+    layout = upa_layout(9, 0.05, 0.6)
+    runs = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the interpreter lock over often
+    try:
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("FAS_OPTIM_THREADS", threads)
+            est = rate.mc_uatf_sinr(layout, table1_k3, SHORT_LAST_BATCH, seed=4)
+            lemma = rate.lemma_checks(3, SHORT_LAST_BATCH, seed=4)
+            runs.append((_mc_bits(est), repr(dataclasses.astuple(lemma))))
+    finally:
+        sys.setswitchinterval(switch)
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
+def test_one_batch_starts_no_thread(table1_k3, monkeypatch):
+    def refuse(thread):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setenv("FAS_OPTIM_THREADS", "2")
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    layout = upa_layout(9, 0.05, 0.6)
+    rate.mc_uatf_sinr(layout, table1_k3, rate.MC_BATCH, seed=1)
+    rate.lemma_checks(2, rate.MC_BATCH, seed=1)
+    with pytest.raises(AssertionError, match="a thread was started"):
+        rate.mc_uatf_sinr(layout, table1_k3, rate.MC_BATCH + 1, seed=1)
+
+
+def test_batch_error_reaches_caller(table1_k3, monkeypatch):
+    boom = RuntimeError("batch 2 failed")
+    started = []
+    real = channel.sample_channel
+
+    def sample(layout, users, wavelength, stream, trials=None):
+        batch = stream.bit_generator.seed_seq.spawn_key[-1]
+        started.append(batch)
+        if batch == 2:
+            raise boom
+        return real(layout, users, wavelength, stream, trials=trials)
+
+    monkeypatch.setenv("FAS_OPTIM_THREADS", "2")
+    monkeypatch.setattr(channel, "sample_channel", sample)
+    caught = []
+
+    def run():
+        try:
+            rate.mc_uatf_sinr(upa_layout(9, 0.05, 0.6), table1_k3, 8 * rate.MC_BATCH)
+        except RuntimeError as exc:
+            caught.append(exc)
+
+    before = threading.active_count()
+    caller = threading.Thread(target=run)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert len(caught) == 1 and caught[0] is boom
+    # two workers keep at most three batches submitted, so batch 2 raises
+    # before batch 5 is submitted; the pool's threads are gone
+    assert 2 in started and max(started) < 5
+    assert threading.active_count() == before
