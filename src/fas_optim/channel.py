@@ -55,23 +55,16 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def sample_channel(
-    layout: np.ndarray,
-    users,
-    wavelength: float,
-    rng: np.random.Generator,
-    trials: int | None = None,
+    los: np.ndarray, scn, rng: np.random.Generator, trials: int | None = None
 ) -> np.ndarray:
-    """Draw the composite channel matrix.
+    """Draw the composite channel matrix of scenario `scn`'s users.
 
-    Returns shape (M, K), or (trials, M, K) when `trials` is given.  The
-    LoS part is fixed by the layout; only the scatter is random.
+    `los` is the (M, K) `los_matrix` of the layout, so the LoS part is
+    fixed; only the scatter is random.  Returns shape (M, K), or
+    (trials, M, K) when `trials` is given.
     """
-    hbar = los_matrix(layout, users, wavelength)  # (M, K)
-    scale = np.array([u.nlos_power for u in users])
-    # per-entry LoS amplitude sqrt(nlos_power * rician), scatter std sqrt(nlos_power)
-    los_amp = np.sqrt(scale * np.array([u.rician for u in users]))
-    shape = hbar.shape if trials is None else (trials,) + hbar.shape
+    shape = los.shape if trials is None else (trials,) + los.shape
     h = complex_normal(rng, shape)
-    h *= np.sqrt(scale)
-    h += los_amp * hbar
+    h *= np.sqrt(scn.nlos_powers)
+    h += scn.los_amps * los
     return h

@@ -9,9 +9,9 @@ shrinks the observation toward the known LoS mean:
     hhat_k = a_k * obs_k + (1 - a_k) * sqrt(nlos_power * rician) * hbar_k
 
 with a_k the user's LMMSE gain c_k / (c_k + q), c_k = `nlos_power` and
-q the pilot noise variance above; the caller passes the gains
-(`Scenario.est_gains`).  All functions broadcast over leading axes of
-the channel block, so Monte Carlo batches pass through in one call.
+q the pilot noise variance above; the gains and LoS amplitudes come from
+the scenario (`Scenario.est_gains`, `los_amps`).  All functions broadcast
+over leading axes of the channel block, so Monte Carlo batches pass through.
 """
 
 from __future__ import annotations
@@ -68,18 +68,14 @@ def observe_pilots(
     return obs
 
 
-def lmmse_estimate(
-    obs: np.ndarray, users, gains: np.ndarray, los: np.ndarray
-) -> np.ndarray:
-    """LMMSE channel estimate from despread observations.
+def lmmse_estimate(obs: np.ndarray, scn, los: np.ndarray) -> np.ndarray:
+    """LMMSE channel estimate from despread observations of `scn`'s users.
 
     `obs` and `los` have shape (..., M, K); `los` holds the unit-modulus
     LoS responses.  Per user the estimate blends the observation with the
-    LoS mean, weighting the observation by the user's entry of `gains`.
+    LoS mean, weighting the observation by the user's LMMSE gain.
     """
-    los_amp = np.sqrt(
-        np.array([u.nlos_power for u in users]) * np.array([u.rician for u in users])
-    )
+    gains = scn.est_gains
     est = gains * obs
-    est += (1.0 - gains) * los_amp * los
+    est += (1.0 - gains) * scn.los_amps * los
     return est

@@ -46,40 +46,35 @@ ALGORITHMS = ("ga", "grad", "fpa")
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept axis with its values, repeat count, and algorithms."""
+    """One swept axis with its values, repeats and algorithms, checked when built."""
 
     axis: str
     values: tuple
     repeats: int = 1
     algorithms: tuple = ALGORITHMS
 
-
-def validate_sweep(spec: SweepSpec) -> SweepSpec:
-    if spec.axis not in AXES:
-        raise ScenarioError(f"unknown sweep axis {spec.axis!r}, want one of {AXES}")
-    if len(spec.values) == 0:
-        raise ScenarioError("sweep values must be non-empty")
-    if not all(math.isfinite(v) for v in spec.values):
-        raise ScenarioError(
-            f"{spec.axis} sweep values must be finite, got {spec.values}"
-        )
-    if any(a >= b for a, b in zip(spec.values, spec.values[1:])):
-        raise ScenarioError(
-            f"sweep values must be sorted and distinct, got {spec.values}"
-        )
-    integer_axis = spec.axis in ("k_users", "m_antennas")
-    if integer_axis and not all(float(v).is_integer() and v >= 1 for v in spec.values):
-        raise ScenarioError(
-            f"{spec.axis} sweep values must be positive integers, got {spec.values}"
-        )
-    if spec.repeats < 1:
-        raise ScenarioError(f"repeats must be >= 1, got {spec.repeats}")
-    if len(spec.algorithms) == 0:
-        raise ScenarioError("at least one algorithm required")
-    for algo in spec.algorithms:
-        if algo not in ALGORITHMS:
-            raise ScenarioError(f"unknown algorithm {algo!r}, want one of {ALGORITHMS}")
-    return spec
+    def __post_init__(self) -> None:
+        axis, values = self.axis, self.values
+        if axis not in AXES:
+            raise ScenarioError(f"unknown sweep axis {axis!r}, want one of {AXES}")
+        if len(values) == 0:
+            raise ScenarioError("sweep values must be non-empty")
+        if not all(math.isfinite(v) for v in values):
+            raise ScenarioError(f"{axis} sweep values must be finite, got {values}")
+        if any(a >= b for a, b in zip(values, values[1:])):
+            raise ScenarioError(f"sweep values must be sorted and distinct, got {values}")
+        integer_axis = axis in ("k_users", "m_antennas")
+        if integer_axis and not all(float(v).is_integer() and v >= 1 for v in values):
+            raise ScenarioError(
+                f"{axis} sweep values must be positive integers, got {values}"
+            )
+        if self.repeats < 1:
+            raise ScenarioError(f"repeats must be >= 1, got {self.repeats}")
+        if len(self.algorithms) == 0:
+            raise ScenarioError("at least one algorithm required")
+        for algo in self.algorithms:
+            if algo not in ALGORITHMS:
+                raise ScenarioError(f"unknown algorithm {algo!r}, want one of {ALGORITHMS}")
 
 
 @dataclass(frozen=True)
@@ -148,7 +143,7 @@ def _run_task(task) -> ResultRow:
     elif algorithm == "ga":
         layout, history = opt_ga.run_ga(scn, seed=opt_seed)
         iterations = len(history) - 1
-    else:  # "grad"; validate_sweep rejects any other name before a task exists
+    else:  # "grad"
         layout, histories = opt_grad.run_multistart(scn, seed=opt_seed)
         iterations = sum(len(h) - 1 for h in histories)
     value_rate = rate.min_rate(layout, scn)
@@ -157,7 +152,7 @@ def _run_task(task) -> ResultRow:
     if mc_trials:
         est = rate.mc_uatf_sinr(layout, scn, mc_trials, seed=mc_seed)
         sinr = est.sinr(scn.tx_power, scn.noise_power)
-        mc_min = float((scn.prelog * np.log2(1.0 + sinr)).min())
+        mc_min = float(rate.achievable_rate(scn.prelog, sinr).min())
     return ResultRow(
         axis=axis,
         axis_value=float(value),
@@ -192,7 +187,6 @@ def run_experiment(
     `mc_min_rate` column.
     """
     scn = scenario if isinstance(scenario, Scenario) else load_scenario(scenario)
-    validate_sweep(sweep)
     master = scn.hyper.seed if seed is None else seed
     if master < 0:
         raise ScenarioError(f"seed must be >= 0, got {master}")

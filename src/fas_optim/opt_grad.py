@@ -39,17 +39,18 @@ from .scenario import Scenario, ScenarioError, grid_layout, line_search_steps
 LINE_SEARCH_PREFIX = 40  # candidates scored per chunk; the accepted one is rarely later
 
 
-def _soft_min(rates: np.ndarray, mu: float) -> np.ndarray:
-    """Smoothed minimum over the last axis, computed shift-safely."""
+def _soft_min(rates: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Soft-min over the last axis and its gradient w.r.t. the rates, shift-safely."""
     rmin = rates.min(axis=-1)
     spread = np.exp(-mu * (rates - rmin[..., None]))
-    return rmin - np.log(spread.sum(axis=-1)) / mu
+    total = spread.sum(axis=-1)
+    return rmin - np.log(total) / mu, spread / total[..., None]
 
 
 def smoothed_objective(layout: np.ndarray, scn: Scenario) -> np.ndarray:
     """Soft-min of the per-user rates at sharpness `hyper.mu`, shape (...,)."""
     ctx = rate.closed_form_context(scn)
-    return _soft_min(rate.rates_for(ctx, np.asarray(layout)), scn.hyper.mu)
+    return _soft_min(rate.rates_for(ctx, np.asarray(layout)), scn.hyper.mu)[0]
 
 
 def _value_and_gradient(
@@ -57,18 +58,14 @@ def _value_and_gradient(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Smoothed objective (...,) and its gradient (..., 2, M) from one SINR pass.
 
-    Soft-min weights are exponentials of the (shifted) rates, so each
-    user's SINR gradient enters with weight exp(-mu R_k) /
-    ((1 + SINR_k) ln 2) times the pilot-overhead prelog, normalized by
-    the weight sum.
+    Each user's SINR gradient enters with its soft-min weight (`_soft_min`)
+    over (1 + SINR_k) ln 2, times the pilot-overhead prelog.
     """
-    ctx, mu = rate.closed_form_context(scn), scn.hyper.mu
+    ctx = rate.closed_form_context(scn)
     sinr, dsinr = rate.sinr_gradients(ctx, layout)
-    rates = ctx.prelog * np.log2(1.0 + sinr)
-    weights = np.exp(-mu * (rates - rates.min(axis=-1, keepdims=True)))
-    weights = weights / weights.sum(axis=-1, keepdims=True)
+    value, weights = _soft_min(rate.achievable_rate(ctx.prelog, sinr), scn.hyper.mu)
     coeff = ctx.prelog * weights / ((1.0 + sinr) * math.log(2.0))
-    return _soft_min(rates, mu), np.einsum("...k,...kdm->...dm", coeff, dsinr)
+    return value, np.einsum("...k,...kdm->...dm", coeff, dsinr)
 
 
 def objective_gradient(layout: np.ndarray, scn: Scenario) -> np.ndarray:

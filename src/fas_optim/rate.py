@@ -22,9 +22,9 @@ with q the per-entry pilot noise variance (noise_over_taup), and
     SINR_k = p desired_k / (p leak_k + p sum_{i != k} I_ki
                             + noise_power * noise_k)
 
-The achievable rate is ``prelog * log2(1 + SINR_k)``.  Every I_ki is
-nonnegative, so dropping them bounds every layout's rate from above;
-`ClosedFormContext.rate_bound` is that bound for the best user.
+The achievable rate is ``prelog * log2(1 + SINR_k)`` (`achievable_rate`).
+Every I_ki is nonnegative, so dropping them bounds every layout's rate
+from above; `ClosedFormContext.rate_bound` is that bound for the best user.
 `terms_at` gives the four expectations at a batch of layouts as a
 `Terms` record, whose `Terms.sinr` is the one place the ratio is
 written.  `sinr_for` evaluates it; `sinr_gradients` gives it together
@@ -191,10 +191,7 @@ def closed_form_context(scn: Scenario) -> ClosedFormContext:
     the same scenario gets the same object; its arrays are read-only.
     """
     m = scn.m_antennas
-    c = np.array([u.nlos_power for u in scn.users])
-    eps = np.array([u.rician for u in scn.users])
-    a = scn.est_gains
-    q = scn.noise_over_taup
+    c, eps, a, q = scn.nlos_powers, scn.ricians, scn.est_gains, scn.noise_over_taup
 
     e_noise = m * c * (eps + a)
     e_signal = e_noise**2
@@ -237,7 +234,7 @@ def closed_form_context(scn: Scenario) -> ClosedFormContext:
         tx_power=scn.tx_power,
         noise_power=scn.noise_power,
         prelog=scn.prelog,
-        rate_bound=float(scn.prelog * np.log2(1.0 + free_sinr.max())),
+        rate_bound=float(achievable_rate(scn.prelog, free_sinr.max())),
         **arrays,
     )
 
@@ -294,9 +291,14 @@ def sinr_gradients(
     return sinr, -(p**2) * ctx.e_signal[:, None, None] * dinterf / (denom**2)[..., None, None]
 
 
+def achievable_rate(prelog: float, sinr: np.ndarray) -> np.ndarray:
+    """Rate in bit/s/Hz at `sinr`: prelog * log2(1 + SINR)."""
+    return prelog * np.log2(1.0 + sinr)
+
+
 def rates_for(ctx: ClosedFormContext, layouts: np.ndarray) -> np.ndarray:
     """Per-user rate lower bound in bit/s/Hz for a batch of layouts."""
-    return ctx.prelog * np.log2(1.0 + sinr_for(ctx, layouts))
+    return achievable_rate(ctx.prelog, sinr_for(ctx, layouts))
 
 
 def min_rate(layout: np.ndarray, scn: Scenario) -> float:
@@ -342,11 +344,11 @@ def mc_uatf_sinr(
     pilot_mean = None
 
     def simulate(stream, b):
-        h = channel.sample_channel(layout, scn.users, scn.wavelength, stream, trials=b)
+        h = channel.sample_channel(hbar, scn, stream, trials=b)
         obs = estimation.observe_pilots(
             h, pilots, scn.tx_power, scn.noise_power, stream
         )
-        hhat = estimation.lmmse_estimate(obs, scn.users, scn.est_gains, hbar)
+        hhat = estimation.lmmse_estimate(obs, scn, hbar)
         del obs
         cross = np.einsum("bmk,bmi->bki", hhat.conj(), h)
         z = np.einsum("bkk->bk", cross).copy()  # a view would keep `cross` alive

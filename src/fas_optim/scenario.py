@@ -3,11 +3,12 @@
 A scenario bundles everything the rate expressions and the position
 optimizers need: array size, movement region, transmit/noise powers,
 frame structure, and per-user large-scale statistics.  Users store only
-geometry and path loss; diffuse powers and LMMSE gains are derived
-(`UserStats.nlos_power`, `Scenario.est_gains`), so no field change can
-leave them stale.  A `Scenario` is built in code (`dataclasses.replace`
-too) or loaded from an INI file (`load_scenario`); either way it checks
-itself and raises `ScenarioError` naming the first bad field.
+geometry and path loss; the user count `k_users` and the per-user arrays
+(diffuse powers, Rician factors, LoS amplitudes, LMMSE gains) are derived
+`Scenario` properties, so no field change can leave them stale.  A
+`Scenario` is built in code (`dataclasses.replace` too) or loaded from an
+INI file (`load_scenario`); either way it checks itself and raises
+`ScenarioError` naming the first bad field.
 `worker_count` reads the one parallelism setting, `FAS_OPTIM_THREADS`.
 
 Lengths are in meters, powers in watts, angles in radians.
@@ -168,7 +169,6 @@ class Scenario:
     """
 
     m_antennas: int
-    k_users: int
     wavelength: float
     region_size: float
     d_min: float
@@ -215,10 +215,6 @@ class Scenario:
                     "(path_loss_ref_db, path_loss_exp) and pilot noise variance 0 "
                     "(tx_power_dbm, noise_power_dbm, pilot_len) both vanish"
                 )
-        if len(self.users) != self.k_users:
-            raise ScenarioError(
-                f"k_users is {self.k_users} but {len(self.users)} users given"
-            )
         for k, (u, gain) in enumerate(zip(self.users, self.est_gains)):
             if not 0 < gain < 1:
                 c = f"diffuse variance {u.nlos_power:.3g} (path_loss_ref_db, path_loss_exp)"
@@ -232,13 +228,30 @@ class Scenario:
                 )
 
     @property
+    def k_users(self) -> int:
+        return len(self.users)
+
+    @property
     def noise_over_taup(self) -> float:
         return self.noise_power / (self.pilot_len * self.tx_power)
 
     @property
+    def nlos_powers(self) -> np.ndarray:
+        return np.array([u.nlos_power for u in self.users])
+
+    @property
+    def ricians(self) -> np.ndarray:
+        return np.array([u.rician for u in self.users])
+
+    @property
+    def los_amps(self) -> np.ndarray:
+        """Per-user LoS amplitude per entry, sqrt(c * rician), shape (K,)."""
+        return np.sqrt(self.nlos_powers * self.ricians)
+
+    @property
     def est_gains(self) -> np.ndarray:
-        """Per-user LMMSE gain c / (c + noise_over_taup), c the `nlos_power`."""
-        c = np.array([u.nlos_power for u in self.users])
+        """Per-user LMMSE gain c / (c + noise_over_taup), shape (K,)."""
+        c = self.nlos_powers
         return c / (c + self.noise_over_taup)
 
     @property
@@ -310,8 +323,7 @@ def redraw_users(scn: Scenario, seed: int, *, count: int | None = None) -> Scena
     pilot_len = scn.pilot_len if count in (None, scn.k_users) else count
     model = dataclasses.replace(scn.user_model, seed=seed, count=k)
     return dataclasses.replace(
-        scn, k_users=k, pilot_len=pilot_len, users=random_users(model),
-        user_model=model,
+        scn, pilot_len=pilot_len, users=random_users(model), user_model=model
     )
 
 
@@ -411,10 +423,11 @@ def load_scenario(path) -> Scenario:
     Sections: ``[system]`` (array and frame parameters), ``[users]``
     (either a generation recipe via seed/count/d_min_m/d_max_m, or
     explicit ``user1 = distance elevation azimuth`` lines), and an
-    optional ``[hyper]`` for solver settings.  Powers are given in dBm,
-    lengths in meters; values are taken literally (no ``%``
-    interpolation).  Malformed input raises `ScenarioError` naming the
-    offending section and key.
+    optional ``[hyper]`` for solver settings.  ``[system] k_users`` must
+    equal the number of users, and ``pilot_len`` defaults to it.  Powers
+    are given in dBm, lengths in meters; values are taken literally (no
+    ``%`` interpolation).  Malformed input raises `ScenarioError` naming
+    the offending section and key.
     """
     parser = configparser.ConfigParser(
         inline_comment_prefixes=(";", "#"), interpolation=None
@@ -478,17 +491,22 @@ def load_scenario(path) -> Scenario:
         users = random_users(model)
 
     hyper_items = parser.items("hyper") if parser.has_section("hyper") else ()
-    return Scenario(
+    scn = Scenario(
         m_antennas=sys_sec["m_antennas"],
-        k_users=sys_sec["k_users"],
         wavelength=sys_sec["wavelength_m"],
         region_size=sys_sec["region_size_m"],
         d_min=sys_sec.get("d_min_m", sys_sec["wavelength_m"] / 2.0),
         tx_power=sys_sec["tx_power_dbm"],
         noise_power=sys_sec["noise_power_dbm"],
         coherence_len=sys_sec["coherence_len"],
-        pilot_len=sys_sec.get("pilot_len", sys_sec["k_users"]),
+        pilot_len=sys_sec.get("pilot_len", len(users)),
         users=users,
         hyper=HyperParams(**_Section("hyper", hyper_items, _HYPER_KEYS)),
         user_model=model,
     )
+    if sys_sec["k_users"] != scn.k_users:
+        listed = f"count = {model.count}" if model else f"user1..user{scn.k_users}"
+        raise ScenarioError(
+            f"k_users = {sys_sec['k_users']} in [system] disagrees with {listed} in [users]"
+        )
+    return scn

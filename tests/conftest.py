@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from fas_optim.scenario import load_scenario
+from fas_optim.scenario import Scenario, load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -61,6 +61,16 @@ def write_ini(
         )
     )
     return path
+
+
+def holding(users, q=1e-9):
+    """A one-antenna scenario of `users` at pilot noise variance `q` per entry."""
+    k = len(users)
+    return Scenario(
+        m_antennas=1, wavelength=0.1, region_size=0.6, d_min=0.05,
+        tx_power=1.0, noise_power=q * k, coherence_len=196, pilot_len=k,
+        users=users,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,7 @@ from fas_optim.channel import (
     user_directions,
 )
 from fas_optim.scenario import derive_user
+from conftest import holding
 
 
 def users_at(angles, distance=55.0, rician=6.0):
@@ -20,6 +21,11 @@ def users_at(angles, distance=55.0, rician=6.0):
         derive_user(distance, e, a, rician=rician)
         for e, a in angles
     )
+
+
+def sample(layout, users, rng, trials=None):
+    """`sample_channel` of `users` at `layout`, wavelength 0.1."""
+    return sample_channel(los_matrix(layout, users, 0.1), holding(users), rng, trials)
 
 
 def los_column(layout, user, wavelength):
@@ -160,9 +166,9 @@ def test_sample_channel_shapes():
     rng = np.random.default_rng(0)
     layout = np.zeros((2, 4))
     users = users_at([(0.3, 0.4), (1.2, 2.0)])
-    one = sample_channel(layout, users, 0.1, rng)
+    one = sample(layout, users, rng)
     assert one.shape == (4, 2)
-    many = sample_channel(layout, users, 0.1, rng, trials=10)
+    many = sample(layout, users, rng, trials=10)
     assert many.shape == (10, 4, 2)
 
 
@@ -171,7 +177,7 @@ def test_sample_channel_strong_los_limit():
     users = users_at([(0.5, 0.6), (1.5, 1.8)], rician=1e6)
     rng = np.random.default_rng(4)
     layout = np.random.default_rng(1).uniform(-0.3, 0.3, (2, 4))
-    h = sample_channel(layout, users, 0.1, rng, trials=200)
+    h = sample(layout, users, rng, trials=200)
     mat = los_matrix(layout, users, 0.1)
     for k, u in enumerate(users):
         c = u.nlos_power
@@ -186,7 +192,7 @@ def test_sample_channel_mean_is_los():
     rng = np.random.default_rng(8)
     layout = np.random.default_rng(9).uniform(-0.3, 0.3, (2, 3))
     n = 100_000
-    h = sample_channel(layout, users, 0.1, rng, trials=n)
+    h = sample(layout, users, rng, trials=n)
     mat = los_matrix(layout, users, 0.1)
     for k, u in enumerate(users):
         mean = h[:, :, k].mean(axis=0)
@@ -198,7 +204,7 @@ def test_sample_channel_entry_variance():
     users = users_at([(0.5, 0.6)])
     rng = np.random.default_rng(21)
     layout = np.zeros((2, 1))
-    h = sample_channel(layout, users, 0.1, rng, trials=1_000_000)
+    h = sample(layout, users, rng, trials=1_000_000)
     dev = h[:, 0, 0] - h[:, 0, 0].mean()
     var = np.mean(np.abs(dev) ** 2)
     assert var == pytest.approx(users[0].nlos_power, rel=0.02, abs=0)

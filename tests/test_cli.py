@@ -173,6 +173,11 @@ def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
             "seed = 12\ncount = 2\n", "user1 = 55 4.0 1\nuser2 = 60 1 1\n", [],
             "user 0: elevation must lie in [0, pi], got 4.0",
         ),
+        # the user count is declared twice in a file, and the two must agree
+        (
+            "count = 2", "count = 1", [],
+            "k_users = 2 in [system] disagrees with count = 1 in [users]",
+        ),
     ],
     ids=[
         "users-seed", "users-count", "hyper-seed", "cli-seed", "percent",
@@ -181,7 +186,7 @@ def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
         "path-loss-overflow", "rician-db-sweep-overflow", "est-gain-one",
         "est-gain-zero", "rician-db-squared-overflow", "kappa-crawl",
         "missing-key", "duplicate-key", "key-before-section", "no-users-section",
-        "explicit-user-elevation",
+        "explicit-user-elevation", "k-users-count-mismatch",
     ],
 )
 def test_run_rejects_bad_input(

@@ -7,17 +7,8 @@ import pytest
 
 from fas_optim.channel import complex_normal, los_matrix, sample_channel
 from fas_optim.estimation import lmmse_estimate, make_pilots, observe_pilots
-from fas_optim.scenario import Scenario, ScenarioError, derive_user
-
-
-def gains_at(users, q):
-    """The scenario's LMMSE gains for `users` at pilot noise variance `q`."""
-    k = len(users)
-    return Scenario(
-        m_antennas=1, k_users=k, wavelength=0.1, region_size=0.6, d_min=0.05,
-        tx_power=1.0, noise_power=q * k, coherence_len=196, pilot_len=k,
-        users=users,
-    ).est_gains
+from fas_optim.scenario import ScenarioError, derive_user
+from conftest import holding
 
 
 def test_make_pilots_orthonormal_square():
@@ -65,13 +56,13 @@ def test_lmmse_gain_half_when_powers_match():
     q = 3e-13
     eps = 6.0
     user = derive_user(1.0, 0.7, 1.3, rician=eps, path_loss_ref=q * (eps + 1.0))
-    gains = gains_at((user,), q)
+    scn = holding((user,), q)
     assert user.nlos_power == pytest.approx(q, rel=1e-12, abs=0)
-    assert gains[0] == pytest.approx(0.5, rel=1e-12, abs=0)
+    assert scn.est_gains[0] == pytest.approx(0.5, rel=1e-12, abs=0)
     rng = np.random.default_rng(2)
     obs = complex_normal(rng, (4, 1))
     los = complex_normal(rng, (4, 1))
-    est = lmmse_estimate(obs, (user,), gains, los)
+    est = lmmse_estimate(obs, scn, los)
     los_amp = math.sqrt(user.nlos_power * user.rician)
     np.testing.assert_allclose(est, 0.5 * obs + 0.5 * los_amp * los, rtol=1e-12)
 
@@ -81,7 +72,7 @@ def test_lmmse_tracks_observation_at_high_snr():
     rng = np.random.default_rng(3)
     obs = complex_normal(rng, (5, 1))
     los = complex_normal(rng, (5, 1))
-    est = lmmse_estimate(obs, (user,), gains_at((user,), 1e-18), los)
+    est = lmmse_estimate(obs, holding((user,), 1e-18), los)
     np.testing.assert_allclose(est, obs, rtol=1e-6, atol=1e-8)
 
 
@@ -97,11 +88,11 @@ def test_estimate_mean_is_scaled_los():
     n = 100_000
     tau, p = 2, 1.0
     sigma2 = q * tau * p
-    h = sample_channel(layout, users, wavelength, rng, trials=n)
+    scn, los = holding(users, q), los_matrix(layout, users, wavelength)
+    h = sample_channel(los, scn, rng, trials=n)
     obs = observe_pilots(h, make_pilots(tau, 2), p, sigma2, rng)
-    los = los_matrix(layout, users, wavelength)
-    gains = gains_at(users, q)
-    est = lmmse_estimate(obs, users, gains, los)
+    gains = scn.est_gains
+    est = lmmse_estimate(obs, scn, los)
     for k, u in enumerate(users):
         mean = est[:, :, k].mean(axis=0)
         expected = math.sqrt(u.nlos_power * u.rician) * los[:, k]
@@ -118,11 +109,11 @@ def test_estimate_variance_is_gain_scaled():
     n = 200_000
     tau, p = 1, 1.0
     sigma2 = q * tau * p
-    h = sample_channel(layout, (user,), 0.1, rng, trials=n)
+    scn, los = holding((user,), q), los_matrix(layout, (user,), 0.1)
+    h = sample_channel(los, scn, rng, trials=n)
     obs = observe_pilots(h, make_pilots(tau, 1), p, sigma2, rng)
-    los = los_matrix(layout, (user,), 0.1)
-    gains = gains_at((user,), q)
-    est = lmmse_estimate(obs, (user,), gains, los)
+    gains = scn.est_gains
+    est = lmmse_estimate(obs, scn, los)
     dev = est[:, 0, 0] - est[:, 0, 0].mean()
     var = np.mean(np.abs(dev) ** 2)
     assert var == pytest.approx(gains[0] * user.nlos_power, rel=0.02, abs=0)
@@ -138,6 +129,6 @@ def test_estimation_leaves_its_arguments_alone():
     kept = [a.copy() for a in args]
     obs = observe_pilots(h, pilots, 1.0, 1e-3, rng)
     kept_obs = obs.copy()
-    lmmse_estimate(obs, users, gains_at(users, 1e-3 / 3), los)
+    lmmse_estimate(obs, holding(users, 1e-3 / 3), los)
     for arg, before in zip(args + [obs], kept + [kept_obs]):
         assert arg.tobytes() == before.tobytes()

@@ -40,7 +40,8 @@ def test_seed_for_deterministic():
 
 def test_validate_sweep_accepts_good_spec():
     spec = harness.SweepSpec(axis="m_antennas", values=(4, 9), repeats=2)
-    assert harness.validate_sweep(spec) is spec
+    assert (spec.axis, spec.values, spec.repeats) == ("m_antennas", (4, 9), 2)
+    assert dataclasses.replace(spec, algorithms=("fpa",)).algorithms == ("fpa",)
 
 
 def test_validate_sweep_rejects_bad_specs():
@@ -67,7 +68,9 @@ def test_validate_sweep_rejects_bad_specs():
     ]
     for kwargs, needle in cases:
         with pytest.raises(ScenarioError, match=needle):
-            harness.validate_sweep(harness.SweepSpec(**kwargs))
+            harness.SweepSpec(**kwargs)
+        with pytest.raises(ScenarioError, match=needle):
+            dataclasses.replace(harness.SweepSpec(**good), **kwargs)
 
 
 # ------------------------------------------------------------ sweep points

@@ -85,7 +85,6 @@ def ga_scenarios(draw):
     model = UserModel(seed=0, count=k, rician=db_to_linear(rician_db))
     scn = Scenario(
         m_antennas=m,
-        k_users=k,
         wavelength=0.1,
         region_size=draw(st.floats(0.15, 0.6)),
         d_min=0.05,

@@ -33,7 +33,6 @@ def small_scenario(angles, m=4, distances=None, mu=100.0):
     )
     scn = Scenario(
         m_antennas=m,
-        k_users=k,
         wavelength=0.1,
         region_size=0.6,
         d_min=0.05,
@@ -63,9 +62,9 @@ def fd_gradient(fun, layout, h=1e-6):
 
 def test_soft_min_equal_rates():
     rates = np.full(5, 1.7)
-    assert opt_grad._soft_min(rates, 100.0) == pytest.approx(
-        1.7 - math.log(5) / 100.0, rel=1e-12
-    )
+    value, weights = opt_grad._soft_min(rates, 100.0)
+    assert value == pytest.approx(1.7 - math.log(5) / 100.0, rel=1e-12)
+    np.testing.assert_array_equal(weights, np.full(5, 0.2))
 
 
 def test_soft_min_brackets_minimum(table1_k3):

@@ -30,7 +30,6 @@ def small_scenario(users, m=4, noise_power=None, pilot_len=None):
     noise = Q * k * 1.0 if noise_power is None else noise_power
     return Scenario(
         m_antennas=m,
-        k_users=k,
         wavelength=0.1,
         region_size=0.6,
         d_min=0.05,
@@ -448,12 +447,12 @@ def test_batch_error_reaches_caller(table1_k3, monkeypatch):
     started = []
     real = channel.sample_channel
 
-    def sample(layout, users, wavelength, stream, trials=None):
+    def sample(los, scn, stream, trials=None):
         batch = stream.bit_generator.seed_seq.spawn_key[-1]
         started.append(batch)
         if batch == 2:
             raise boom
-        return real(layout, users, wavelength, stream, trials=trials)
+        return real(los, scn, stream, trials=trials)
 
     monkeypatch.setenv("FAS_OPTIM_THREADS", "2")
     monkeypatch.setattr(channel, "sample_channel", sample)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fas_optim import rate
 from fas_optim.scenario import (
@@ -15,12 +17,22 @@ from fas_optim.scenario import (
     db_to_linear,
     dbm_to_watt,
     derive_user,
+    grid_layout,
     load_scenario,
     random_users,
     redraw_users,
     upa_layout,
 )
 from conftest import SCENARIO_DIR, write_ini
+
+
+def explicit_users(text, count):
+    """An INI text of `write_ini` with its user recipe replaced by `count` user lines."""
+    lines = "\n".join(f"user{i} = 55 1 1" for i in range(1, count + 1))
+    return "\n".join(
+        line for line in text.replace("seed = 12", lines).splitlines()
+        if not line.startswith("count")
+    )
 
 
 def test_dbm_to_watt():
@@ -171,15 +183,48 @@ def test_validate_rejects_full_frame_pilots(table1_k3):
         dataclasses.replace(table1_k3, pilot_len=196)
 
 
-def test_validate_rejects_user_count_mismatch(table1_k3):
-    with pytest.raises(ScenarioError, match="but 3 users given"):
+def test_validate_rejects_user_count_mismatch(table1_k3, tmp_path):
+    # the user count is the users' own, so it cannot be set apart from them,
+    # and a file whose [system] k_users disagrees with its users is refused
+    with pytest.raises(TypeError, match="k_users"):
         dataclasses.replace(table1_k3, k_users=4, pilot_len=4)
+    drawn = write_ini(tmp_path, k_users=3).read_text()
+    no_users = drawn.replace("k_users = 3", "k_users = 0").replace("pilot_len = 3\n", "")
+    cases = [
+        (drawn.replace("count = 3", "count = 2"), "k_users = 3 in [system] disagrees "
+         "with count = 2 in [users]"),
+        (explicit_users(drawn, 2), "k_users = 3 in [system] disagrees with user1..user2 "
+         "in [users]"),
+        (explicit_users(no_users, 1), "k_users = 0 in [system] disagrees with "
+         "user1..user1 in [users]"),
+    ]
+    path = tmp_path / "mismatch.ini"
+    for text, message in cases:
+        path.write_text(text)
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(path)
+        assert str(err.value) == message
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(st.integers(1, 6), st.integers(0, 10), st.integers(0, 2**16))
+def test_user_count_follows_replaced_users(table1_k3, k, spare_pilots, seed):
+    users = random_users(UserModel(seed, k))
+    scn = dataclasses.replace(table1_k3, users=users, pilot_len=k + spare_pilots)
+    assert scn.k_users == len(users) == k
+    ctx = rate.closed_form_context(scn)
+    layout = grid_layout(scn)
+    est = rate.mc_uatf_sinr(layout, scn, 16, seed=seed)
+    for terms in (rate.terms_at(ctx, layout), est, est.se):
+        for f in dataclasses.fields(rate.Terms):
+            assert np.shape(getattr(terms, f.name)) == (k,), f.name
+    assert rate.rates_for(ctx, layout).shape == (k,)
 
 
 def test_validate_rejects_bad_numbers(table1_k3):
     cases = [
         ({"m_antennas": 0}, "m_antennas"),
-        ({"k_users": 0}, "k_users"),
+        ({"users": ()}, "k_users must be >= 1, got 0"),
         ({"wavelength": 0.0}, "wavelength"),
         ({"region_size": -1.0}, "region_size"),
         ({"d_min": -0.1}, "d_min"),
@@ -274,13 +319,10 @@ def test_load_checks_fields_before_deriving_users(
     tmp_path, k_users, old, new, needle
 ):
     # the bad field is named, not a fault in the LMMSE gains derived from
-    # it through noise_over_taup = noise / (pilot_len * tx_power)
+    # it through noise_over_taup = noise / (pilot_len * tx_power); a file
+    # cannot list zero users, so the no-users case has no explicit form
     drawn = write_ini(tmp_path, k_users=k_users).read_text().replace(old, new, 1)
-    explicit = "\n".join(
-        line for line in drawn.replace("seed = 12", "user1 = 55 1 1").splitlines()
-        if not line.startswith("count")
-    )
-    for text in (drawn, explicit):
+    for text in (drawn, explicit_users(drawn, k_users))[: 2 if k_users else 1]:
         path = tmp_path / "fault.ini"
         path.write_text(text)
         with pytest.raises(ScenarioError, match=needle):
