@@ -31,7 +31,8 @@ def user_directions(users) -> np.ndarray:
 
 def steering(dirs: np.ndarray, layouts: np.ndarray, wavelength: float) -> np.ndarray:
     """LoS responses of the users with direction pairs `dirs` (K, 2), (..., K, M)."""
-    rho = np.einsum("kd,...dm->...km", dirs, np.asarray(layouts, dtype=float))
+    t = np.asarray(layouts, dtype=float)[..., None, :, :]  # (..., 1, 2, M)
+    rho = dirs[:, 0, None] * t[..., 0, :] + dirs[:, 1, None] * t[..., 1, :]
     return np.exp(1j * (2.0 * np.pi / wavelength) * rho)
 
 

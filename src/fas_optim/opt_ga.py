@@ -8,16 +8,20 @@ layout, whatever the scenario.  Selection is 3-way tournament,
 crossover swaps whole antennas between parents, and mutation jitters
 coordinates with wavelength/10 noise.  One elite survives unchanged per
 generation, so the best fitness never decreases and the population's
-best individual is the best layout seen.
+best individual is the best layout seen.  The population carries its
+layouts' LoS responses; a child copies each antenna's from its parent,
+and only antennas that mutation moved go through the exponential again,
+so every fitness has the bits of a fresh `channel.steering` evaluation.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import rate
+from . import channel, rate
 from .scenario import Scenario, ScenarioError, grid_layout
 
 TOURNAMENT = 3
@@ -28,6 +32,12 @@ CONVERGE_WINDOW = 20
 CONVERGE_TOL = 1e-3
 
 
+@functools.lru_cache(maxsize=16)
+def _upper(m: int) -> np.ndarray:
+    """Mask of the antenna pairs i < j, (M, M); shared, so never written to."""
+    return np.triu(np.ones((m, m), dtype=bool), k=1)
+
+
 def _violation_mask(layouts: np.ndarray, d_min: float) -> np.ndarray:
     """Upper-triangle mask of antenna pairs strictly closer than `d_min`.
 
@@ -35,11 +45,10 @@ def _violation_mask(layouts: np.ndarray, d_min: float) -> np.ndarray:
     yields no violations.  Shape (..., M, M).
     """
     layouts = np.asarray(layouts, dtype=float)
-    diff = layouts[..., :, :, None] - layouts[..., :, None, :]
-    dist_sq = np.sum(diff**2, axis=-3)
-    m = layouts.shape[-1]
-    upper = np.triu(np.ones((m, m), dtype=bool), k=1)
-    return (dist_sq < d_min * d_min) & upper
+    x, y = layouts[..., 0, :], layouts[..., 1, :]
+    dx = x[..., :, None] - x[..., None, :]
+    dy = y[..., :, None] - y[..., None, :]
+    return (dx * dx + dy * dy < d_min * d_min) & _upper(layouts.shape[-1])
 
 
 def project(layout: np.ndarray, region_size: float) -> np.ndarray:
@@ -59,16 +68,15 @@ def violation_counts(layouts: np.ndarray, d_min: float) -> np.ndarray:
     return np.sum(_violation_mask(layouts, d_min), axis=(-2, -1))
 
 
-def _score(layouts: np.ndarray, scn: Scenario) -> np.ndarray:
-    """Penalized fitness of every layout in a batch.
+def _score(layouts: np.ndarray, steer: np.ndarray, ctx, d_min: float) -> np.ndarray:
+    """Penalized fitness of layouts, from LoS responses `steer` and evaluator `ctx`.
 
     The penalty per violating pair lies 1 above any achievable rate, so
     fewer violations always rank higher, and a change in the count
     moves the best fitness by more than `CONVERGE_TOL`.
     """
-    ctx = rate.closed_form_context(scn)
-    counts = violation_counts(layouts, scn.d_min)
-    min_rates = rate.rates_for(ctx, layouts).min(axis=-1)
+    counts = violation_counts(layouts, d_min)
+    min_rates = rate._rates_at(ctx, steer).min(axis=-1)
     return min_rates - (ctx.rate_bound + 1.0) * counts
 
 
@@ -81,6 +89,7 @@ class GaState:
     """
 
     layouts: np.ndarray   # (N, 2, M)
+    steer: np.ndarray     # (N, K, M) LoS responses of `layouts`
     fits: np.ndarray      # (N,) penalized fitness
     rng: np.random.Generator
     history: list[float]  # best fitness, one entry per generation
@@ -98,14 +107,16 @@ def init_population(scn: Scenario, rng: np.random.Generator) -> GaState:
             layouts[i] = seed_layout
     except ScenarioError:
         pass  # grid does not fit; start from random layouts only
-    fits = _score(layouts, scn)
-    return GaState(layouts=layouts, fits=fits, rng=rng, history=[float(fits.max())])
+    ctx = rate.closed_form_context(scn)
+    steer = channel.steering(ctx.dirs, layouts, scn.wavelength)
+    fits = _score(layouts, steer, ctx, scn.d_min)
+    return GaState(layouts, steer, fits, rng, history=[float(fits.max())])
 
 
 def evolve(state: GaState, scn: Scenario) -> GaState:
     """Advance the population by one generation."""
     rng = state.rng
-    pop, fits = state.layouts, state.fits
+    pop, steer, fits = state.layouts, state.steer, state.fits
     n = len(fits)
     m = scn.m_antennas
 
@@ -115,20 +126,27 @@ def evolve(state: GaState, scn: Scenario) -> GaState:
     winners = np.take_along_axis(
         contenders, np.argmax(fits[contenders], axis=-1)[..., None], axis=-1
     )[..., 0]
-    pa, pb = pop[winners[0]], pop[winners[1]]
 
     gate = rng.random(nc) < CROSSOVER_P
     keep_a = rng.random((nc, 1, m)) < 0.5  # swap whole antennas, not coordinates
-    children = np.where(keep_a, pa, pb)
-    children = np.where(gate[:, None, None], children, pa)
+    from_a = keep_a | ~gate[:, None, None]
+    crossed = np.where(from_a, pop[winners[0]], pop[winners[1]])
+    child_steer = np.where(from_a, steer[winners[0]], steer[winners[1]])
 
     jitter_mask = rng.random((nc, 2, m)) < MUTATION_P
     jitter = rng.normal(0.0, scn.wavelength / 10.0, (nc, 2, m))
-    children = project(children + jitter_mask * jitter, scn.region_size)
+    children = project(crossed + jitter_mask * jitter, scn.region_size)
+    moved = children != crossed  # not the jitter mask: clipping can undo a jitter
+    rows, cols = np.nonzero(moved[:, 0] | moved[:, 1])
+    ctx = rate.closed_form_context(scn)
+    fresh = channel.steering(ctx.dirs, children[rows, :, cols].T, scn.wavelength)
+    child_steer[rows, :, cols] = fresh.T
 
-    fits = np.concatenate([fits[elite : elite + 1], _score(children, scn)])
+    child_fits = _score(children, child_steer, ctx, scn.d_min)
+    fits = np.concatenate([fits[elite : elite + 1], child_fits])
     return GaState(
         layouts=np.concatenate([pop[elite : elite + 1], children]),
+        steer=np.concatenate([steer[elite : elite + 1], child_steer]),
         fits=fits,
         rng=rng,
         history=state.history + [float(fits.max())],

@@ -118,8 +118,8 @@ def random_users(model: UserModel) -> tuple[UserStats, ...]:
     """Draw `model.count` users with uniform distances and arrival angles."""
     if model.seed < 0:
         raise ScenarioError(f"user seed must be >= 0, got {model.seed}")
-    if model.count < 0:
-        raise ScenarioError(f"user count must be >= 0, got {model.count}")
+    if model.count < 1:
+        raise ScenarioError(f"[users] count must be >= 1, got {model.count}")
     lo, hi = model.d_range
     if not 0 < lo <= hi:
         raise ScenarioError(f"bad distance range {model.d_range}")

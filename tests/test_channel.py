@@ -10,6 +10,7 @@ from fas_optim.channel import (
     complex_normal,
     los_matrix,
     sample_channel,
+    steering,
     user_directions,
 )
 from fas_optim.scenario import derive_user
@@ -110,6 +111,24 @@ def test_los_matrix_matches_vectors():
             rho += y * math.cos(u.elevation)
             want = cmath.exp(2j * math.pi * rho / 0.1)
             assert mat[m, k] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("batch", [(), (7,), (6, 40)])
+def test_steering_bits_match_einsum_phase(batch):
+    # The former phase, an einsum over the coordinate axis, and the
+    # per-antenna property the GA relies on: the responses of a subset of
+    # antennas are the matching columns of the full array, bit for bit.
+    rng = np.random.default_rng(len(batch))
+    dirs = user_directions(users_at([(0.3, 0.4), (1.2, 2.0), (2.8, 1.0), (0.9, 3.1)]))
+    layouts = rng.uniform(-0.3, 0.3, batch + (2, 9))
+    rho = np.einsum("kd,...dm->...km", dirs, layouts)
+    want = np.exp(1j * (2.0 * np.pi / 0.1) * rho)
+    got = steering(dirs, layouts, 0.1)
+    assert got.shape == want.shape == batch + (4, 9)
+    assert got.tobytes() == want.tobytes()
+    cols = [8, 0, 3]
+    subset = steering(dirs, layouts[..., cols], 0.1)
+    assert subset.tobytes() == np.ascontiguousarray(want[..., cols]).tobytes()
 
 
 def test_los_cross_products_translation_invariant():

@@ -98,7 +98,9 @@ def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
     "old, new, argv, needle",
     [
         ("seed = 12", "seed = -12", [], "user seed must be >= 0, got -12"),
-        ("count = 2", "count = -1", [], "user count must be >= 0, got -1"),
+        ("count = 2", "count = -1", [], "[users] count must be >= 1, got -1"),
+        # no users is a bad count, not a bad k_users, whatever [system] says
+        ("count = 2", "count = 0", [], "[users] count must be >= 1, got 0"),
         ("seed = 1\n", "seed = -1\n", [], "seed must be >= 0, got -1"),
         ("", "", ["--seed", "-1"], "seed must be >= 0, got -1"),
         (
@@ -180,8 +182,8 @@ def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
         ),
     ],
     ids=[
-        "users-seed", "users-count", "hyper-seed", "cli-seed", "percent",
-        "pilot-zero", "pilot-negative", "power-inf", "ga-infeasible", "not-utf8",
+        "users-seed", "users-count", "users-count-zero", "hyper-seed", "cli-seed",
+        "percent", "pilot-zero", "pilot-negative", "power-inf", "ga-infeasible", "not-utf8",
         "tx-power-overflow", "noise-power-overflow", "rician-db-overflow",
         "path-loss-overflow", "rician-db-sweep-overflow", "est-gain-one",
         "est-gain-zero", "rician-db-squared-overflow", "kappa-crawl",

@@ -19,6 +19,13 @@ from fas_optim.scenario import (
 )
 
 
+def fitness(layouts, scn):
+    """`_score` of layouts whose LoS responses are computed afresh."""
+    ctx = rate.closed_form_context(scn)
+    steer = channel.steering(ctx.dirs, layouts, scn.wavelength)
+    return opt_ga._score(layouts, steer, ctx, scn.d_min)
+
+
 def test_violation_set_grid_at_pitch_is_clean():
     layout = upa_layout(9, 0.05, 0.6)
     assert opt_ga.violation_set(layout, 0.05) == []
@@ -48,7 +55,7 @@ def test_violation_counts_matches_pairs():
 
 def test_fitness_is_min_rate_when_feasible(table1_k3):
     layout = upa_layout(9, 0.05, 0.6)
-    assert opt_ga._score(layout, table1_k3) == pytest.approx(
+    assert fitness(layout, table1_k3) == pytest.approx(
         rate.min_rate(layout, table1_k3), rel=1e-12
     )
 
@@ -58,7 +65,7 @@ def test_fitness_penalty_per_pair(table1_k3):
     layout[:, 1] = layout[:, 0] + [0.01, 0.0]  # one violating pair
     clean = rate.min_rate(layout, table1_k3)
     penalty = rate.closed_form_context(table1_k3).rate_bound + 1.0
-    assert opt_ga._score(layout, table1_k3) == pytest.approx(
+    assert fitness(layout, table1_k3) == pytest.approx(
         clean - penalty, rel=1e-9
     )
 
@@ -67,12 +74,12 @@ def test_penalty_dominates_any_feasible_rate(table1_k3):
     # the penalty exceeds the best achievable min rate, so a single
     # violation ranks below every feasible layout
     rng = np.random.default_rng(1)
-    feasible_fit = opt_ga._score(upa_layout(9, 0.05, 0.6), table1_k3)
+    feasible_fit = fitness(upa_layout(9, 0.05, 0.6), table1_k3)
     for _ in range(20):
         layout = rng.uniform(-0.3, 0.3, (2, 9))
         bad = layout.copy()
         bad[:, 1] = bad[:, 0]
-        assert opt_ga._score(bad, table1_k3) < 0.0 < feasible_fit
+        assert fitness(bad, table1_k3) < 0.0 < feasible_fit
 
 
 @st.composite
@@ -131,7 +138,7 @@ def test_every_violation_ranks_below_every_feasible_layout(problem):
     if scn.k_users > 1:
         layouts = np.concatenate([layouts, _phase_layouts(scn)])
     counts = opt_ga.violation_counts(layouts, scn.d_min)
-    fits = opt_ga._score(layouts, scn)
+    fits = fitness(layouts, scn)
     if counts.all() or not counts.any():
         return
     assert fits[counts > 0].max() < fits[counts == 0].min()
@@ -143,7 +150,7 @@ def test_run_ga_returns_final_best_feasible_layout(problem):
     scn, seed = problem
     layout, history = opt_ga.run_ga(scn, seed=seed)
     # the returned layout holds the final population's best fitness
-    assert opt_ga._score(layout, scn) == pytest.approx(history[-1], rel=1e-12)
+    assert fitness(layout, scn) == pytest.approx(history[-1], rel=1e-12)
     assert opt_ga.violation_set(layout, scn.d_min) == []
     grid_rate = rate.min_rate(grid_layout(scn), scn)
     assert rate.min_rate(layout, scn) >= grid_rate * (1.0 - 1e-12)
@@ -184,6 +191,35 @@ def test_evolve_keeps_best_monotone(table1_k3):
         assert np.all(np.abs(state.layouts) <= half + 1e-12)
     assert len(state.history) == 11
     assert state.history == sorted(state.history)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.floats(0.15, 0.6), st.integers(0, 2**16))
+def test_population_responses_and_fitness_match_a_fresh_evaluation(k, m, region, seed):
+    # children inherit their parents' LoS responses and recompute only moved
+    # antennas; the carried arrays must be the fresh ones, bit for bit
+    model = UserModel(seed=seed, count=k)
+    scn = Scenario(
+        m_antennas=m,
+        wavelength=0.1,
+        region_size=region,
+        d_min=0.05,
+        tx_power=1.0,
+        noise_power=dbm_to_watt(-104.0),
+        coherence_len=196,
+        pilot_len=k,
+        users=random_users(model),
+        hyper=HyperParams(ga_pop=20),
+        user_model=model,
+    )
+    dirs = rate.closed_form_context(scn).dirs
+    state = opt_ga.init_population(scn, np.random.default_rng(seed))
+    for generation in range(7):
+        if generation:
+            state = opt_ga.evolve(state, scn)
+        fresh = channel.steering(dirs, state.layouts, scn.wavelength)
+        assert np.array_equal(state.steer, fresh)
+        assert np.array_equal(state.fits, fitness(state.layouts, scn))
 
 
 def test_run_ga_feasible_and_beats_grid(table1_k5):

@@ -411,14 +411,14 @@ def test_run_gradient_evaluates_each_iterate_once(table1_k5, monkeypatch):
     # per iteration: one or two line-search batches and one pass for the
     # next iterate's value and gradient together
     calls = 0
-    sinr_for = rate.sinr_for
+    rates_for = rate.rates_for
 
     def counting(ctx, layouts):
         nonlocal calls
         calls += 1
-        return sinr_for(ctx, layouts)
+        return rates_for(ctx, layouts)
 
-    monkeypatch.setattr(rate, "sinr_for", counting)
+    monkeypatch.setattr(rate, "rates_for", counting)
     _, history = opt_grad.run_gradient(table1_k5)
     iterations = len(history) - 1
     assert iterations > 10

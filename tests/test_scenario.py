@@ -311,7 +311,7 @@ def test_redraw_users_new_count_tracks_pilots(table1_k3):
         (3, "pilot_len = 3", "pilot_len = 0", r"pilot_len < k_users \(0 < 3\)"),
         (3, "pilot_len = 3", "pilot_len = -3", r"pilot_len < k_users \(-3 < 3\)"),
         (3, "tx_power_dbm = 30", "tx_power_dbm = inf", "tx_power must be finite"),
-        (0, "pilot_len = 0\n", "", "k_users must be >= 1, got 0"),
+        (0, "pilot_len = 0\n", "", r"\[users\] count must be >= 1, got 0"),
     ],
     ids=["pilot-zero", "pilot-negative", "power-inf", "no-users"],
 )
@@ -330,7 +330,7 @@ def test_load_checks_fields_before_deriving_users(
 
 
 def test_redraw_users_rejects_zero_count(table1_k3):
-    with pytest.raises(ScenarioError, match="k_users must be >= 1, got 0"):
+    with pytest.raises(ScenarioError, match=r"\[users\] count must be >= 1, got 0"):
         redraw_users(table1_k3, 5, count=0)
 
 
