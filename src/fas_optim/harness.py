@@ -34,7 +34,7 @@ from .scenario import (
     Scenario,
     ScenarioError,
     db_to_linear,
-    grid_layout,
+    grid_layout as fpa_layout,
     load_scenario,
     redraw_users,
     worker_count,
@@ -68,6 +68,8 @@ class SweepSpec:
             raise ScenarioError(
                 f"{axis} sweep values must be positive integers, got {values}"
             )
+        if axis == "region_over_lambda" and not all(v > 0 for v in values):
+            raise ScenarioError(f"{axis} sweep values must be positive, got {values}")
         if self.repeats < 1:
             raise ScenarioError(f"repeats must be >= 1, got {self.repeats}")
         if len(self.algorithms) == 0:
@@ -124,14 +126,6 @@ def scenario_point(scn: Scenario, axis: str, value, user_seed: int) -> Scenario:
             dataclasses.replace(scn, region_size=value * scn.wavelength), user_seed
         )
     raise ScenarioError(f"unknown sweep axis {axis!r}")
-
-
-def fpa_layout(scn: Scenario) -> np.ndarray:
-    """Fixed-position benchmark, no optimization: the `grid_layout` grid."""
-    try:
-        return grid_layout(scn)
-    except ScenarioError as exc:
-        raise ScenarioError(f"UPA does not fit: {exc}") from None
 
 
 def _run_task(task) -> ResultRow:

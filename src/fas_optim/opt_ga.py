@@ -1,7 +1,9 @@
 """Genetic search for antenna positions under a spacing penalty.
 
 Individuals are full layouts.  Fitness is the smallest per-user rate
-minus a penalty per pair of antennas closer than `d_min`.  The penalty
+(`rate.rates_from_steering`) minus a penalty per pair of antennas closer
+than `d_min` (`scenario.violation_counts`); mutated children are clamped
+back into the box with `scenario.project`.  The penalty
 exceeds the interference-free rate bound (`rate.ClosedFormContext`) by
 1, so every layout with a violating pair ranks below every feasible
 layout, whatever the scenario.  Selection is 3-way tournament,
@@ -16,13 +18,19 @@ so every fitness has the bits of a fresh `channel.steering` evaluation.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import channel, rate
-from .scenario import Scenario, ScenarioError, grid_layout
+from .scenario import (
+    Scenario,
+    ScenarioError,
+    grid_layout,
+    project,
+    violation_counts,
+    violation_set,
+)
 
 TOURNAMENT = 3
 CROSSOVER_P = 0.9   # probability a child mixes both parents
@@ -30,42 +38,6 @@ MUTATION_P = 0.1    # per-coordinate jitter probability
 SEED_DIVISOR = 10   # fraction of the population started at the regular grid
 CONVERGE_WINDOW = 20
 CONVERGE_TOL = 1e-3
-
-
-@functools.lru_cache(maxsize=16)
-def _upper(m: int) -> np.ndarray:
-    """Mask of the antenna pairs i < j, (M, M); shared, so never written to."""
-    return np.triu(np.ones((m, m), dtype=bool), k=1)
-
-
-def _violation_mask(layouts: np.ndarray, d_min: float) -> np.ndarray:
-    """Upper-triangle mask of antenna pairs strictly closer than `d_min`.
-
-    Distances are compared squared, so a grid at pitch exactly `d_min`
-    yields no violations.  Shape (..., M, M).
-    """
-    layouts = np.asarray(layouts, dtype=float)
-    x, y = layouts[..., 0, :], layouts[..., 1, :]
-    dx = x[..., :, None] - x[..., None, :]
-    dy = y[..., :, None] - y[..., None, :]
-    return (dx * dx + dy * dy < d_min * d_min) & _upper(layouts.shape[-1])
-
-
-def project(layout: np.ndarray, region_size: float) -> np.ndarray:
-    """Clamp every coordinate into the movement box, entry by entry."""
-    half = region_size / 2.0
-    return np.clip(np.asarray(layout, dtype=float), -half, half)
-
-
-def violation_set(layout: np.ndarray, d_min: float) -> list[tuple[int, int]]:
-    """Antenna index pairs (i < j) of one layout closer than `d_min`."""
-    rows, cols = np.nonzero(_violation_mask(layout, d_min))
-    return [(int(i), int(j)) for i, j in zip(rows, cols)]
-
-
-def violation_counts(layouts: np.ndarray, d_min: float) -> np.ndarray:
-    """Number of violating pairs for a batch of layouts, shape (...,)."""
-    return np.sum(_violation_mask(layouts, d_min), axis=(-2, -1))
 
 
 def _score(layouts: np.ndarray, steer: np.ndarray, ctx, d_min: float) -> np.ndarray:
@@ -76,7 +48,7 @@ def _score(layouts: np.ndarray, steer: np.ndarray, ctx, d_min: float) -> np.ndar
     moves the best fitness by more than `CONVERGE_TOL`.
     """
     counts = violation_counts(layouts, d_min)
-    min_rates = rate._rates_at(ctx, steer).min(axis=-1)
+    min_rates = rate.rates_from_steering(ctx, steer).min(axis=-1)
     return min_rates - (ctx.rate_bound + 1.0) * counts
 
 
@@ -174,9 +146,11 @@ def run_ga(scn: Scenario, seed=None) -> tuple[np.ndarray, list[float]]:
         ):
             break
     best = state.layouts[int(np.argmax(state.fits))]
-    if violation_counts(best, scn.d_min):
+    pairs = violation_set(best, scn.d_min)
+    if pairs:
         raise ScenarioError(
             f"genetic search found no layout meeting the spacing limit d_min = "
-            f"{scn.d_min} in a region of side {scn.region_size}"
+            f"{scn.d_min} in a region of side {scn.region_size}; the best one "
+            f"violates it at pairs {pairs}"
         )
     return best.copy(), state.history

@@ -15,8 +15,9 @@ momentum weight zero.  Each new iterate is scored by one LoS pass
 (`rate.sinr_gradients`) that gives both its objective value and the
 gradient the next line search starts from.  The best feasible point seen
 is returned, so a late momentum overshoot cannot degrade the result.
-The SINR and its position gradient come from `rate`; this module adds
-only the soft-min chain rule, the line search and the ascent loop.
+The SINR and its position gradient come from `rate` and the box
+projection and spacing check from `scenario`; this module adds only the
+soft-min chain rule, the line search and the ascent loop.
 
 The objective is multimodal in the antenna positions, so `run_multistart`
 repeats the ascent from random feasible layouts and keeps the best.  All
@@ -33,8 +34,15 @@ import math
 import numpy as np
 
 from . import rate
-from .opt_ga import project, violation_counts, violation_set
-from .scenario import Scenario, ScenarioError, grid_layout, line_search_steps
+from .scenario import (
+    Scenario,
+    ScenarioError,
+    grid_layout,
+    line_search_steps,
+    project,
+    violation_counts,
+    violation_set,
+)
 
 LINE_SEARCH_PREFIX = 40  # candidates scored per chunk; the accepted one is rarely later
 

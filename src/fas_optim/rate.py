@@ -296,7 +296,7 @@ def achievable_rate(prelog: float, sinr: np.ndarray) -> np.ndarray:
     return prelog * np.log2(1.0 + sinr)
 
 
-def _rates_at(ctx: ClosedFormContext, steer: np.ndarray) -> np.ndarray:
+def rates_from_steering(ctx: ClosedFormContext, steer: np.ndarray) -> np.ndarray:
     """Per-user rate lower bound from the LoS responses `steer` (..., K, M)."""
     sinr = _terms(ctx, np.abs(_gram(steer)) ** 2).sinr(ctx.tx_power, ctx.noise_power)
     return achievable_rate(ctx.prelog, sinr)
@@ -304,7 +304,7 @@ def _rates_at(ctx: ClosedFormContext, steer: np.ndarray) -> np.ndarray:
 
 def rates_for(ctx: ClosedFormContext, layouts: np.ndarray) -> np.ndarray:
     """Per-user rate lower bound in bit/s/Hz for a batch of layouts."""
-    return _rates_at(ctx, channel.steering(ctx.dirs, layouts, ctx.wavelength))
+    return rates_from_steering(ctx, channel.steering(ctx.dirs, layouts, ctx.wavelength))
 
 
 def min_rate(layout: np.ndarray, scn: Scenario) -> float:

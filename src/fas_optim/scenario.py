@@ -11,6 +11,13 @@ INI file (`load_scenario`); either way it checks itself and raises
 `ScenarioError` naming the first bad field.
 `worker_count` reads the one parallelism setting, `FAS_OPTIM_THREADS`.
 
+The feasible set both position optimizers search lives here too: the
+square movement box of side `region_size` centered at the origin
+(`project` clamps a layout into it) and the minimum spacing `d_min`
+between any two antennas (`violation_counts` and `violation_set` check
+it), beside the regular grid (`upa_layout`, `grid_layout`) that is the
+fixed-position baseline and both solvers' grid start.
+
 Lengths are in meters, powers in watts, angles in radians.
 """
 
@@ -18,6 +25,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -121,8 +129,11 @@ def random_users(model: UserModel) -> tuple[UserStats, ...]:
     if model.count < 1:
         raise ScenarioError(f"[users] count must be >= 1, got {model.count}")
     lo, hi = model.d_range
-    if not 0 < lo <= hi:
-        raise ScenarioError(f"bad distance range {model.d_range}")
+    if not (0 < lo <= hi and math.isfinite(hi)):
+        raise ScenarioError(
+            f"bad distance range {model.d_range}: [users] d_min_m and d_max_m "
+            "must be finite with 0 < d_min_m <= d_max_m"
+        )
     rng = np.random.default_rng(model.seed)
     dist = rng.uniform(lo, hi, model.count)
     elev = rng.uniform(0.0, math.pi, model.count)
@@ -161,11 +172,13 @@ class Scenario:
     Every instance is valid: building one, `dataclasses.replace` included,
     raises `ScenarioError` naming the first field that breaks an invariant.
     Each field's own range (the rule tables, then `KAPPA_MAX`, which bounds the
-    line search's step count) is checked before the pilot length's relations,
-    and all before the users' LMMSE gains, which divide by them.  A gain of 0
-    or 1 means one of its two variances is negligible against the other, and
-    0/0 that both vanish; the message names the keys behind each.  A Rician
-    factor whose square overflows is rejected too, as the closed form squares it.
+    line search's step count) is checked first, then that the largest LoS
+    phase, (2*pi/wavelength) * region_size in the order `channel.steering`
+    takes it, is finite, then the pilot length's relations, and all before
+    the users' LMMSE gains, which divide by them.  A gain of 0 or 1 means
+    one of its two variances is negligible against the other, and 0/0 that
+    both vanish; the message names the keys behind each.  A Rician factor
+    whose square overflows is rejected too, as the closed form squares it.
     """
 
     m_antennas: int
@@ -190,6 +203,13 @@ class Scenario:
                 f"kappa must be <= {KAPPA_MAX}, got {self.hyper.kappa}: the line "
                 f"search would try up to {line_search_steps(self.hyper.kappa)} steps "
                 f"({line_search_steps(KAPPA_MAX)} at {KAPPA_MAX})"
+            )
+        phase = 2.0 * math.pi / self.wavelength * self.region_size
+        if not math.isfinite(phase):
+            raise ScenarioError(
+                f"LoS phase 2*pi/wavelength * region_size is {phase}: wavelength "
+                f"{self.wavelength:.3g} and region_size {self.region_size:.3g} "
+                "overflow the steering exponent"
             )
         if self.pilot_len < self.k_users:
             raise ScenarioError(
@@ -363,13 +383,52 @@ def upa_layout(m_antennas: int, pitch: float, region_size: float) -> np.ndarray:
 def grid_layout(scn: Scenario, slack: float = 1.0) -> np.ndarray:
     """Regular grid at pitch max(wavelength/2, d_min), padded by `slack` if that fits.
 
-    Raises `ScenarioError` when even the unpadded grid does not fit.
+    Raises `ScenarioError` ("UPA does not fit: ...") when even the unpadded
+    grid does not fit.
     """
     pitch = max(scn.wavelength / 2.0, scn.d_min)
-    try:
-        return upa_layout(scn.m_antennas, slack * pitch, scn.region_size)
-    except ScenarioError:
-        return upa_layout(scn.m_antennas, pitch, scn.region_size)
+    for pad in (slack, 1.0):
+        try:
+            return upa_layout(scn.m_antennas, pad * pitch, scn.region_size)
+        except ScenarioError as exc:
+            reason = exc
+    raise ScenarioError(f"UPA does not fit: {reason}") from None
+
+
+@functools.lru_cache(maxsize=16)
+def _upper(m: int) -> np.ndarray:
+    """Mask of the antenna pairs i < j, (M, M); shared, so never written to."""
+    return np.triu(np.ones((m, m), dtype=bool), k=1)
+
+
+def _violation_mask(layouts: np.ndarray, d_min: float) -> np.ndarray:
+    """Upper-triangle mask of antenna pairs strictly closer than `d_min`.
+
+    Distances are compared squared, so a grid at pitch exactly `d_min`
+    yields no violations.  Shape (..., M, M).
+    """
+    layouts = np.asarray(layouts, dtype=float)
+    x, y = layouts[..., 0, :], layouts[..., 1, :]
+    dx = x[..., :, None] - x[..., None, :]
+    dy = y[..., :, None] - y[..., None, :]
+    return (dx * dx + dy * dy < d_min * d_min) & _upper(layouts.shape[-1])
+
+
+def project(layout: np.ndarray, region_size: float) -> np.ndarray:
+    """Clamp every coordinate into the movement box, entry by entry."""
+    half = region_size / 2.0
+    return np.clip(np.asarray(layout, dtype=float), -half, half)
+
+
+def violation_set(layout: np.ndarray, d_min: float) -> list[tuple[int, int]]:
+    """Antenna index pairs (i < j) of one layout closer than `d_min`."""
+    rows, cols = np.nonzero(_violation_mask(layout, d_min))
+    return [(int(i), int(j)) for i, j in zip(rows, cols)]
+
+
+def violation_counts(layouts: np.ndarray, d_min: float) -> np.ndarray:
+    """Number of violating pairs for a batch of layouts, shape (...,)."""
+    return np.sum(_violation_mask(layouts, d_min), axis=(-2, -1))
 
 
 # INI keys of each section and their converters to linear units

@@ -1,5 +1,7 @@
-"""The documented library entry points and the names the benchmark relies on."""
+"""The documented library entry points, the names the benchmark relies on, and
+which module may use which."""
 
+import ast
 import dataclasses
 import doctest
 import importlib
@@ -57,6 +59,43 @@ def test_benchmark_names_and_micro_cases(monkeypatch):
         tracer.uninstall()
     samples = micro.run_cases(SCENARIO_DIR / "table1_k5.ini", repeats=1)
     assert samples and all(len(v) == 1 and v[0] > 0.0 for v in samples.values())
+
+
+def test_module_layering():
+    # each solver depends on scenario, rate and channel, not on the other;
+    # rate's private names stay in rate; the feasible set has one home
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((REPO / "src" / "fas_optim").glob("*.py"))
+    }
+    imported = set()
+    for node in ast.walk(trees["opt_grad"]):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+    assert not [name for name in imported if name.split(".")[-1] == "opt_ga"]
+
+    private = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "rate"
+            ):
+                private.add((module, node.attr))
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("rate"):
+                private.update((module, alias.name) for alias in node.names)
+    assert {(m, n) for m, n in private if m != "rate" and n.startswith("_")} == set()
+
+    feasible_set = ("project", "violation_counts", "violation_set", "_violation_mask")
+    defined = {name: [] for name in feasible_set}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in defined:
+                defined[node.name].append(module)
+    assert defined == {name: ["scenario"] for name in feasible_set}
 
 
 def test_closed_form_context_is_memoised(table1_k5):

@@ -60,15 +60,19 @@ def test_run_missing_scenario(tmp_path, capsys):
 def test_run_bad_sweeps(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
     ini = write_ini(tmp_path, m_antennas=4, k_users=2)
+    # the error names the swept axis, not the scenario field derived from it
+    named = {"region_over_lambda=-1": "region_over_lambda sweep values must be positive"}
     for sweep in (
         "m_antennas", "m_antennas=a,b", "bogus=1,2", "m_antennas=9,4", "m_antennas=4,4",
-        "k_users=0", "region_over_lambda=4,nan", "rician_db=inf",
+        "k_users=0", "region_over_lambda=4,nan", "rician_db=inf", "region_over_lambda=-1",
     ):
         code = cli.main(
             ["run", "--scenario", str(ini), "--sweep", sweep, "--out", str(tmp_path / "o")]
         )
         assert code == 2, sweep
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert named.get(sweep, "") in err, sweep
 
 
 def test_run_rejects_fractional_antenna_count(tmp_path, capsys, monkeypatch):
@@ -117,7 +121,8 @@ def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
         # --algos wins, so only the GA runs
         (
             "region_size_m = 0.6", "region_size_m = 0.04", ["--algos", "ga"],
-            "spacing limit d_min = 0.05 in a region of side 0.04",
+            "spacing limit d_min = 0.05 in a region of side 0.04; the best one "
+            "violates it at pairs [(",
         ),
         # "\udce9" is written as the lone byte 0xe9, which is not UTF-8
         ("[system]", "; caf\udce9\n[system]", [], "scenario.ini is not UTF-8"),
@@ -180,6 +185,24 @@ def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
             "count = 2", "count = 1", [],
             "k_users = 2 in [system] disagrees with count = 1 in [users]",
         ),
+        # 2*pi/wavelength is inf, or its product with the region side is
+        (
+            "wavelength_m = 0.1", "wavelength_m = 1e-320", [],
+            "2*pi/wavelength * region_size is inf: wavelength 1e-320 and region_size 0.6",
+        ),
+        (
+            "region_size_m = 0.6", "region_size_m = 1.7e308", [],
+            "2*pi/wavelength * region_size is inf: wavelength 0.1 and region_size 1.7e+308",
+        ),
+        # a user distance range numpy cannot draw from
+        (
+            "d_max_m = 70", "d_max_m = inf", [],
+            "bad distance range (50.0, inf): [users] d_min_m and d_max_m must be finite",
+        ),
+        (
+            "d_min_m = 50", "d_min_m = nan", [],
+            "bad distance range (nan, 70.0): [users] d_min_m and d_max_m must be finite",
+        ),
     ],
     ids=[
         "users-seed", "users-count", "users-count-zero", "hyper-seed", "cli-seed",
@@ -188,7 +211,8 @@ def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
         "path-loss-overflow", "rician-db-sweep-overflow", "est-gain-one",
         "est-gain-zero", "rician-db-squared-overflow", "kappa-crawl",
         "missing-key", "duplicate-key", "key-before-section", "no-users-section",
-        "explicit-user-elevation", "k-users-count-mismatch",
+        "explicit-user-elevation", "k-users-count-mismatch", "wavelength-phase-overflow",
+        "region-phase-overflow", "users-d-max-inf", "users-d-min-nan",
     ],
 )
 def test_run_rejects_bad_input(

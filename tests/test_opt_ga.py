@@ -16,6 +16,8 @@ from fas_optim.scenario import (
     random_users,
     redraw_users,
     upa_layout,
+    violation_counts,
+    violation_set,
 )
 
 
@@ -28,12 +30,12 @@ def fitness(layouts, scn):
 
 def test_violation_set_grid_at_pitch_is_clean():
     layout = upa_layout(9, 0.05, 0.6)
-    assert opt_ga.violation_set(layout, 0.05) == []
+    assert violation_set(layout, 0.05) == []
 
 
 def test_violation_set_collocated_counts_all_pairs():
     layout = np.zeros((2, 9))
-    pairs = opt_ga.violation_set(layout, 0.05)
+    pairs = violation_set(layout, 0.05)
     assert len(pairs) == 36
     assert (0, 1) in pairs and (7, 8) in pairs
 
@@ -42,15 +44,15 @@ def test_violation_set_single_close_pair():
     layout = upa_layout(4, 0.2, 0.6)
     layout = layout.copy()
     layout[:, 1] = layout[:, 0] + [0.0499, 0.0]
-    assert opt_ga.violation_set(layout, 0.05) == [(0, 1)]
+    assert violation_set(layout, 0.05) == [(0, 1)]
 
 
 def test_violation_counts_matches_pairs():
     rng = np.random.default_rng(0)
     layouts = rng.uniform(-0.3, 0.3, (40, 2, 6))
-    counts = opt_ga.violation_counts(layouts, 0.08)
+    counts = violation_counts(layouts, 0.08)
     for b in range(40):
-        assert counts[b] == len(opt_ga.violation_set(layouts[b], 0.08))
+        assert counts[b] == len(violation_set(layouts[b], 0.08))
 
 
 def test_fitness_is_min_rate_when_feasible(table1_k3):

@@ -167,10 +167,10 @@ def test_sharp_gradient_follows_worst_user():
 
 def test_project_examples():
     inside = np.array([[0.1, -0.2], [0.0, 0.29]])
-    np.testing.assert_array_equal(opt_grad.project(inside, 0.6), inside)
+    np.testing.assert_array_equal(scenario.project(inside, 0.6), inside)
     outside = np.array([[0.4, -0.7], [0.31, 0.0]])
     np.testing.assert_allclose(
-        opt_grad.project(outside, 0.6), [[0.3, -0.3], [0.3, 0.0]]
+        scenario.project(outside, 0.6), [[0.3, -0.3], [0.3, 0.0]]
     )
 
 
