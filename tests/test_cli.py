@@ -61,10 +61,15 @@ def test_run_bad_sweeps(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
     ini = write_ini(tmp_path, m_antennas=4, k_users=2)
     # the error names the swept axis, not the scenario field derived from it
-    named = {"region_over_lambda=-1": "region_over_lambda sweep values must be positive"}
+    named = {
+        "region_over_lambda=-1": "region_over_lambda sweep values must be positive",
+        # the phase overflows only at the point; the message leads with its value
+        "region_over_lambda=1e308": "error: region_over_lambda = 1e+308: LoS phase",
+    }
     for sweep in (
         "m_antennas", "m_antennas=a,b", "bogus=1,2", "m_antennas=9,4", "m_antennas=4,4",
         "k_users=0", "region_over_lambda=4,nan", "rician_db=inf", "region_over_lambda=-1",
+        "region_over_lambda=1e308",
     ):
         code = cli.main(
             ["run", "--scenario", str(ini), "--sweep", sweep, "--out", str(tmp_path / "o")]

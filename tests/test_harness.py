@@ -247,7 +247,7 @@ def test_run_experiment_golden_summary(tmp_path, monkeypatch):
     sweep = harness.SweepSpec(axis="m_antennas", values=(4, 9))
     harness.run_experiment(SCENARIO_DIR / "table1_k3.ini", sweep, tmp_path, seed=7)
     digest = hashlib.md5((tmp_path / "summary.csv").read_bytes()).hexdigest()
-    assert digest == "017abf804170db80b8893978a1bb873e"
+    assert digest == "10b576038bbb33ed9ac1368384647fa4"
 
 
 def test_run_experiment_mc_column(table1_k3, tmp_path, monkeypatch):
@@ -345,7 +345,7 @@ def test_validate_closed_form_golden_report():
     values = [(r.user, r.term, r.closed, r.mc, r.se) for r in rep.rows]
     values += rep.sinr_closed.tolist() + rep.sinr_mc.tolist()
     digest = hashlib.md5(repr(values).encode()).hexdigest()
-    assert digest == "2cb9f1dee92f1ec69007554386f3ffee"
+    assert digest == "206dfbb60f62849a3658ab3545bf6b00"
 
 
 def test_validate_closed_form_tracks_noise_scaling(tmp_path):
@@ -360,18 +360,17 @@ def test_validate_closed_form_tracks_noise_scaling(tmp_path):
     assert report.ok
 
 
-@pytest.mark.xfail(
-    raises=AssertionError,
-    reason="the closed-form leak and layout-free interference terms lack a "
-    "factor M on their last pilot-noise term: they read q a^2 c where the "
-    "variance of a n^H e is M q a^2 c (ROADMAP open item)"
-)
-def test_validate_closed_form_passes_at_low_snr(tmp_path):
-    # at -60 dBm the pilot noise q is large enough for the missing factor to
-    # show (5.7 SE off on the leak term)
+@pytest.mark.parametrize("case", ["ini_k3_-60dBm", "table1_k3_noise_x1e4"])
+def test_validate_closed_form_passes_at_low_snr(tmp_path, case):
+    # at low SNR the pilot noise q is large enough for a missing factor M on
+    # its leak and interference terms to show (5.7 and 6.2 SE off)
     from fas_optim.scenario import load_scenario
 
-    scn = load_scenario(write_ini(tmp_path, k_users=3, noise_dbm=-60))
+    if case == "ini_k3_-60dBm":
+        scn = load_scenario(write_ini(tmp_path, k_users=3, noise_dbm=-60))
+    else:
+        scn = load_scenario(SCENARIO_DIR / "table1_k3.ini")
+        scn = dataclasses.replace(scn, noise_power=1e4 * scn.noise_power)
     report = harness.validate_closed_form(scn, 100_000, seed=0)
     assert report.ok, harness.format_validation(report)
 

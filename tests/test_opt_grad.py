@@ -571,11 +571,13 @@ def test_batched_starts_match_single_runs(problem, accelerated):
         assert picked_history == history
         below = rate.min_rate(alone[0], scn) < rate.min_rate(grid, scn)
         np.testing.assert_array_equal(picked, grid if below else alone[0])
+    # run_multistart returns the first of the starts and the grid with the
+    # highest min rate
     best, multi_histories = opt_grad.run_multistart(scn, seed, 4, accelerated)
     assert multi_histories == histories
-    pick = layouts[int(np.argmax(best_g))]
-    below = rate.min_rate(pick, scn) < rate.min_rate(grid, scn)
-    np.testing.assert_array_equal(best, grid if below else pick)
+    cands = [*layouts, grid]
+    top = int(np.argmax([rate.min_rate(c, scn) for c in cands]))
+    np.testing.assert_array_equal(best, cands[top])
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -599,13 +601,23 @@ def test_run_multistart_feasible_and_never_below_fpa(k, m, mu, seed, data):
     assert rate.min_rate(layout, scn) >= rate.min_rate(grid_layout(scn), scn)
 
 
-def test_run_multistart_falls_back_to_fpa():
-    # at mu = 0.3 the start with the best soft-min ends on a min rate of 0.600,
-    # below the grid's 0.718, so the grid is returned
+def test_run_multistart_falls_back_to_fpa(table1_k3):
+    # at mu = 0.3 the start with the best soft-min ends on a min rate of 0.599,
+    # below the grid's 0.716, and the grid start on 0.718: the returned
+    # layout is the best of every start's and the grid's
     angles = [(0.3, 0.6), (0.4, 1.4), (1.2, 2.5)]
     scn = small_scenario(angles, m=2, distances=[57.0, 51.0, 65.0], mu=0.3)
     layout, _ = opt_grad.run_multistart(scn, seed=2, restarts=2)
-    np.testing.assert_array_equal(layout, grid_layout(scn))
+    rng = np.random.default_rng(2)
+    inits = [opt_grad.default_init(scn), opt_grad.random_feasible_layout(scn, rng)]
+    ends, _, _ = opt_grad._ascend(scn, np.stack(inits), True)
+    grid = rate.min_rate(grid_layout(scn), scn)
+    best = max([grid] + [rate.min_rate(end, scn) for end in ends])
+    assert rate.min_rate(layout, scn) == best > grid
+    # the lone grid start ends on 2.791, below the grid's 2.897
+    lone = redraw_users(table1_k3, seed_for(1, 35))
+    layout, _ = opt_grad.run_multistart(lone, seed=0, restarts=1)
+    np.testing.assert_array_equal(layout, grid_layout(lone))
 
 
 def test_run_multistart_single_restart_is_default_run(table1_k3):

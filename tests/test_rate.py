@@ -156,12 +156,60 @@ def test_rayleigh_limit_of_terms():
     interference = pair_interference(ctx, np.zeros((2, 5)))
     for k, u in enumerate(users):
         a, c = scn.est_gains[k], u.nlos_power
-        assert ctx.e_leak[k] == pytest.approx(a**2 * c * (5 * c + q), rel=1e-9, abs=0)
+        assert ctx.e_leak[k] == pytest.approx(5 * a**2 * c * (c + q), rel=1e-9, abs=0)
         for i, v in enumerate(users):
             if i == k:
                 continue
-            want = a**2 * v.nlos_power * (5 * c + q)
+            want = 5 * a**2 * v.nlos_power * (c + q)
             assert interference[k, i] == pytest.approx(want, rel=1e-9, abs=0)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    k=st.integers(1, 6),
+    m=st.integers(1, 9),
+    ricians=st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=6, max_size=6
+    ),
+    distances=st.lists(st.floats(20.0, 200.0), min_size=6, max_size=6),
+    noise_scale=st.floats(-4.0, 4.0),
+)
+def test_layout_free_terms_match_expanded_form(k, m, ricians, distances, noise_scale):
+    # the expectations as derived term by term, before any simplification;
+    # every pilot-noise term carries M, as var{a n^H e} = M q a^2 c does
+    angles = [(0.3 + 0.4 * i, 0.2 + 0.5 * i) for i in range(k)]
+    users = tuple(
+        derive_user(d, e, az, rician=r)
+        for (e, az), d, r in zip(angles, distances, ricians)
+    )
+    scn = small_scenario(users, m=m, noise_power=Q * k * 10.0**noise_scale)
+    ctx = rate.closed_form_context(scn)
+    c, eps, a, q = scn.nlos_powers, scn.ricians, scn.est_gains, scn.noise_over_taup
+    leak = (
+        m**2 * c**2 * eps**2
+        + m * c**2 * eps
+        + m * a**2 * c**2 * eps
+        + a**2 * c**2 * m * (m + 1)
+        + q * m * a**2 * c * eps
+        + q * m * a**2 * c
+        + 2 * m**2 * c**2 * a * eps
+        - m**2 * c**2 * (eps + a) ** 2
+    )
+    ck, ci = c[:, None], c[None, :]
+    ek, ei = eps[:, None], eps[None, :]
+    ak = a[:, None]
+    i_const = (
+        m * ck * ci * ek
+        + m * ak**2 * ck * ci * ei
+        + m * ak**2 * ck * ci
+        + q * m * ak**2 * ci * ei
+        + q * m * ak**2 * ci
+    ) * (1.0 - np.eye(k))
+    # the expanded leak cancels (M c eps)^2 against itself, so compare it
+    # at the scale of its largest term rather than of the small remainder
+    scale = m**2 * c**2 * (eps + a) ** 2
+    np.testing.assert_array_less(np.abs(ctx.e_leak - leak), 1e-12 * (leak + scale))
+    np.testing.assert_allclose(ctx.i_const, i_const, rtol=1e-12, atol=0)
 
 
 def test_interference_diagonal_is_zero():

@@ -32,10 +32,10 @@ REPEATS = 2
 
 # (axis, values, algorithms, master seed, summary.csv md5)
 REFERENCES = (
-    ("m_antennas", (4, 5, 6, 7, 8, 9), "ga,grad,fpa", 7, "6a017877b65706fa1239f6aad3a0d927"),
-    ("k_users", (3, 5, 7, 9), "ga,fpa", 3, "018c1746ea791dcb619a075afd8e2d7a"),
-    ("k_users", (3, 5, 7, 9), "grad,fpa", 3, "a5950a91e5fb6b0dca1d46cac2d4dfcc"),
-    ("region_over_lambda", (2.5, 4, 6), "grad,fpa", 5, "f49d78ae85e7f07bbd1dac8012eb6c69"),
+    ("m_antennas", (4, 5, 6, 7, 8, 9), "ga,grad,fpa", 7, "d706d3085e19a9364ca270df8c479b87"),
+    ("k_users", (3, 5, 7, 9), "ga,fpa", 3, "54f77d29092b662d904be816cbb3be6e"),
+    ("k_users", (3, 5, 7, 9), "grad,fpa", 3, "5ff3fb45c487b38dd99eb01c9576c080"),
+    ("region_over_lambda", (2.5, 4, 6), "grad,fpa", 5, "e91756ca76bc5e527f01d770dc7ec233"),
 )
 
 
