@@ -55,17 +55,13 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return out
 
 
-def sample_channel(
-    los: np.ndarray, scn, rng: np.random.Generator, trials: int | None = None
-) -> np.ndarray:
-    """Draw the composite channel matrix of scenario `scn`'s users.
+def sample_channel(los: np.ndarray, scn, rng: np.random.Generator, trials: int) -> np.ndarray:
+    """Draw `trials` composite channel matrices of scenario `scn`'s users.
 
     `los` is the (M, K) `los_matrix` of the layout, so the LoS part is
-    fixed; only the scatter is random.  Returns shape (M, K), or
-    (trials, M, K) when `trials` is given.
+    fixed; only the scatter is random.  Returns shape (trials, M, K).
     """
-    shape = los.shape if trials is None else (trials,) + los.shape
-    h = complex_normal(rng, shape)
+    h = complex_normal(rng, (trials,) + los.shape)
     h *= np.sqrt(scn.nlos_powers)
     h += scn.los_amps * los
     return h

@@ -51,18 +51,16 @@ def observe_pilots(
     ``sqrt(pilot_len * tx_power) * H @ pilots^H + N`` with white noise of
     variance `noise_power` per entry; despreading by `pilots` and the
     pilot energy gives ``H + noise`` of the same shape as `channels`.
-    With `noise_power` zero the observation equals the channel exactly.
     """
     channels = np.asarray(channels)
     pilot_len = pilots.shape[0]
     energy = np.sqrt(pilot_len * tx_power)
     block = channels @ pilots.conj().T
     block *= energy
-    if noise_power > 0:
-        noise = complex_normal(rng, block.shape)
-        noise *= np.sqrt(noise_power)
-        block += noise
-        del noise
+    noise = complex_normal(rng, block.shape)
+    noise *= np.sqrt(noise_power)
+    block += noise
+    del noise
     obs = block @ pilots
     obs /= energy
     return obs

@@ -251,8 +251,6 @@ def summarize(rows: list[ResultRow], sweep: SweepSpec) -> list[dict]:
                 for r in rows
                 if r.algorithm == algo and r.axis_value == float(value)
             ]
-            if not got:
-                continue
             mean = statistics.fmean(got)
             se = statistics.stdev(got) / len(got) ** 0.5 if len(got) > 1 else 0.0
             summary.append(
@@ -281,8 +279,6 @@ def render_sweep_plot(path, sweep: SweepSpec, summary: list[dict]) -> None:
     series = []
     for algo in sweep.algorithms:
         pts = [s for s in summary if s["algorithm"] == algo]
-        if not pts:
-            continue
         series.append(
             svgplot.Series(
                 name=algo,

@@ -290,11 +290,12 @@ def run_multistart(
 
     Advances the default grid and `restarts - 1` random feasible layouts
     as one batch, returning the `_pick` among their best layouts together
-    with every objective trace.
+    with every objective trace.  The random layouts come from `seed`, or
+    from `hyper.seed` when it is None.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(scn.hyper.seed if seed is None else seed)
     inits = [default_init(scn)]
     inits += [random_feasible_layout(scn, rng) for _ in range(restarts - 1)]
     layouts, best_g, histories = _ascend(scn, np.stack(inits), accelerated)

@@ -481,7 +481,7 @@ def load_scenario(path) -> Scenario:
 
     Sections: ``[system]`` (array and frame parameters), ``[users]``
     (either a generation recipe via seed/count/d_min_m/d_max_m, or
-    explicit ``user1 = distance elevation azimuth`` lines), and an
+    explicit ``user1 = distance elevation azimuth`` lines, not both), and an
     optional ``[hyper]`` for solver settings.  ``[system] k_users`` must
     equal the number of users, and ``pilot_len`` defaults to it.  Powers
     are given in dBm, lengths in meters; values are taken literally (no
@@ -524,6 +524,11 @@ def load_scenario(path) -> Scenario:
 
     model = None
     if explicit:
+        recipe = [k for k in usr_sec if k in ("seed", "count", "d_min_m", "d_max_m")]
+        if recipe:
+            raise ScenarioError(
+                f"[users] sets {', '.join(recipe)} beside user lines: give one form"
+            )
         expected = [f"user{i + 1}" for i in range(len(explicit))]
         if set(explicit) != set(expected):
             raise ScenarioError(

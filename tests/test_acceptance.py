@@ -34,9 +34,9 @@ def _verdict(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def geometry_runs(table1_k5):
-    """Twenty random user geometries, both optimizers plus the baseline."""
+    """Forty random user geometries, both optimizers plus the baseline."""
     runs = []
-    for s in range(20):
+    for s in range(40):
         scn = redraw_users(table1_k5, 100 + s)
         base = rate.min_rate(harness.fpa_layout(scn), scn)
         ga_layout, _ = opt_ga.run_ga(scn, seed=1000 + s)
@@ -339,14 +339,18 @@ def test_criterion_09_smoothing_bound_during_runs(table1_k5, monkeypatch):
 
 
 def test_criterion_10_optimizer_parity(geometry_runs):
-    diffs = [
+    # The mean per-geometry gap is judged by its one-sided upper bound at Z
+    # SEs.  Single gaps reach 54 %, so 40 geometries are needed to hold the
+    # false-failure rate near 3 % (see CHANGES.md).
+    gaps = np.array([
         abs(r["ga_rate"] - r["grad_rate"]) / min(r["ga_rate"], r["grad_rate"])
         for r in geometry_runs
-    ]
-    mean_diff = float(np.mean(diffs))
-    ok = mean_diff < 0.10
+    ])
+    mean, se = _paired(gaps)
+    ok = mean + Z * se < 0.10
     _verdict(
         10,
         ok,
-        f"mean optimizer gap {100 * mean_diff:.1f}% over {len(diffs)} scenarios",
+        f"mean optimizer gap {100 * mean:.2f}% (SE {100 * se:.2f}%), "
+        f"+{Z} SE = {100 * (mean + Z * se):.2f}% < 10% over {len(gaps)} geometries",
     )

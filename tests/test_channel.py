@@ -24,7 +24,7 @@ def users_at(angles, distance=55.0, rician=6.0):
     )
 
 
-def sample(layout, users, rng, trials=None):
+def sample(layout, users, rng, trials):
     """`sample_channel` of `users` at `layout`, wavelength 0.1."""
     return sample_channel(los_matrix(layout, users, 0.1), holding(users), rng, trials)
 
@@ -185,8 +185,8 @@ def test_sample_channel_shapes():
     rng = np.random.default_rng(0)
     layout = np.zeros((2, 4))
     users = users_at([(0.3, 0.4), (1.2, 2.0)])
-    one = sample(layout, users, rng)
-    assert one.shape == (4, 2)
+    one = sample(layout, users, rng, trials=1)
+    assert one.shape == (1, 4, 2)
     many = sample(layout, users, rng, trials=10)
     assert many.shape == (10, 4, 2)
 

@@ -182,8 +182,15 @@ def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
         ),
         # an explicit user's angle is checked where the scenario holds it
         (
-            "seed = 12\ncount = 2\n", "user1 = 55 4.0 1\nuser2 = 60 1 1\n", [],
+            "seed = 12\ncount = 2\nd_min_m = 50\nd_max_m = 70\n",
+            "user1 = 55 4.0 1\nuser2 = 60 1 1\n", [],
             "user 0: elevation must lie in [0, pi], got 4.0",
+        ),
+        # user lines beside recipe keys, which would be ignored
+        (
+            "count = 2\nd_min_m = 50\nd_max_m = 70\n",
+            "count = 5\nd_min_m = 50\nuser1 = 55 1 1\nuser2 = 60 1 1\n", [],
+            "[users] sets seed, count, d_min_m beside user lines: give one form",
         ),
         # the user count is declared twice in a file, and the two must agree
         (
@@ -216,7 +223,7 @@ def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
         "path-loss-overflow", "rician-db-sweep-overflow", "est-gain-one",
         "est-gain-zero", "rician-db-squared-overflow", "kappa-crawl",
         "missing-key", "duplicate-key", "key-before-section", "no-users-section",
-        "explicit-user-elevation", "k-users-count-mismatch", "wavelength-phase-overflow",
+        "explicit-user-elevation", "users-both-forms", "k-users-count-mismatch", "wavelength-phase-overflow",
         "region-phase-overflow", "users-d-max-inf", "users-d-min-nan",
     ],
 )
@@ -373,7 +380,6 @@ def test_lemmas_failure_exit_code(capsys, monkeypatch):
         quartic_se=0.1,
         bilinear_abs=0.0,
         bilinear_se=0.1,
-        quad_diag_rel_err=0.0,
         quad_diag_sigmas=0.0,
         quad_offdiag_sigmas=0.0,
         ok=False,

@@ -248,6 +248,9 @@ def test_run_experiment_golden_summary(tmp_path, monkeypatch):
     harness.run_experiment(SCENARIO_DIR / "table1_k3.ini", sweep, tmp_path, seed=7)
     digest = hashlib.md5((tmp_path / "summary.csv").read_bytes()).hexdigest()
     assert digest == "10b576038bbb33ed9ac1368384647fa4"
+    # and the figure drawn from it, byte for byte
+    figure = hashlib.md5((tmp_path / "sweep_m_antennas.svg").read_bytes()).hexdigest()
+    assert figure == "54e1cc1b9941f29483916651788e01f3"
 
 
 def test_run_experiment_mc_column(table1_k3, tmp_path, monkeypatch):
@@ -375,6 +378,20 @@ def test_validate_closed_form_passes_at_low_snr(tmp_path, case):
     assert report.ok, harness.format_validation(report)
 
 
+def test_validate_closed_form_single_user(tmp_path):
+    # one user has no interference: closed form, simulation and its SE are
+    # all exactly 0, so the term's relative error and distance in SEs are 0
+    from fas_optim.scenario import load_scenario
+
+    scn = load_scenario(write_ini(tmp_path, k_users=1))
+    report = harness.validate_closed_form(scn, 10_000, seed=0)
+    (interf,) = [r for r in report.rows if r.term == "interf"]
+    assert (interf.closed, interf.mc, interf.se) == (0.0, 0.0, 0.0)
+    assert (interf.rel_err, interf.sigmas) == (0.0, 0.0)
+    assert report.ok
+    assert "PASS" in harness.format_validation(report)
+
+
 def test_validate_closed_form_custom_layout(table1_k3):
     layout = np.random.default_rng(0).uniform(-0.25, 0.25, (2, 9))
     report = harness.validate_closed_form(table1_k3, 10_000, seed=2, layout=layout)
@@ -393,7 +410,7 @@ def test_format_validation_reports_failure(table1_k3):
 def test_line_plot_writes_deterministic_svg(tmp_path):
     series = [
         svgplot.Series("ga", (1.0, 2.0, 3.0), (0.5, 0.8, 0.9), (0.05, 0.04, 0.02)),
-        svgplot.Series("fpa", (1.0, 2.0, 3.0), (0.4, 0.4, 0.4)),
+        svgplot.Series("fpa", (1.0, 2.0, 3.0), (0.4, 0.4, 0.4), (0.0, 0.0, 0.0)),
     ]
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
     svgplot.line_plot(a, series, title="demo", x_label="x", y_label="y")
@@ -407,25 +424,27 @@ def test_line_plot_writes_deterministic_svg(tmp_path):
 
 def test_line_plot_degenerate_ranges(tmp_path):
     # single point and constant series must not divide by zero
+    labels = dict(title="t", x_label="x", y_label="y")
     svgplot.line_plot(
-        tmp_path / "one.svg", [svgplot.Series("s", (1.0,), (2.0,))]
+        tmp_path / "one.svg", [svgplot.Series("s", (1.0,), (2.0,), (0.0,))], **labels
     )
     svgplot.line_plot(
         tmp_path / "flat.svg",
         [svgplot.Series("s", (1.0, 2.0), (3.0, 3.0), (0.0, 0.0))],
+        **labels,
     )
     assert (tmp_path / "one.svg").read_text().count("<circle") == 1
 
 
 def test_line_plot_widens_a_point_by_one_or_by_its_magnitude():
-    one = [svgplot.Series("s", (1.0,), (2.0,))]
+    one = [svgplot.Series("s", (1.0,), (2.0,), (0.0,))]
     assert svgplot._bounds(one) == pytest.approx((-0.1, 2.1, 0.84, 3.16), abs=1e-15)
     # from 2**53 up, 1e17 +- 1 rounds back to 1e17
-    huge = [svgplot.Series("s", (1e17,), (-1e17,))]
+    huge = [svgplot.Series("s", (1e17,), (-1e17,), (0.0,))]
     x_lo, x_hi, y_lo, y_hi = svgplot._bounds(huge)
     assert x_lo < 1e17 < x_hi and y_lo < -1e17 < y_hi
 
 
 def test_line_plot_rejects_empty(tmp_path):
     with pytest.raises(ValueError, match="at least one series"):
-        svgplot.line_plot(tmp_path / "x.svg", [])
+        svgplot.line_plot(tmp_path / "x.svg", [], "t", "x", "y")

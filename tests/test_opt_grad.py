@@ -632,3 +632,11 @@ def test_run_multistart_deterministic(table1_k3):
     b, hist_b = opt_grad.run_multistart(table1_k3, seed=2, restarts=3)
     np.testing.assert_array_equal(a, b)
     assert hist_a == hist_b
+
+
+def test_run_multistart_seeds_from_hyper_by_default(table1_k3):
+    # without a seed the random starts come from hyper.seed, as run_ga's do
+    a, hist_a = opt_grad.run_multistart(table1_k3, restarts=3)
+    b, hist_b = opt_grad.run_multistart(table1_k3, seed=table1_k3.hyper.seed, restarts=3)
+    np.testing.assert_array_equal(a, b)
+    assert hist_a == hist_b

@@ -84,16 +84,22 @@ def test_running_stats_degenerate():
 # ------------------------------------------------------------- closed form
 
 
+def los_gram(ctx, layout):
+    """Gram matrix hbar_k^H hbar_i of the context's users' LoS responses, (K, K)."""
+    steer = channel.steering(ctx.dirs, layout, ctx.wavelength)
+    return steer.conj() @ steer.T
+
+
 def pair_interference(ctx, layout):
     """Per-pair interference I_ki, shape (K, K), from the context terms."""
-    return ctx.i_const + ctx.i_coupling * np.abs(rate.los_cross(ctx, layout)) ** 2
+    return ctx.i_const + ctx.i_coupling * np.abs(los_gram(ctx, layout)) ** 2
 
 
 def test_f_sq_diagonal_and_symmetry():
     users = users_at([(0.4, 0.9), (1.3, 2.2), (2.1, 0.3)])
     ctx = rate.closed_form_context(small_scenario(users, m=5))
     layout = np.random.default_rng(2).uniform(-0.3, 0.3, (2, 5))
-    fsq = np.abs(rate.los_cross(ctx, layout)) ** 2
+    fsq = np.abs(los_gram(ctx, layout)) ** 2
     np.testing.assert_allclose(np.diag(fsq), 25.0, rtol=1e-12)
     np.testing.assert_allclose(fsq, fsq.T, rtol=1e-12)
 
@@ -103,7 +109,7 @@ def test_f_sq_aligned_users_hit_m_squared():
     ctx = rate.closed_form_context(small_scenario(users, m=6))
     layout = np.random.default_rng(3).uniform(-0.3, 0.3, (2, 6))
     np.testing.assert_allclose(
-        np.abs(rate.los_cross(ctx, layout)) ** 2, np.full((2, 2), 36.0), rtol=1e-12
+        np.abs(los_gram(ctx, layout)) ** 2, np.full((2, 2), 36.0), rtol=1e-12
     )
 
 
@@ -112,7 +118,7 @@ def test_f_sq_destructive_pair():
     users = users_at([(math.pi / 2, 0.0), (math.pi / 2, math.pi)])
     ctx = rate.closed_form_context(small_scenario(users, m=2))
     layout = np.array([[0.0, 0.025], [0.0, 0.0]])
-    fsq = np.abs(rate.los_cross(ctx, layout)) ** 2
+    fsq = np.abs(los_gram(ctx, layout)) ** 2
     assert fsq[0, 1] == pytest.approx(0.0, abs=1e-20)
     assert fsq[1, 0] == pytest.approx(0.0, abs=1e-20)
 
@@ -133,7 +139,7 @@ def test_context_terms_are_layout_free():
         np.testing.assert_array_equal(terms.interf, interf)
         np.testing.assert_array_equal(terms.sinr(p, s2), want)
     assert not np.allclose(
-        np.abs(rate.los_cross(ctx, zeros)), np.abs(rate.los_cross(ctx, layout))
+        np.abs(los_gram(ctx, zeros)), np.abs(los_gram(ctx, layout))
     )
 
 
@@ -431,7 +437,7 @@ def test_lemma_checks_off_diagonal_noise():
     rep = rate.lemma_checks(4, 100_000, seed=4)
     assert rep.quad_offdiag_sigmas <= 4.0
     assert rep.bilinear_abs <= 4.0 * rep.bilinear_se
-    assert rep.quad_diag_rel_err <= 0.01
+    assert rep.quad_diag_sigmas <= 4.0
 
 
 def test_lemma_checks_diagonal_judged_in_standard_errors():
@@ -495,7 +501,7 @@ def test_batch_error_reaches_caller(table1_k3, monkeypatch):
     started = []
     real = channel.sample_channel
 
-    def sample(los, scn, stream, trials=None):
+    def sample(los, scn, stream, trials):
         batch = stream.bit_generator.seed_seq.spawn_key[-1]
         started.append(batch)
         if batch == 2:

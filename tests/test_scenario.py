@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,11 +29,11 @@ from conftest import SCENARIO_DIR, write_ini
 
 def explicit_users(text, count):
     """An INI text of `write_ini` with its user recipe replaced by `count` user lines."""
-    lines = "\n".join(f"user{i} = 55 1 1" for i in range(1, count + 1))
-    return "\n".join(
-        line for line in text.replace("seed = 12", lines).splitlines()
-        if not line.startswith("count")
-    )
+    lines = "".join(f"user{i} = 55 1 1\n" for i in range(1, count + 1))
+    recipe = r"seed = 12\ncount = \d+\nd_min_m = 50\nd_max_m = 70\n"
+    text, found = re.subn(recipe, lines, text)
+    assert found == 1
+    return text
 
 
 def test_dbm_to_watt():
