@@ -156,16 +156,6 @@ def test_fpa_layout_meets_spacing_limit(table1_k3):
     np.testing.assert_array_equal(layout, upa_layout(9, 0.06, 0.6))
 
 
-def test_fpa_baseline_row(table1_k3):
-    task = (table1_k3, "none", 0.0, 0, "fpa", table1_k3.hyper.seed, 0, 0, 0)
-    row = harness._run_task(task)
-    assert row.algorithm == "fpa"
-    assert row.iterations == 0
-    assert row.min_rate == pytest.approx(
-        rate.min_rate(harness.fpa_layout(table1_k3), table1_k3), rel=1e-12
-    )
-
-
 # ----------------------------------------------------------------- workers
 
 
@@ -204,6 +194,11 @@ def test_run_experiment_baseline_row(table1_k3, tmp_path, monkeypatch):
     rows = harness.run_experiment(table1_k3, sweep, tmp_path / "out")
     assert len(rows) == 1
     assert rows[0].algorithm == "fpa"
+    assert rows[0].iterations == 0
+    point = harness.scenario_point(table1_k3, "none", 0.0, rows[0].scenario_seed)
+    assert rows[0].min_rate == pytest.approx(
+        rate.min_rate(harness.fpa_layout(point), point), rel=1e-12
+    )
     assert (tmp_path / "out" / "results.csv").exists()
     assert (tmp_path / "out" / "summary.csv").exists()
     assert (tmp_path / "out" / "sweep_none.svg").exists()
