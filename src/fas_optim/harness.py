@@ -59,6 +59,8 @@ class SweepSpec:
             raise ScenarioError(f"unknown sweep axis {axis!r}, want one of {AXES}")
         if len(values) == 0:
             raise ScenarioError("sweep values must be non-empty")
+        if axis == "none" and len(values) != 1:
+            raise ScenarioError(f"the none sweep takes exactly one value, got {values}")
         if not all(math.isfinite(v) for v in values):
             raise ScenarioError(f"{axis} sweep values must be finite, got {values}")
         if any(a >= b for a, b in zip(values, values[1:])):
@@ -77,6 +79,8 @@ class SweepSpec:
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ScenarioError(f"unknown algorithm {algo!r}, want one of {ALGORITHMS}")
+        if len(set(self.algorithms)) != len(self.algorithms):
+            raise ScenarioError(f"algorithms must be distinct, got {self.algorithms}")
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,7 @@ class ResultRow:
     min_rate: float
     iterations: int
     wall_ms: float
-    mc_min_rate: float | None = None
+    mc_min_rate: float | None
 
 
 RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(ResultRow))
@@ -108,14 +112,13 @@ def scenario_point(scn: Scenario, axis: str, value, user_seed: int) -> Scenario:
     """
     if axis == "none":
         return scn if scn.user_model is None else redraw_users(scn, user_seed)
+    count = None
     try:
         if axis == "k_users":
-            return redraw_users(scn, user_seed, count=int(value))
-        if axis == "m_antennas":
-            return redraw_users(
-                dataclasses.replace(scn, m_antennas=int(value)), user_seed
-            )
-        if axis == "rician_db":
+            count = int(value)
+        elif axis == "m_antennas":
+            scn = dataclasses.replace(scn, m_antennas=int(value))
+        elif axis == "rician_db":
             if scn.user_model is None:
                 raise ScenarioError("rician_db sweep needs a generated-users scenario")
             try:
@@ -123,20 +126,22 @@ def scenario_point(scn: Scenario, axis: str, value, user_seed: int) -> Scenario:
             except OverflowError:
                 raise ScenarioError(f"rician_db sweep value {value} is out of range") from None
             model = dataclasses.replace(scn.user_model, rician=rician)
-            return redraw_users(
-                dataclasses.replace(scn, user_model=model), user_seed
-            )
-        if axis == "region_over_lambda":
-            return redraw_users(
-                dataclasses.replace(scn, region_size=value * scn.wavelength), user_seed
-            )
+            scn = dataclasses.replace(scn, user_model=model)
+        elif axis == "region_over_lambda":
+            scn = dataclasses.replace(scn, region_size=value * scn.wavelength)
+        else:
+            raise ScenarioError(f"unknown sweep axis {axis!r}")
+        return redraw_users(scn, user_seed, count=count)
     except ScenarioError as exc:
         raise ScenarioError(f"{axis} = {value}: {exc}") from None
-    raise ScenarioError(f"unknown sweep axis {axis!r}")
 
 
-def _run_task(task) -> ResultRow:
-    (scn, axis, value, repeat, algorithm, scn_seed, opt_seed, mc_trials, mc_seed) = task
+def _run_task(scn: Scenario, algorithm: str, opt_seed: int, mc_trials: int, mc_seed: int):
+    """Run one algorithm at one sweep point.
+
+    Returns (min_rate, iterations, wall_ms, mc_min_rate), the measured
+    fields of its `ResultRow`; `mc_min_rate` is None when `mc_trials` is 0.
+    """
     start = time.perf_counter()
     if algorithm == "fpa":
         layout = fpa_layout(scn)
@@ -154,17 +159,7 @@ def _run_task(task) -> ResultRow:
         est = rate.mc_uatf_sinr(layout, scn, mc_trials, seed=mc_seed)
         sinr = est.sinr(scn.tx_power, scn.noise_power)
         mc_min = float(rate.achievable_rate(scn.prelog, sinr).min())
-    return ResultRow(
-        axis=axis,
-        axis_value=float(value),
-        repeat=repeat,
-        algorithm=algorithm,
-        scenario_seed=scn_seed,
-        min_rate=value_rate,
-        iterations=iterations,
-        wall_ms=wall_ms,
-        mc_min_rate=mc_min,
-    )
+    return value_rate, iterations, wall_ms, mc_min
 
 
 def _simulate_on_one_thread() -> None:
@@ -182,7 +177,9 @@ def run_experiment(
     """Run the sweep, write results.csv, summary.csv, and the plot.
 
     `scenario` is a `Scenario` or a path to one.  Returns the rows in
-    (axis value, repeat, algorithm) order.  Identical inputs give
+    (axis value, repeat, algorithm) order, with the algorithms in
+    `ALGORITHMS` order whatever their order in `sweep`; summary.csv and
+    the plot keep the order of `sweep`.  Identical inputs give
     identical rows apart from `wall_ms`.  With `mc_trials` > 0 every
     task also simulates its layout (`rate.mc_uatf_sinr`) for the
     `mc_min_rate` column.
@@ -198,31 +195,27 @@ def run_experiment(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    tasks = []
+    plan, tasks = [], []  # the row's identifying fields, and its task
     for ai, value in enumerate(sweep.values):
         for repeat in range(sweep.repeats):
             scn_seed = seed_for(master, repeat)
             point = scenario_point(scn, sweep.axis, value, scn_seed)
-            for algo in sweep.algorithms:
-                algo_idx = ALGORITHMS.index(algo)
-                opt_seed = seed_for(master, ai, repeat, algo_idx)
-                mc_seed = seed_for(master, ai, repeat, algo_idx, 1)
-                tasks.append(
-                    (point, sweep.axis, value, repeat, algo, scn_seed,
-                     opt_seed, mc_trials, mc_seed)
-                )
+            for algo_idx, algo in enumerate(ALGORITHMS):
+                if algo in sweep.algorithms:
+                    plan.append((sweep.axis, float(value), repeat, algo, scn_seed))
+                    tasks.append((point, algo, seed_for(master, ai, repeat, algo_idx),
+                                  mc_trials, seed_for(master, ai, repeat, algo_idx, 1)))
 
     workers = worker_count()
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_simulate_on_one_thread
         ) as pool:
-            rows = list(pool.map(_run_task, tasks))
+            measured = list(pool.map(_run_task, *zip(*tasks)))
     else:
-        rows = [_run_task(t) for t in tasks]
+        measured = [_run_task(*t) for t in tasks]
 
-    order = {a: i for i, a in enumerate(ALGORITHMS)}
-    rows.sort(key=lambda r: (r.axis_value, r.repeat, order[r.algorithm]))
+    rows = [ResultRow(*key, *values) for key, values in zip(plan, measured)]
     write_results(out / "results.csv", rows)
     summary = summarize(rows, sweep)
     write_summary(out / "summary.csv", summary)

@@ -94,13 +94,13 @@ def _batch_results(
 
 
 class RunningStats:
-    """Streaming mean and variance over the leading axis, mergeable.
+    """Streaming mean and variance over the leading axis.
 
-    Batches merge by Chan's update, whose rounding depends on the order of
-    the merges, so the simulations fold their batches in batch order: a
-    fixed partition of the trial budget then gives bit-identical results
-    however many threads computed the batches.  Complex data is allowed;
-    deviations are measured with |.|^2.
+    Each batch is folded in by Chan's update, whose rounding depends on the
+    order of the folds, so the simulations fold their batches in batch
+    order: a fixed partition of the trial budget then gives bit-identical
+    results however many threads computed the batches.  Complex data is
+    allowed; deviations are measured with |.|^2.
     """
 
     def __init__(self):
@@ -109,30 +109,18 @@ class RunningStats:
         self._m2 = None
 
     def update(self, batch: np.ndarray) -> "RunningStats":
-        """Fold in a batch: its own count, mean and M2, then `merge`."""
+        """Fold in a non-empty batch: its own count, mean and M2, by Chan's update."""
         batch = np.asarray(batch)
-        if batch.shape[0] == 0:
-            return self
-        part = RunningStats()
-        part.count = batch.shape[0]
-        part.mean = batch.mean(axis=0)
-        part._m2 = np.sum(np.abs(batch - part.mean) ** 2, axis=0)
-        return self.merge(part)
-
-    def merge(self, other: "RunningStats") -> "RunningStats":
-        if other.count == 0:
-            return self
+        count = batch.shape[0]
+        mean = batch.mean(axis=0)
+        m2 = np.sum(np.abs(batch - mean) ** 2, axis=0)
         if self.count == 0:
-            self.count, self.mean, self._m2 = other.count, other.mean, other._m2
+            self.count, self.mean, self._m2 = count, mean, m2
             return self
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self.mean = self.mean + delta * (other.count / total)
-        self._m2 = (
-            self._m2
-            + other._m2
-            + np.abs(delta) ** 2 * (self.count * other.count / total)
-        )
+        total = self.count + count
+        delta = mean - self.mean
+        self.mean = self.mean + delta * (count / total)
+        self._m2 = self._m2 + m2 + np.abs(delta) ** 2 * (self.count * count / total)
         self.count = total
         return self
 
@@ -221,21 +209,16 @@ def closed_form_context(scn: Scenario) -> ClosedFormContext:
     )
 
 
-def _gram(steer: np.ndarray) -> np.ndarray:
-    """Gram matrix of LoS responses `steer` (..., K, M), shape (..., K, K)."""
-    return steer.conj() @ np.swapaxes(steer, -1, -2)
-
-
-def _terms(ctx: ClosedFormContext, fsq: np.ndarray) -> Terms:
-    """Closed-form terms from `fsq` (..., K, K), the ``|hbar_k^H hbar_i|^2``."""
-    interf = np.sum(ctx.i_const + ctx.i_coupling * fsq, axis=-1)
-    return Terms(ctx.e_signal, ctx.e_leak, interf, ctx.e_noise)
+def _terms(ctx: ClosedFormContext, steer: np.ndarray) -> tuple[Terms, np.ndarray]:
+    """Closed-form terms of LoS responses `steer` (..., K, M), and their Gram (..., K, K)."""
+    gram = steer.conj() @ np.swapaxes(steer, -1, -2)
+    interf = np.sum(ctx.i_const + ctx.i_coupling * np.abs(gram) ** 2, axis=-1)
+    return Terms(ctx.e_signal, ctx.e_leak, interf, ctx.e_noise), gram
 
 
 def terms_at(ctx: ClosedFormContext, layouts: np.ndarray) -> Terms:
     """Closed-form terms of every user for a batch of layouts, (..., K)."""
-    steer = channel.steering(ctx.dirs, layouts, ctx.wavelength)
-    return _terms(ctx, np.abs(_gram(steer)) ** 2)
+    return _terms(ctx, channel.steering(ctx.dirs, layouts, ctx.wavelength))[0]
 
 
 def sinr_for(ctx: ClosedFormContext, layouts: np.ndarray) -> np.ndarray:
@@ -255,8 +238,7 @@ def sinr_gradients(
     """
     wavenum = 2.0 * np.pi / ctx.wavelength
     steer = channel.steering(ctx.dirs, layouts, ctx.wavelength)
-    gram = _gram(steer)                                                   # (..., K, K)
-    terms = _terms(ctx, np.abs(gram) ** 2)
+    terms, gram = _terms(ctx, steer)                                      # gram (..., K, K)
     denom = terms.denominator(ctx.tx_power, ctx.noise_power)
 
     diff_dir = ctx.dirs[None, :, :] - ctx.dirs[:, None, :]                # (K, K, 2)
@@ -276,7 +258,7 @@ def achievable_rate(prelog: float, sinr: np.ndarray) -> np.ndarray:
 
 def rates_from_steering(ctx: ClosedFormContext, steer: np.ndarray) -> np.ndarray:
     """Per-user rate lower bound from the LoS responses `steer` (..., K, M)."""
-    sinr = _terms(ctx, np.abs(_gram(steer)) ** 2).sinr(ctx.tx_power, ctx.noise_power)
+    sinr = _terms(ctx, steer)[0].sinr(ctx.tx_power, ctx.noise_power)
     return achievable_rate(ctx.prelog, sinr)
 
 
@@ -294,7 +276,6 @@ def min_rate(layout: np.ndarray, scn: Scenario) -> float:
 class McEstimate(Terms):
     """Simulated values of the four SINR expectations with standard errors."""
 
-    trials: int
     se: Terms
 
 
@@ -363,7 +344,6 @@ def mc_uatf_sinr(
         leak=leak,
         interf=s_int.mean,
         noise=s_noise.mean,
-        trials=trials,
         se=se,
     )
 
@@ -372,8 +352,6 @@ def mc_uatf_sinr(
 class LemmaReport:
     """Sampled checks of the Gaussian moment identities behind the bound."""
 
-    m: int
-    trials: int
     quartic_mean: float        # E ||htilde||^4
     quartic_expected: float    # M^2 + M
     quartic_se: float
@@ -428,13 +406,8 @@ def lemma_checks(m: int, trials: int, seed=0) -> LemmaReport:
     quad_se = s_quad.sem()
     diag = np.abs(np.diagonal(quad_mean) - trace_a)
     diag_sig = float((diag / np.diagonal(quad_se)).max())
-    off_mask = ~np.eye(m, dtype=bool)
-    if m > 1:
-        off_sig = float(
-            (np.abs(quad_mean[off_mask]) / quad_se[off_mask]).max()
-        )
-    else:
-        off_sig = 0.0
+    off_mask = ~np.eye(m, dtype=bool)  # empty at m = 1, where off_sig is 0
+    off_sig = float((np.abs(quad_mean[off_mask]) / quad_se[off_mask]).max(initial=0.0))
     quartic_mean = float(s_quart.mean)
     quartic_se = float(s_quart.sem())
     bilinear_abs = float(np.abs(s_bilin.mean))
@@ -446,8 +419,6 @@ def lemma_checks(m: int, trials: int, seed=0) -> LemmaReport:
         and off_sig <= 4.0
     )
     return LemmaReport(
-        m=m,
-        trials=trials,
         quartic_mean=quartic_mean,
         quartic_expected=expected,
         quartic_se=quartic_se,

@@ -65,11 +65,12 @@ def test_run_bad_sweeps(tmp_path, capsys, monkeypatch):
         "region_over_lambda=-1": "region_over_lambda sweep values must be positive",
         # the phase overflows only at the point; the message leads with its value
         "region_over_lambda=1e308": "error: region_over_lambda = 1e+308: LoS phase",
+        "none=1,2": "the none sweep takes exactly one value, got (1.0, 2.0)",
     }
     for sweep in (
         "m_antennas", "m_antennas=a,b", "bogus=1,2", "m_antennas=9,4", "m_antennas=4,4",
         "k_users=0", "region_over_lambda=4,nan", "rician_db=inf", "region_over_lambda=-1",
-        "region_over_lambda=1e308",
+        "region_over_lambda=1e308", "none=1,2",
     ):
         code = cli.main(
             ["run", "--scenario", str(ini), "--sweep", sweep, "--out", str(tmp_path / "o")]
@@ -310,6 +311,19 @@ def test_run_plots_one_huge_sweep_value(tmp_path, capsys, monkeypatch):
     assert (out / "sweep_region_over_lambda.svg").read_text().count("<circle") == 1
 
 
+def test_run_rejects_repeated_algorithms(tmp_path, capsys, monkeypatch):
+    # a repeated algorithm would list every point twice in summary.csv
+    monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
+    ini = write_ini(tmp_path, m_antennas=4, k_users=2)
+    code = cli.main(
+        ["run", "--scenario", str(ini), "--sweep", "m_antennas=4,5", "--repeats", "2",
+         "--algos", "fpa,fpa", "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    assert "algorithms must be distinct, got ('fpa', 'fpa')" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_bad_algorithm(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
     ini = write_ini(tmp_path, m_antennas=4, k_users=2)
@@ -373,8 +387,6 @@ def test_lemmas_pass(capsys):
 
 def test_lemmas_failure_exit_code(capsys, monkeypatch):
     fake = rate.LemmaReport(
-        m=2,
-        trials=100,
         quartic_mean=9.0,
         quartic_expected=6.0,
         quartic_se=0.1,

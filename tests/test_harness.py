@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import hashlib
+import itertools
 import math
 import statistics
 
@@ -65,6 +66,11 @@ def test_validate_sweep_rejects_bad_specs():
         (dict(good, repeats=0), "repeats must be >= 1"),
         (dict(good, algorithms=()), "at least one algorithm"),
         (dict(good, algorithms=("ga", "sa")), "unknown algorithm"),
+        (
+            dict(good, algorithms=("ga", "fpa", "ga")),
+            r"algorithms must be distinct, got \('ga', 'fpa', 'ga'\)",
+        ),
+        (dict(good, axis="none", values=(1.0, 2.0)), "the none sweep takes exactly one value"),
     ]
     for kwargs, needle in cases:
         with pytest.raises(ScenarioError, match=needle):
@@ -96,6 +102,11 @@ def test_scenario_point_none_keeps_explicit_users(tmp_path):
     assert harness.scenario_point(scn, "none", 0.0, 77) is scn
     with pytest.raises(ScenarioError, match="generated-users scenario"):
         harness.scenario_point(scn, "rician_db", 5.0, 77)
+
+
+def test_scenario_point_unknown_axis(table1_k3):
+    with pytest.raises(ScenarioError, match=r"^bogus = 1\.0: unknown sweep axis 'bogus'$"):
+        harness.scenario_point(table1_k3, "bogus", 1.0, 5)
 
 
 def test_scenario_point_k_users(table1_k3):
@@ -210,6 +221,32 @@ def test_run_experiment_baseline_row(table1_k3, tmp_path, monkeypatch):
     assert table[1][8] == ""  # no simulation column without a budget
 
 
+def test_run_experiment_row_order_ignores_algorithm_order(tmp_path, monkeypatch):
+    # results.csv rows come in (value, repeat, ga/grad/fpa) order whatever
+    # the order of the algorithms; summary.csv follows the given order
+    monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
+    ini = write_ini(tmp_path, m_antennas=4, k_users=2)
+    wall = harness.RESULT_FIELDS.index("wall_ms")
+    results, summaries = set(), set()
+    for algos in itertools.permutations(harness.ALGORITHMS):
+        sweep = harness.SweepSpec("m_antennas", (4, 5), repeats=2, algorithms=algos)
+        out = tmp_path / "-".join(algos)
+        harness.run_experiment(ini, sweep, out, seed=3)
+        table = read_csv(out / "results.csv")[1:]
+        assert [(r[1], r[2], r[3]) for r in table] == [
+            (value, repeat, algo)
+            for value in ("4.0", "5.0")
+            for repeat in ("0", "1")
+            for algo in harness.ALGORITHMS
+        ]
+        results.add(tuple(tuple(r[:wall] + r[wall + 1 :]) for r in table))
+        summary = read_csv(out / "summary.csv")[1:]
+        assert [r[2] for r in summary] == list(algos) * 2
+        summaries.add(frozenset(map(tuple, summary)))
+    assert len(results) == 1
+    assert len(summaries) == 1
+
+
 def test_run_experiment_accepts_path(tmp_path, monkeypatch):
     monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
     ini = write_ini(tmp_path, m_antennas=4, k_users=2)
@@ -306,7 +343,7 @@ def test_run_experiment_rate_drops_with_user_count(
 def test_summarize_means_and_errors():
     sweep = harness.SweepSpec(axis="none", values=(0.0,), algorithms=("fpa",))
     rows = [
-        harness.ResultRow("none", 0.0, r, "fpa", 1, v, 0, 0.0)
+        harness.ResultRow("none", 0.0, r, "fpa", 1, v, 0, 0.0, None)
         for r, v in enumerate([1.0, 2.0, 4.0])
     ]
     summary = harness.summarize(rows, sweep)

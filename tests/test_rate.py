@@ -56,16 +56,14 @@ def test_running_stats_matches_numpy():
     )
 
 
-def test_running_stats_merge_equals_single_pass():
+def test_running_stats_pieces_equal_single_pass():
     rng = np.random.default_rng(1)
     data = rng.normal(size=(500,)) + 1j * rng.normal(size=(500,))
     whole = rate.RunningStats().update(data)
-    left = rate.RunningStats().update(data[:123])
-    right = rate.RunningStats().update(data[123:])
-    left.merge(right)
-    assert left.count == whole.count == 500
-    np.testing.assert_allclose(left.mean, whole.mean, rtol=1e-12)
-    np.testing.assert_allclose(left.variance, whole.variance, rtol=1e-10)
+    pieces = rate.RunningStats().update(data[:123]).update(data[123:])
+    assert pieces.count == whole.count == 500
+    np.testing.assert_allclose(pieces.mean, whole.mean, rtol=1e-12)
+    np.testing.assert_allclose(pieces.variance, whole.variance, rtol=1e-10)
     # complex variance uses |.|^2 deviations
     np.testing.assert_allclose(
         whole.variance, np.var(data, ddof=1), rtol=1e-10
@@ -77,8 +75,6 @@ def test_running_stats_degenerate():
     s.update(np.zeros((1, 2)))
     assert s.count == 1
     assert np.isnan(s.variance).all()
-    s.merge(rate.RunningStats())
-    assert s.count == 1
 
 
 # ------------------------------------------------------------- closed form
@@ -463,7 +459,7 @@ SHORT_LAST_BATCH = 3 * rate.MC_BATCH + 17
 def _mc_bits(est):
     """Every value of an oracle estimate, as bytes."""
     fields = [f.name for f in dataclasses.fields(rate.Terms)]
-    return [getattr(t, f).tobytes() for t in (est, est.se) for f in fields], est.trials
+    return [getattr(t, f).tobytes() for t in (est, est.se) for f in fields]
 
 
 def test_simulation_bits_do_not_depend_on_thread_count(table1_k3, monkeypatch):
