@@ -10,16 +10,14 @@ Subcommands: `run` executes a sweep and writes CSV/SVG artifacts,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from . import harness, rate
 from .scenario import ScenarioError
 
 
-def _parse_sweep(raw: str) -> harness.SweepSpec:
-    if raw == "none":
-        return harness.SweepSpec(axis="none", values=(0.0,))
+def _parse_sweep(args) -> harness.SweepSpec:
+    raw = "none=0" if args.sweep == "none" else args.sweep
     if "=" not in raw:
         raise ScenarioError(
             f"bad sweep {raw!r}: expected axis=v1,v2,... or 'none'"
@@ -29,7 +27,8 @@ def _parse_sweep(raw: str) -> harness.SweepSpec:
         values = tuple(float(v) for v in tail.split(",") if v)
     except ValueError:
         raise ScenarioError(f"bad sweep values in {raw!r}") from None
-    return harness.SweepSpec(axis=axis, values=values)
+    algos = tuple(a for a in args.algos.split(",") if a)
+    return harness.SweepSpec(axis, values, args.repeats, algos)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,9 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    sweep = _parse_sweep(args.sweep)
-    algos = tuple(a for a in args.algos.split(",") if a)
-    sweep = dataclasses.replace(sweep, repeats=args.repeats, algorithms=algos)
+    sweep = _parse_sweep(args)
     rows = harness.run_experiment(
         args.scenario, sweep, args.out, seed=args.seed, mc_trials=args.mc_trials
     )

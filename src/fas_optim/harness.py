@@ -7,11 +7,12 @@ repeat, runs the requested algorithms on every point, and writes
 and one SVG plot per sweep into the output directory.
 
 Seed discipline: user geometries depend on (master seed, repeat) only,
-so every sweep point at a given repeat sees the same users and paired
-comparisons across points are meaningful.  Optimizer streams are split
-off as (master seed, axis index, repeat, algorithm index).  Timing
-(`wall_ms`) is the one column exempt from byte-reproducibility;
-`summary.csv` is byte-identical for identical invocations.
+so the points of one repeat see the same users, paired across points;
+on `k_users` they share only the leading distances, as `random_users`
+draws every distance before any angle.  Optimizer streams are split off
+as (master seed, axis index, repeat, algorithm index).  `wall_ms` is the
+one column exempt from byte-reproducibility; `summary.csv` is
+byte-identical for identical invocations.
 """
 
 from __future__ import annotations
@@ -70,8 +71,6 @@ class SweepSpec:
             raise ScenarioError(
                 f"{axis} sweep values must be positive integers, got {values}"
             )
-        if axis == "region_over_lambda" and not all(v > 0 for v in values):
-            raise ScenarioError(f"{axis} sweep values must be positive, got {values}")
         if self.repeats < 1:
             raise ScenarioError(f"repeats must be >= 1, got {self.repeats}")
         if len(self.algorithms) == 0:
@@ -107,20 +106,20 @@ def seed_for(master: int, *key: int) -> int:
 def scenario_point(scn: Scenario, axis: str, value, user_seed: int) -> Scenario:
     """Scenario at one sweep point with users redrawn from `user_seed`.
 
-    A `ScenarioError` raised while building the point is prefixed with
-    the axis and the value, since it may name a field derived from them.
+    Listed users (no `user_model`) are kept; `k_users` and `rician_db`
+    change the user recipe, so they need one.  A `ScenarioError` raised
+    while building the point is prefixed with the axis and the value, as
+    it may name a field derived from them.
     """
-    if axis == "none":
-        return scn if scn.user_model is None else redraw_users(scn, user_seed)
     count = None
     try:
+        if scn.user_model is None and axis in ("k_users", "rician_db"):
+            raise ScenarioError("changing the user recipe needs a generated-users scenario")
         if axis == "k_users":
             count = int(value)
         elif axis == "m_antennas":
             scn = dataclasses.replace(scn, m_antennas=int(value))
         elif axis == "rician_db":
-            if scn.user_model is None:
-                raise ScenarioError("rician_db sweep needs a generated-users scenario")
             try:
                 rician = db_to_linear(value)
             except OverflowError:
@@ -129,9 +128,9 @@ def scenario_point(scn: Scenario, axis: str, value, user_seed: int) -> Scenario:
             scn = dataclasses.replace(scn, user_model=model)
         elif axis == "region_over_lambda":
             scn = dataclasses.replace(scn, region_size=value * scn.wavelength)
-        else:
+        elif axis != "none":
             raise ScenarioError(f"unknown sweep axis {axis!r}")
-        return redraw_users(scn, user_seed, count=count)
+        return scn if scn.user_model is None else redraw_users(scn, user_seed, count=count)
     except ScenarioError as exc:
         raise ScenarioError(f"{axis} = {value}: {exc}") from None
 
@@ -192,9 +191,6 @@ def run_experiment(
         raise ScenarioError(
             f"Monte Carlo trials (mc_trials, --mc-trials) must be 0 or >= 2, got {mc_trials}"
         )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     plan, tasks = [], []  # the row's identifying fields, and its task
     for ai, value in enumerate(sweep.values):
         for repeat in range(sweep.repeats):
@@ -205,6 +201,8 @@ def run_experiment(
                     plan.append((sweep.axis, float(value), repeat, algo, scn_seed))
                     tasks.append((point, algo, seed_for(master, ai, repeat, algo_idx),
                                   mc_trials, seed_for(master, ai, repeat, algo_idx, 1)))
+    out = Path(out_dir)  # made only once every point is built
+    out.mkdir(parents=True, exist_ok=True)
 
     workers = worker_count()
     if workers > 1 and len(tasks) > 1:

@@ -118,7 +118,10 @@ def derive_user(
     """
     if distance <= 0:
         raise ScenarioError(f"distance must be positive, got {distance}")
-    path_loss = path_loss_ref * distance ** (-path_loss_exp)
+    try:  # Python floats raise on overflow where numpy's power only warns
+        path_loss = path_loss_ref * float(distance) ** -float(path_loss_exp)
+    except OverflowError:
+        raise ScenarioError("path loss overflows (path_loss_ref_db, path_loss_exp)") from None
     return UserStats(path_loss, rician, elevation, azimuth)
 
 
@@ -194,10 +197,8 @@ class Scenario:
     user_model: UserModel | None = None
 
     def __post_init__(self) -> None:
-        _require_finite(self)
-        _require_finite(self.hyper)
-        _check_rules(self, _SCENARIO_RULES)
-        _check_rules(self.hyper, _HYPER_RULES)
+        _check_fields(self, _SCENARIO_RULES)
+        _check_fields(self.hyper, _HYPER_RULES)
         if self.hyper.kappa > KAPPA_MAX:
             raise ScenarioError(
                 f"kappa must be <= {KAPPA_MAX}, got {self.hyper.kappa}: the line "
@@ -222,8 +223,7 @@ class Scenario:
                 f"coherence_len {self.coherence_len}"
             )
         for k, u in enumerate(self.users):
-            _require_finite(u, f"user {k}: ")
-            _check_rules(u, _USER_RULES, f"user {k}: ")
+            _check_fields(u, _USER_RULES, f"user {k}: ")
             if not math.isfinite(u.rician * u.rician):
                 raise ScenarioError(
                     f"user {k}: Rician factor {u.rician:.3g} (rician, rician_db) "
@@ -288,16 +288,12 @@ def line_search_steps(kappa: float) -> int:
     return math.ceil(math.log(ZETA_MIN_FACTOR) / math.log(kappa)) + 1
 
 
-def _require_finite(obj, prefix: str = "") -> None:
-    """Reject a NaN or infinite float field of a dataclass, naming it."""
+def _check_fields(obj, rules, prefix: str = "") -> None:
+    """Reject a non-finite float field of the dataclass `obj`, then one failing its rule."""
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ScenarioError(f"{prefix}{f.name} must be finite, got {value}")
-
-
-def _check_rules(obj, rules, prefix: str = "") -> None:
-    """Reject the first field of `obj` failing its (field, test, requirement) rule."""
     for name, test, requirement in rules:
         value = getattr(obj, name)
         if not test(value):
@@ -314,7 +310,7 @@ _SCENARIO_RULES = (
     ("noise_power", lambda v: v > 0, "must be positive"),
 )
 _HYPER_RULES = (
-    ("mu", lambda v: v > 0, "must be positive"),
+    ("mu", lambda v: 1e-300 <= v <= 1e300, "must lie in [1e-300, 1e300]"),
     ("kappa", lambda v: 0 < v < 1, "must lie in (0, 1)"),
     ("varpi", lambda v: 0 < v < 1, "must lie in (0, 1)"),
     ("ga_pop", lambda v: v >= 2, "must be >= 2"),
@@ -333,14 +329,13 @@ _USER_RULES = (
 def redraw_users(scn: Scenario, seed: int, *, count: int | None = None) -> Scenario:
     """Resample users from the stored recipe, keeping everything else.
 
-    `count` overrides the user number; pilot length tracks it so pilots
-    stay orthogonal.  Requires the scenario to carry a `user_model`.
+    A given `count` sets the user number and the pilot length, tau = K;
+    without one both are kept.  Requires the scenario to carry a `user_model`.
     """
     if scn.user_model is None:
         raise ScenarioError("scenario has no user model to redraw from")
     k = scn.user_model.count if count is None else count
-    # keep tau = K when the user count is swept
-    pilot_len = scn.pilot_len if count in (None, scn.k_users) else count
+    pilot_len = scn.pilot_len if count is None else count
     model = dataclasses.replace(scn.user_model, seed=seed, count=k)
     return dataclasses.replace(
         scn, pilot_len=pilot_len, users=random_users(model), user_model=model

@@ -1,5 +1,6 @@
 """Shared fixtures: reference scenarios and an INI writer for variants."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,15 @@ def write_ini(
         )
     )
     return path
+
+
+def explicit_users(text, count):
+    """An INI text of `write_ini` with its user recipe replaced by `count` user lines."""
+    lines = "".join(f"user{i} = 55 1 1\n" for i in range(1, count + 1))
+    recipe = r"seed = 12\ncount = \d+\nd_min_m = 50\nd_max_m = 70\n"
+    text, found = re.subn(recipe, lines, text)
+    assert found == 1
+    return text
 
 
 def holding(users, q=1e-9):

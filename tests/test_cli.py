@@ -2,12 +2,13 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fas_optim import cli, harness, rate
-from conftest import SCENARIO_DIR, write_ini
+from conftest import SCENARIO_DIR, explicit_users, write_ini
 
 
 def test_run_baseline(tmp_path, capsys, monkeypatch):
@@ -57,12 +58,28 @@ def test_run_missing_scenario(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_run_listed_users_sweep_antennas(tmp_path, capsys, monkeypatch):
+    # an axis that leaves the user recipe alone keeps the listed users
+    monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
+    ini = write_ini(tmp_path, m_antennas=4, k_users=2)
+    ini.write_text(explicit_users(ini.read_text(), 2))
+    out = tmp_path / "out"
+    code = cli.main(
+        ["run", "--scenario", str(ini), "--sweep", "m_antennas=4,5", "--algos", "fpa",
+         "--out", str(out)]
+    )
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert f"wrote 2 rows to {out}" in captured.out
+
+
 def test_run_bad_sweeps(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
     ini = write_ini(tmp_path, m_antennas=4, k_users=2)
     # the error names the swept axis, not the scenario field derived from it
     named = {
-        "region_over_lambda=-1": "region_over_lambda sweep values must be positive",
+        # the scenario's own rule, prefixed with the point
+        "region_over_lambda=-1": "region_over_lambda = -1.0: region_size must be positive",
         # the phase overflows only at the point; the message leads with its value
         "region_over_lambda=1e308": "error: region_over_lambda = 1e+308: LoS phase",
         "none=1,2": "the none sweep takes exactly one value, got (1.0, 2.0)",
@@ -79,6 +96,7 @@ def test_run_bad_sweeps(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert "error:" in err
         assert named.get(sweep, "") in err, sweep
+        assert not (tmp_path / "o").exists(), sweep  # rejected before any output
 
 
 def test_run_rejects_fractional_antenna_count(tmp_path, capsys, monkeypatch):
@@ -216,6 +234,27 @@ def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
             "d_min_m = 50", "d_min_m = nan", [],
             "bad distance range (nan, 70.0): [users] d_min_m and d_max_m must be finite",
         ),
+        # a path loss that overflows, from drawn and from listed users
+        (
+            "path_loss_exp = 2.8", "path_loss_exp = -1000", [],
+            "path loss overflows (path_loss_ref_db, path_loss_exp)",
+        ),
+        (
+            "seed = 12\ncount = 2\nd_min_m = 50\nd_max_m = 70\nrician = 6\n"
+            "path_loss_ref_db = -40\npath_loss_exp = 2.8",
+            "user1 = 55 1 1\nuser2 = 60 1 1\nrician = 6\n"
+            "path_loss_ref_db = -40\npath_loss_exp = -1000", [],
+            "path loss overflows (path_loss_ref_db, path_loss_exp)",
+        ),
+        # ln(K)/mu, or mu times a rate gap, would overflow
+        (
+            "mu = 100", "mu = 1e-320", ["--algos", "grad"],
+            "mu must lie in [1e-300, 1e300], got 1e-320",
+        ),
+        (
+            "mu = 100", "mu = 1e308", ["--algos", "grad"],
+            "mu must lie in [1e-300, 1e300], got 1e+308",
+        ),
     ],
     ids=[
         "users-seed", "users-count", "users-count-zero", "hyper-seed", "cli-seed",
@@ -226,6 +265,7 @@ def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
         "missing-key", "duplicate-key", "key-before-section", "no-users-section",
         "explicit-user-elevation", "users-both-forms", "k-users-count-mismatch", "wavelength-phase-overflow",
         "region-phase-overflow", "users-d-max-inf", "users-d-min-nan",
+        "path-loss-overflow-drawn", "path-loss-overflow-listed", "mu-tiny", "mu-huge",
     ],
 )
 def test_run_rejects_bad_input(
@@ -235,12 +275,15 @@ def test_run_rejects_bad_input(
     ini = write_ini(tmp_path, m_antennas=4, k_users=2)
     text = ini.read_text().replace(old, new, 1)
     ini.write_bytes(text.encode("utf-8", "surrogateescape"))
-    code = cli.main(
-        ["run", "--scenario", str(ini), "--algos", "fpa", *argv,
-         "--out", str(tmp_path / "o")]
-    )
+    with warnings.catch_warnings(record=True) as caught:  # a CLI run prints them
+        warnings.simplefilter("always")
+        code = cli.main(
+            ["run", "--scenario", str(ini), "--algos", "fpa", *argv,
+             "--out", str(tmp_path / "o")]
+        )
     assert code == 2
     assert needle in capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
 
 
 def test_run_rejects_vanishing_gain_variances(tmp_path, capsys, monkeypatch):

@@ -100,8 +100,16 @@ def test_scenario_point_none_keeps_explicit_users(tmp_path):
     )
     scn = load_scenario(path)
     assert harness.scenario_point(scn, "none", 0.0, 77) is scn
-    with pytest.raises(ScenarioError, match="generated-users scenario"):
-        harness.scenario_point(scn, "rician_db", 5.0, 77)
+    # the axes that leave the user recipe alone keep the listed users
+    antennas = harness.scenario_point(scn, "m_antennas", 5, 77)
+    region = harness.scenario_point(scn, "region_over_lambda", 3.0, 77)
+    assert (antennas.m_antennas, antennas.users) == (5, scn.users)
+    assert (region.region_size, region.users) == (pytest.approx(0.3), scn.users)
+    # the two that change it fail with one message naming the axis
+    for axis, value in (("k_users", 3), ("rician_db", 5.0)):
+        needle = f"^{axis} = {value}: changing the user recipe needs a generated-users scenario$"
+        with pytest.raises(ScenarioError, match=needle):
+            harness.scenario_point(scn, axis, value, 77)
 
 
 def test_scenario_point_unknown_axis(table1_k3):
@@ -114,6 +122,11 @@ def test_scenario_point_k_users(table1_k3):
     assert point.k_users == 7
     assert point.pilot_len == 7
     assert len(point.users) == 7
+    # tau = K at every point, also where K equals the file's user count
+    scn = dataclasses.replace(table1_k3, pilot_len=5)
+    for k in (2, 3, 4):
+        point = harness.scenario_point(scn, "k_users", k, 5)
+        assert (point.k_users, point.pilot_len) == (k, k)
 
 
 def test_scenario_point_m_antennas(table1_k3):

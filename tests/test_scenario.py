@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import re
 
 import numpy as np
 import pytest
@@ -24,16 +23,7 @@ from fas_optim.scenario import (
     redraw_users,
     upa_layout,
 )
-from conftest import SCENARIO_DIR, write_ini
-
-
-def explicit_users(text, count):
-    """An INI text of `write_ini` with its user recipe replaced by `count` user lines."""
-    lines = "".join(f"user{i} = 55 1 1\n" for i in range(1, count + 1))
-    recipe = r"seed = 12\ncount = \d+\nd_min_m = 50\nd_max_m = 70\n"
-    text, found = re.subn(recipe, lines, text)
-    assert found == 1
-    return text
+from conftest import SCENARIO_DIR, explicit_users, write_ini
 
 
 def test_dbm_to_watt():
@@ -304,6 +294,9 @@ def test_redraw_users_new_count_tracks_pilots(table1_k3):
     assert len(scn.users) == 7
     assert scn.user_model.count == 7
     assert scn.user_model.seed == 99
+    # a given count sets tau = K also when it equals the current user count
+    same = redraw_users(dataclasses.replace(table1_k3, pilot_len=5), 99, count=3)
+    assert (same.k_users, same.pilot_len) == (3, 3)
 
 
 @pytest.mark.parametrize(
