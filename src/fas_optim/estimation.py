@@ -22,6 +22,37 @@ from .channel import complex_normal
 from .scenario import ScenarioError
 
 
+# Most multiply-adds (rows x inner x cols) per BLAS call in `matmul_rows`.
+# OpenBLAS 0.3.31 spreads a zgemm over its threads from 65536 and a zgemv
+# (one right-hand column) from 4096: on 2 cores (2600, 5) @ (5, 5) and
+# (455, 9) @ (9,) ran on one core, (2700, 5) @ (5, 5) and (456, 9) @ (9,)
+# on two.  Its threads then spin beside the oracle's own.  Half of each
+# leaves a margin.
+GEMM_CALL_MACS = 32768
+GEMV_CALL_MACS = 2048
+
+
+def matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a stack of matrices `a` (..., m, n) and one `b`, (n, p) or (n,).
+
+    The rows of all of `a`'s matrices go through a few 2-D products, in even
+    blocks of at least 3 rows under the budget of numpy's kernel for `b`,
+    so OpenBLAS runs none on its threads.  Numpy sends every block to the
+    kernel it sends each matrix, so the result equals ``a @ b`` bit for bit;
+    a one-row product takes its vector path instead, so a stack of one-row
+    matrices keeps the plain ``a @ b``.
+    """
+    if a.ndim > 2 and a.shape[-2] == 1:
+        return a @ b
+    rows = a.reshape(-1, a.shape[-1])
+    out = np.empty(rows.shape[:1] + b.shape[1:], dtype=np.result_type(a, b))
+    budget = GEMM_CALL_MACS if b.size > b.shape[0] else GEMV_CALL_MACS
+    blocks = max(1, -(-len(rows) // max(3, budget // b.size)))
+    for part, dest in zip(np.array_split(rows, blocks), np.array_split(out, blocks)):
+        np.matmul(part, b, out=dest)
+    return out.reshape(a.shape[:-1] + b.shape[1:])
+
+
 def make_pilots(pilot_len: int, k_users: int) -> np.ndarray:
     """Orthonormal pilot matrix of shape (pilot_len, k_users).
 
@@ -51,17 +82,19 @@ def observe_pilots(
     ``sqrt(pilot_len * tx_power) * H @ pilots^H + N`` with white noise of
     variance `noise_power` per entry; despreading by `pilots` and the
     pilot energy gives ``H + noise`` of the same shape as `channels`.
+    Both products go through `matmul_rows`, so a Monte Carlo batch makes a
+    few BLAS calls, none threaded by OpenBLAS, instead of one per trial.
     """
     channels = np.asarray(channels)
     pilot_len = pilots.shape[0]
     energy = np.sqrt(pilot_len * tx_power)
-    block = channels @ pilots.conj().T
+    block = matmul_rows(channels, pilots.conj().T)
     block *= energy
     noise = complex_normal(rng, block.shape)
     noise *= np.sqrt(noise_power)
     block += noise
     del noise
-    obs = block @ pilots
+    obs = matmul_rows(block, pilots)
     obs /= energy
     return obs
 

@@ -39,7 +39,10 @@ closed form beyond the channel model, so the two act as independent
 checks on each other.  Trials run in batches of `MC_BATCH`, each on its
 own random stream and on up to `worker_count()` threads; the calling
 thread folds their results into `RunningStats` in batch order, so every
-estimate is bit-identical for any thread count.
+estimate is bit-identical for any thread count.  Every BLAS call of a
+batch, `lemma_checks` included, goes through `estimation.matmul_rows`,
+which keeps it too small for OpenBLAS to spread over its own threads:
+those would spin and contend with the batch threads.
 """
 
 from __future__ import annotations
@@ -315,10 +318,18 @@ def mc_uatf_sinr(
         )
         hhat = estimation.lmmse_estimate(obs, scn, hbar)
         del obs
-        cross = np.einsum("bmk,bmi->bki", hhat.conj(), h)
+        norms = np.sum(np.abs(hhat) ** 2, axis=1)
+        # users-major copies put each user's antennas side by side; each
+        # source is freed once copied, so no more batch arrays live at once
+        hhat_t = np.conjugate(hhat.swapaxes(1, 2), order="C")
+        del hhat
+        h_t = np.ascontiguousarray(h.swapaxes(1, 2))
+        del h
+        cross = np.einsum("bkm,bim->bki", hhat_t, h_t)
+        del hhat_t, h_t
         z = np.einsum("bkk->bk", cross).copy()  # a view would keep `cross` alive
         interf = (np.abs(cross) ** 2).sum(axis=-1) - np.abs(z) ** 2
-        return z, interf, np.sum(np.abs(hhat) ** 2, axis=1)
+        return z, interf, norms
 
     for z, interf, norms in _batch_results(rng, trials, simulate):
         if pilot_mean is None:
@@ -392,9 +403,10 @@ def lemma_checks(m: int, trials: int, seed=0) -> LemmaReport:
     def simulate(stream, b):
         ht = channel.complex_normal(stream, (b, m))
         quart = np.sum(np.abs(ht) ** 2, axis=1) ** 2
-        bilin = (ht @ u1.conj()) * (ht @ u2.conj())
+        bilin = estimation.matmul_rows(ht, u1.conj())
+        bilin *= estimation.matmul_rows(ht, u2.conj())
         x = channel.complex_normal(stream, (b, m, n_side))
-        return quart, bilin, x @ a_mat @ x.conj().swapaxes(-1, -2)
+        return quart, bilin, estimation.matmul_rows(x, a_mat) @ x.conj().swapaxes(-1, -2)
 
     for quart, bilin, quad in _batch_results(rng, trials, simulate):
         s_quart.update(quart)

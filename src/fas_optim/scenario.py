@@ -175,7 +175,8 @@ class Scenario:
     Every instance is valid: building one, `dataclasses.replace` included,
     raises `ScenarioError` naming the first field that breaks an invariant.
     Each field's own range (the rule tables, then `KAPPA_MAX`, which bounds the
-    line search's step count) is checked first, then that the largest LoS
+    line search's step count) is checked first, then that float64 resolves
+    `grad_tol` in the soft-min at sharpness `mu`, then that the largest LoS
     phase, (2*pi/wavelength) * region_size in the order `channel.steering`
     takes it, is finite, then the pilot length's relations, and all before
     the users' LMMSE gains, which divide by them.  A gain of 0 or 1 means
@@ -204,6 +205,15 @@ class Scenario:
                 f"kappa must be <= {KAPPA_MAX}, got {self.hyper.kappa}: the line "
                 f"search would try up to {line_search_steps(self.hyper.kappa)} steps "
                 f"({line_search_steps(KAPPA_MAX)} at {KAPPA_MAX})"
+            )
+        # the soft-min's log-sum, in [0, ln K], rounds to about ln(K) 2^-52,
+        # an error that 1/mu scales past grad_tol below this floor
+        mu_floor = math.log(self.k_users) * 2.0**-52 / self.hyper.grad_tol
+        if self.hyper.mu < mu_floor:
+            raise ScenarioError(
+                f"mu must be >= ln(K) * 2**-52 / grad_tol = {mu_floor:.3g} "
+                f"(K = {self.k_users}, grad_tol = {self.hyper.grad_tol:g}), got "
+                f"{self.hyper.mu:g}: below it the soft-min cannot resolve grad_tol in float64"
             )
         phase = 2.0 * math.pi / self.wavelength * self.region_size
         if not math.isfinite(phase):

@@ -255,6 +255,11 @@ def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
             "mu = 100", "mu = 1e308", ["--algos", "grad"],
             "mu must lie in [1e-300, 1e300], got 1e+308",
         ),
+        # ln(2) 2^-52 / mu above grad_tol: the soft-min cannot see a step stop
+        (
+            "mu = 100", "mu = 1.5e-12", ["--algos", "grad"],
+            "mu must be >= ln(K) * 2**-52 / grad_tol = 1.54e-12 (K = 2, grad_tol = 0.0001)",
+        ),
     ],
     ids=[
         "users-seed", "users-count", "users-count-zero", "hyper-seed", "cli-seed",
@@ -266,6 +271,7 @@ def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
         "explicit-user-elevation", "users-both-forms", "k-users-count-mismatch", "wavelength-phase-overflow",
         "region-phase-overflow", "users-d-max-inf", "users-d-min-nan",
         "path-loss-overflow-drawn", "path-loss-overflow-listed", "mu-tiny", "mu-huge",
+        "mu-below-resolution",
     ],
 )
 def test_run_rejects_bad_input(

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from fas_optim import estimation
 from fas_optim.channel import complex_normal, los_matrix, sample_channel
-from fas_optim.estimation import lmmse_estimate, make_pilots, observe_pilots
+from fas_optim.estimation import lmmse_estimate, make_pilots, matmul_rows, observe_pilots
 from fas_optim.scenario import ScenarioError, derive_user
 from conftest import holding
 
@@ -49,6 +50,37 @@ def test_observe_pilots_noise_level():
         assert var == pytest.approx(q, rel=0.02, abs=0)
     cross = np.mean(obs[:, 0, 0] * obs[:, 0, 1].conj())
     assert abs(cross) <= 4.0 * q / math.sqrt(n)
+
+
+@pytest.mark.parametrize("budgets", [(32768, 2048), (40, 7), (1, 1)])
+@pytest.mark.parametrize("m", [1, 2, 9])
+def test_matmul_rows_is_matmul_bit_for_bit(budgets, m, monkeypatch):
+    calls = []
+    real = np.matmul
+
+    def recording(part, b, **kw):
+        calls.append(len(part))
+        return real(part, b, **kw)
+
+    monkeypatch.setattr(estimation, "GEMM_CALL_MACS", budgets[0])
+    monkeypatch.setattr(estimation, "GEMV_CALL_MACS", budgets[1])
+    monkeypatch.setattr(np, "matmul", recording)
+    rng = np.random.default_rng(m)
+    stack = complex_normal(rng, (77, m, 5))
+    for b in (complex_normal(rng, (5, 3)), complex_normal(rng, (5, 1)), complex_normal(rng, 5)):
+        budget = budgets[0] if b.size > 5 else budgets[1]
+        for a in (stack, stack[0]):
+            calls.clear()
+            assert matmul_rows(a, b).tobytes() == (a @ b).tobytes()
+            if a.ndim == 3 and m == 1:
+                # one-row matrices keep numpy's per-matrix vector path
+                assert calls == []
+                continue
+            rows = a.size // 5
+            assert sum(calls) == rows
+            # blocks of 2 rows or more, as a one-row block takes the vector path
+            assert min(calls) >= min(2, rows)
+            assert max(calls) <= max(3, budget // b.size)
 
 
 def test_lmmse_gain_half_when_powers_match():

@@ -250,6 +250,27 @@ def test_validate_rejects_bad_numbers(table1_k3):
             dataclasses.replace(table1_k3, **changes)
 
 
+@pytest.mark.parametrize("grad_tol", [1e-4, 1e-9])
+def test_mu_floor_is_the_soft_min_resolution(table1_k3, grad_tol):
+    # below ln(K) 2^-52 / grad_tol the rounding of the soft-min's log-sum,
+    # scaled by 1/mu, exceeds the stopping tolerance
+    floor = math.log(3) * 2.0**-52 / grad_tol
+
+    def build(mu, scn=table1_k3):
+        return dataclasses.replace(scn, hyper=HyperParams(mu=mu, grad_tol=grad_tol))
+
+    assert build(floor * (1 + 1e-9)).hyper.mu > floor
+    with pytest.raises(
+        ScenarioError,
+        match=rf"mu must be >= ln\(K\) \* 2\*\*-52 / grad_tol = {floor:.3g} "
+        rf"\(K = 3, grad_tol = {grad_tol:g}\), got {floor * (1 - 1e-9):g}",
+    ):
+        build(floor * (1 - 1e-9))
+    # one user's soft-min is its rate exactly, at any mu in range
+    one = dataclasses.replace(table1_k3, users=table1_k3.users[:1])
+    assert build(1e-300, one).hyper.mu == 1e-300
+
+
 def test_validate_accepts_kappa_at_bound(table1_k3):
     hyper = dataclasses.replace(table1_k3.hyper, kappa=0.99)
     assert dataclasses.replace(table1_k3, hyper=hyper).hyper.kappa == 0.99
