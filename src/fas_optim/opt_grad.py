@@ -291,12 +291,17 @@ def run_multistart(
     Advances the default grid and `restarts - 1` random feasible layouts
     as one batch, returning the `_pick` among their best layouts together
     with every objective trace.  The random layouts come from `seed`, or
-    from `hyper.seed` when it is None.
+    from `hyper.seed` when it is None; one that cannot be drawn in a
+    crowded box is skipped, so there may be fewer traces than `restarts`.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     rng = np.random.default_rng(scn.hyper.seed if seed is None else seed)
     inits = [default_init(scn)]
-    inits += [random_feasible_layout(scn, rng) for _ in range(restarts - 1)]
+    for _ in range(restarts - 1):
+        try:
+            inits.append(random_feasible_layout(scn, rng))
+        except ScenarioError:
+            pass  # a box too crowded for this draw; the grid start still runs
     layouts, best_g, histories = _ascend(scn, np.stack(inits), accelerated)
     return _pick(scn, layouts, best_g), histories

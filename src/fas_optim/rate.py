@@ -38,7 +38,7 @@ as the same record with standard errors.  It shares no algebra with the
 closed form beyond the channel model, so the two act as independent
 checks on each other.  Trials run in batches of `MC_BATCH`, each on its
 own random stream and on up to `worker_count()` threads; the calling
-thread folds their results into `RunningStats` in batch order, so every
+thread folds their results with `_fold` in batch order, so every
 estimate is bit-identical for any thread count.  Every BLAS call of a
 batch, `lemma_checks` included, goes through `estimation.matmul_rows`,
 which keeps it too small for OpenBLAS to spread over its own threads:
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -74,7 +74,10 @@ def _batch_results(
     batch or one worker, with at most one batch more submitted than there
     are workers, so finished results cannot pile up.  A batch that raises
     cancels the batches not yet started and its exception reaches the caller.
+    Fewer than 2 trials leave no standard error, so they raise `ScenarioError`.
     """
+    if trials < 2:
+        raise ScenarioError(f"trials must be >= 2, got {trials}")
     n = -(-trials // MC_BATCH)
     sizes = [min(MC_BATCH, trials - i * MC_BATCH) for i in range(n)]
     batches = list(zip(rng.spawn(n), sizes))
@@ -96,46 +99,33 @@ def _batch_results(
         pool.shutdown(cancel_futures=True)
 
 
-class RunningStats:
-    """Streaming mean and variance over the leading axis.
+def _fold(batches: Iterable[tuple]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Mean and standard error over the leading axis of every array of the batches.
 
-    Each batch is folded in by Chan's update, whose rounding depends on the
-    order of the folds, so the simulations fold their batches in batch
-    order: a fixed partition of the trial budget then gives bit-identical
-    results however many threads computed the batches.  Complex data is
-    allowed; deviations are measured with |.|^2.
+    `batches` yields one tuple of arrays per batch, trials on the leading
+    axis.  Each batch is folded in by Chan's update, whose rounding depends
+    on the order of the folds, so batches fold in the order they come: a
+    fixed partition of the trial budget then gives bit-identical results
+    however many threads computed the batches.  Complex data is allowed;
+    deviations are measured with |.|^2.
     """
-
-    def __init__(self):
-        self.count = 0
-        self.mean = None
-        self._m2 = None
-
-    def update(self, batch: np.ndarray) -> "RunningStats":
-        """Fold in a non-empty batch: its own count, mean and M2, by Chan's update."""
-        batch = np.asarray(batch)
-        count = batch.shape[0]
-        mean = batch.mean(axis=0)
-        m2 = np.sum(np.abs(batch - mean) ** 2, axis=0)
-        if self.count == 0:
-            self.count, self.mean, self._m2 = count, mean, m2
-            return self
-        total = self.count + count
-        delta = mean - self.mean
-        self.mean = self.mean + delta * (count / total)
-        self._m2 = self._m2 + m2 + np.abs(delta) ** 2 * (self.count * count / total)
-        self.count = total
-        return self
-
-    @property
-    def variance(self) -> np.ndarray:
-        if self.count < 2:
-            return np.full_like(np.asarray(self._m2, dtype=float), np.nan)
-        return self._m2 / (self.count - 1)
-
-    def sem(self) -> np.ndarray:
-        """Standard error of the running mean."""
-        return np.sqrt(self.variance / self.count)
+    folded = None
+    for batch in batches:
+        moments = []
+        for data in batch:
+            mean = data.mean(axis=0)
+            moments.append((len(data), mean, np.sum(np.abs(data - mean) ** 2, axis=0)))
+        del batch, data  # free the batch before the next one is drawn
+        if folded is not None:
+            for i, ((n, mean, m2), (b, b_mean, b_m2)) in enumerate(zip(folded, moments)):
+                delta = b_mean - mean
+                moments[i] = (
+                    n + b,
+                    mean + delta * (b / (n + b)),
+                    m2 + b_m2 + np.abs(delta) ** 2 * (n * b / (n + b)),
+                )
+        folded = moments
+    return [(mean, np.sqrt(m2 / (n - 1) / n)) for n, mean, m2 in folded]
 
 
 @dataclass(frozen=True)
@@ -297,19 +287,10 @@ def mc_uatf_sinr(
     error comes from the influence function of the variance statistic,
     centered with a first-batch pilot mean.
     """
-    if trials < 2:
-        raise ScenarioError(f"trials must be >= 2, got {trials}")
     rng = np.random.default_rng(scn.hyper.seed if seed is None else seed)
 
     hbar = channel.los_matrix(layout, scn.users, scn.wavelength)
     pilots = estimation.make_pilots(scn.pilot_len, scn.k_users)
-
-    s_z = RunningStats()       # complex cross term z_k
-    s_zsq = RunningStats()     # |z_k|^2
-    s_w = RunningStats()       # influence values for the leak variance
-    s_int = RunningStats()
-    s_noise = RunningStats()
-    pilot_mean = None
 
     def simulate(stream, b):
         h = channel.sample_channel(hbar, scn, stream, trials=b)
@@ -331,31 +312,24 @@ def mc_uatf_sinr(
         interf = (np.abs(cross) ** 2).sum(axis=-1) - np.abs(z) ** 2
         return z, interf, norms
 
-    for z, interf, norms in _batch_results(rng, trials, simulate):
-        if pilot_mean is None:
-            pilot_mean = z.mean(axis=0)
-        zsq = np.abs(z) ** 2
-        s_z.update(z)
-        s_zsq.update(zsq)
-        s_w.update(zsq - 2.0 * np.real(pilot_mean.conj() * z))
-        s_int.update(interf)
-        s_noise.update(norms)
+    def statistics():
+        """Per batch: z_k, |z_k|^2, the leak's influence values, interference, norms."""
+        pilot_mean = None
+        for z, interf, norms in _batch_results(rng, trials, simulate):
+            if pilot_mean is None:
+                pilot_mean = z.mean(axis=0)
+            zsq = np.abs(z) ** 2
+            yield z, zsq, zsq - 2.0 * np.real(pilot_mean.conj() * z), interf, norms
+            del z, zsq, interf, norms  # free the batch before the next one is drawn
 
-    mean_z = s_z.mean
-    desired = np.abs(mean_z) ** 2
-    leak = s_zsq.mean - desired
-    se = Terms(
-        desired=2.0 * np.abs(mean_z) * s_z.sem(),
-        leak=s_w.sem(),
-        interf=s_int.sem(),
-        noise=s_noise.sem(),
-    )
+    z, zsq, leak, interf, noise = _fold(statistics())  # each a (mean, standard error)
+    desired = np.abs(z[0]) ** 2
     return McEstimate(
         desired=desired,
-        leak=leak,
-        interf=s_int.mean,
-        noise=s_noise.mean,
-        se=se,
+        leak=zsq[0] - desired,
+        interf=interf[0],
+        noise=noise[0],
+        se=Terms(2.0 * np.abs(z[0]) * z[1], leak[1], interf[1], noise[1]),
     )
 
 
@@ -382,8 +356,6 @@ def lemma_checks(m: int, trials: int, seed=0) -> LemmaReport:
     """
     if m < 1:
         raise ScenarioError(f"m must be >= 1, got {m}")
-    if trials < 2:
-        raise ScenarioError(f"trials must be >= 2, got {trials}")
     rng = np.random.default_rng(seed)
 
     def unit(v):
@@ -396,10 +368,6 @@ def lemma_checks(m: int, trials: int, seed=0) -> LemmaReport:
     a_mat = (raw + raw.conj().T) / 2.0  # random Hermitian, real trace
     trace_a = float(np.trace(a_mat).real)
 
-    s_quart = RunningStats()
-    s_bilin = RunningStats()
-    s_quad = RunningStats()
-
     def simulate(stream, b):
         ht = channel.complex_normal(stream, (b, m))
         quart = np.sum(np.abs(ht) ** 2, axis=1) ** 2
@@ -408,22 +376,14 @@ def lemma_checks(m: int, trials: int, seed=0) -> LemmaReport:
         x = channel.complex_normal(stream, (b, m, n_side))
         return quart, bilin, estimation.matmul_rows(x, a_mat) @ x.conj().swapaxes(-1, -2)
 
-    for quart, bilin, quad in _batch_results(rng, trials, simulate):
-        s_quart.update(quart)
-        s_bilin.update(bilin)
-        s_quad.update(quad)
-
+    quart, bilin, (quad_mean, quad_se) = _fold(_batch_results(rng, trials, simulate))
     expected = float(m**2 + m)
-    quad_mean = s_quad.mean
-    quad_se = s_quad.sem()
     diag = np.abs(np.diagonal(quad_mean) - trace_a)
     diag_sig = float((diag / np.diagonal(quad_se)).max())
     off_mask = ~np.eye(m, dtype=bool)  # empty at m = 1, where off_sig is 0
     off_sig = float((np.abs(quad_mean[off_mask]) / quad_se[off_mask]).max(initial=0.0))
-    quartic_mean = float(s_quart.mean)
-    quartic_se = float(s_quart.sem())
-    bilinear_abs = float(np.abs(s_bilin.mean))
-    bilinear_se = float(s_bilin.sem())
+    quartic_mean, quartic_se = map(float, quart)
+    bilinear_abs, bilinear_se = float(np.abs(bilin[0])), float(bilin[1])
     ok = (
         abs(quartic_mean - expected) <= 0.01 * expected
         and bilinear_abs <= 4.0 * bilinear_se

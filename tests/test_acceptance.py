@@ -126,8 +126,6 @@ def test_criterion_03_estimator_orthogonality(table1_k3):
     layout = harness.fpa_layout(scn)
     hbar = channel.los_matrix(layout, scn.users, scn.wavelength)
     pilots = estimation.make_pilots(scn.pilot_len, scn.k_users)
-    s_orth = rate.RunningStats()
-    s_norm = rate.RunningStats()
 
     def simulate(stream, b):
         h = channel.sample_channel(hbar, scn, stream, trials=b)
@@ -138,12 +136,12 @@ def test_criterion_03_estimator_orthogonality(table1_k3):
             np.sum(np.abs(hhat) ** 2, axis=1),
         )
 
-    for orth, norm in rate._batch_results(np.random.default_rng(42), 100_000, simulate):
-        s_orth.update(orth)
-        s_norm.update(norm)
-    sigmas = np.abs(s_orth.mean) / s_orth.sem()
+    (orth, orth_se), (norm, _) = rate._fold(
+        rate._batch_results(np.random.default_rng(42), 100_000, simulate)
+    )
+    sigmas = np.abs(orth) / orth_se
     want = scn.m_antennas * scn.nlos_powers * (scn.ricians + scn.est_gains)
-    rel = np.abs(s_norm.mean - want) / want
+    rel = np.abs(norm - want) / want
     ok = bool(np.all(sigmas < 4.0) and np.all(rel < 0.01))
     _verdict(
         3,

@@ -360,6 +360,25 @@ def test_run_plots_one_huge_sweep_value(tmp_path, capsys, monkeypatch):
     assert (out / "sweep_region_over_lambda.svg").read_text().count("<circle") == 1
 
 
+def test_run_grad_on_crowded_boxes(tmp_path, capsys, monkeypatch):
+    # at 1.2 wavelengths no random start of 9 antennas can be drawn, at 1.6
+    # some cannot; the grid fits in both, so grad runs and never trails it
+    monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
+    out = tmp_path / "o"
+    code = cli.main(
+        ["run", "--scenario", str(SCENARIO_DIR / "table1_k5.ini"), "--sweep",
+         "region_over_lambda=1.2,1.6", "--algos", "grad,fpa", "--seed", "1",
+         "--out", str(out)]
+    )
+    assert code == 0, capsys.readouterr().err
+    with open(out / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    rates = {(r["axis_value"], r["algorithm"]): float(r["min_rate"]) for r in rows}
+    assert len(rows) == len(rates) == 4
+    for value in ("1.2", "1.6"):
+        assert rates[value, "grad"] >= rates[value, "fpa"]
+
+
 def test_run_rejects_repeated_algorithms(tmp_path, capsys, monkeypatch):
     # a repeated algorithm would list every point twice in summary.csv
     monkeypatch.setenv("FAS_OPTIM_THREADS", "1")

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fas_optim import channel, opt_ga, opt_grad, rate, scenario
@@ -596,6 +596,25 @@ def test_run_multistart_feasible_and_never_below_fpa(k, m, mu, seed, data):
     distances = [data.draw(distance) for _ in range(k)]
     scn = small_scenario(angles, m=m, distances=distances, mu=mu)
     layout, _ = opt_grad.run_multistart(scn, seed, restarts=2)
+    assert np.all(np.abs(layout) <= scn.region_size / 2.0)
+    assert opt_ga.violation_set(layout, scn.d_min) == []
+    assert rate.min_rate(layout, scn) >= rate.min_rate(grid_layout(scn), scn)
+
+
+ANGLE = st.floats(0.2, 2.9)
+ANGLE_PAIRS = st.lists(st.tuples(ANGLE, ANGLE), min_size=1, max_size=3)
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(st.integers(2, 9), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1), ANGLE_PAIRS)
+@example(9, 0.0, 0, [(0.5, 1.0), (1.5, 2.0)])  # only the grid fits
+def test_run_multistart_on_crowded_boxes(m, fill, seed, angles):
+    # from the smallest box that fits the grid up to two wavelengths, a
+    # random start that cannot be drawn is skipped and the grid still runs
+    scn = small_scenario(angles, m=m)
+    smallest = math.isqrt(m - 1) * scn.d_min  # the grid's span at pitch d_min
+    scn = dataclasses.replace(scn, region_size=smallest + fill * (0.2 - smallest))
+    layout, _ = opt_grad.run_multistart(scn, seed, restarts=3)
     assert np.all(np.abs(layout) <= scn.region_size / 2.0)
     assert opt_ga.violation_set(layout, scn.d_min) == []
     assert rate.min_rate(layout, scn) >= rate.min_rate(grid_layout(scn), scn)

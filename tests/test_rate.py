@@ -45,37 +45,33 @@ def small_scenario(users, m=4, noise_power=None, pilot_len=None):
 # ---------------------------------------------------------------- statistics
 
 
+def _numpy_stats(data):
+    return data.mean(axis=0), data.std(axis=0, ddof=1) / np.sqrt(len(data))
+
+
 def test_running_stats_matches_numpy():
     rng = np.random.default_rng(0)
-    data = rng.normal(size=(1000, 3))
-    s = rate.RunningStats()
-    s.update(data[:400]).update(data[400:401]).update(data[401:])
-    np.testing.assert_allclose(s.mean, data.mean(axis=0), rtol=1e-12)
-    np.testing.assert_allclose(s.variance, data.var(axis=0, ddof=1), rtol=1e-10)
-    np.testing.assert_allclose(
-        s.sem(), np.sqrt(data.var(axis=0, ddof=1) / 1000), rtol=1e-10
-    )
+    real = rng.normal(size=(1000, 3))
+    cplx = rng.normal(size=(1000, 2, 2)) + 1j * rng.normal(size=(1000, 2, 2))
+    cuts = [(0, 400), (400, 401), (401, 1000)]
+    folded = rate._fold((real[lo:hi], cplx[lo:hi]) for lo, hi in cuts)
+    for (mean, se), data in zip(folded, (real, cplx)):
+        want_mean, want_se = _numpy_stats(data)
+        np.testing.assert_allclose(mean, want_mean, rtol=1e-12)
+        np.testing.assert_allclose(se, want_se, rtol=1e-10)
 
 
 def test_running_stats_pieces_equal_single_pass():
     rng = np.random.default_rng(1)
     data = rng.normal(size=(500,)) + 1j * rng.normal(size=(500,))
-    whole = rate.RunningStats().update(data)
-    pieces = rate.RunningStats().update(data[:123]).update(data[123:])
-    assert pieces.count == whole.count == 500
-    np.testing.assert_allclose(pieces.mean, whole.mean, rtol=1e-12)
-    np.testing.assert_allclose(pieces.variance, whole.variance, rtol=1e-10)
-    # complex variance uses |.|^2 deviations
-    np.testing.assert_allclose(
-        whole.variance, np.var(data, ddof=1), rtol=1e-10
-    )
-
-
-def test_running_stats_degenerate():
-    s = rate.RunningStats()
-    s.update(np.zeros((1, 2)))
-    assert s.count == 1
-    assert np.isnan(s.variance).all()
+    ((whole_mean, whole_se),) = rate._fold([(data,)])
+    ((mean, se),) = rate._fold([(data[:123],), (data[123:],)])
+    np.testing.assert_allclose(mean, whole_mean, rtol=1e-12)
+    np.testing.assert_allclose(se, whole_se, rtol=1e-10)
+    # complex deviations are measured with |.|^2
+    want_mean, want_se = _numpy_stats(data)
+    np.testing.assert_allclose(whole_mean, want_mean, rtol=1e-12)
+    np.testing.assert_allclose(whole_se, want_se, rtol=1e-10)
 
 
 # ------------------------------------------------------------- closed form
