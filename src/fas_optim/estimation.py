@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import complex_normal
-from .scenario import ScenarioError
 
 
 # Most multiply-adds (rows x inner x cols) per BLAS call in `matmul_rows`.
@@ -57,13 +56,8 @@ def make_pilots(pilot_len: int, k_users: int) -> np.ndarray:
     """Orthonormal pilot matrix of shape (pilot_len, k_users).
 
     Uses the first `k_users` columns of the unitary DFT matrix.  Requires
-    pilot_len >= k_users, otherwise columns cannot be orthogonal.
+    pilot_len >= k_users for orthogonal columns, as every `Scenario` does.
     """
-    if pilot_len < k_users:
-        raise ScenarioError(
-            f"pilot_len < k_users ({pilot_len} < {k_users}): "
-            "orthogonal pilots need one column per user"
-        )
     t = np.arange(pilot_len)[:, None]
     k = np.arange(k_users)[None, :]
     return np.exp(-2j * np.pi * t * k / pilot_len) / np.sqrt(pilot_len)

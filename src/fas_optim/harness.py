@@ -201,17 +201,20 @@ def run_experiment(
                     plan.append((sweep.axis, float(value), repeat, algo, scn_seed))
                     tasks.append((point, algo, seed_for(master, ai, repeat, algo_idx),
                                   mc_trials, seed_for(master, ai, repeat, algo_idx, 1)))
-    out = Path(out_dir)  # made only once every point is built
+    workers, measured = worker_count(), []
+    try:  # results arrive in plan order, so the first failure is plan[len(measured)]
+        if workers > 1 and len(tasks) > 1:
+            with ProcessPoolExecutor(workers, initializer=_simulate_on_one_thread) as pool:
+                for values in pool.map(_run_task, *zip(*tasks)):
+                    measured.append(values)
+        else:
+            for task in tasks:
+                measured.append(_run_task(*task))
+    except ScenarioError as exc:
+        axis, value, _, algo, _ = plan[len(measured)]
+        raise ScenarioError(f"{axis} = {value}, {algo}: {exc}") from None
+    out = Path(out_dir)  # made only once every task has finished
     out.mkdir(parents=True, exist_ok=True)
-
-    workers = worker_count()
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_simulate_on_one_thread
-        ) as pool:
-            measured = list(pool.map(_run_task, *zip(*tasks)))
-    else:
-        measured = [_run_task(*t) for t in tasks]
 
     rows = [ResultRow(*key, *values) for key, values in zip(plan, measured)]
     write_results(out / "results.csv", rows)

@@ -69,10 +69,10 @@ class UserStats:
     """Large-scale state of one uplink user.
 
     `path_loss` is the total average channel gain per antenna, split into
-    a line-of-sight part and a diffuse part by the Rician factor:
-    per-entry LoS power is `nlos_power * rician` and diffuse power is
-    `nlos_power`.  The LMMSE gain also depends on the pilot noise, so it
-    lives on the scenario (`Scenario.est_gains`).
+    a line-of-sight part and a diffuse part by the linear Rician factor
+    (``[users] rician``): per-entry LoS power is `nlos_power * rician` and
+    diffuse power is `nlos_power`.  The LMMSE gain also depends on the
+    pilot noise, so it lives on the scenario (`Scenario.est_gains`).
     """
 
     path_loss: float
@@ -236,7 +236,7 @@ class Scenario:
             _check_fields(u, _USER_RULES, f"user {k}: ")
             if not math.isfinite(u.rician * u.rician):
                 raise ScenarioError(
-                    f"user {k}: Rician factor {u.rician:.3g} (rician, rician_db) "
+                    f"user {k}: Rician factor {u.rician:.3g} (rician) "
                     "overflows when the closed form squares it"
                 )
             if u.nlos_power == 0 and self.noise_over_taup == 0:
@@ -357,16 +357,13 @@ def upa_layout(m_antennas: int, pitch: float, region_size: float) -> np.ndarray:
 
     Uses ceil(sqrt(M)) columns, filling rows from the bottom-left; a
     partial top row is allowed.  Returns a (2, M) array of coordinates.
-    Raises `ScenarioError` if the grid does not fit in the square region
-    of side `region_size` centered at the origin.
+    Requires m_antennas >= 1 and pitch > 0, which every `Scenario` gives
+    `grid_layout`.  Raises `ScenarioError` if the grid does not fit in the
+    square region of side `region_size` centered at the origin.
 
     >>> upa_layout(4, 0.05, 0.6).shape
     (2, 4)
     """
-    if m_antennas < 1:
-        raise ScenarioError(f"m_antennas must be >= 1, got {m_antennas}")
-    if pitch <= 0:
-        raise ScenarioError(f"pitch must be positive, got {pitch}")
     ncols = math.isqrt(m_antennas)
     if ncols * ncols < m_antennas:
         ncols += 1
@@ -439,7 +436,6 @@ def violation_counts(layouts: np.ndarray, d_min: float) -> np.ndarray:
 # INI keys of each section and their converters to linear units
 _SYSTEM_KEYS = {
     "m_antennas": int,
-    "k_users": int,
     "wavelength_m": float,
     "region_size_m": float,
     "d_min_m": float,
@@ -454,7 +450,6 @@ _USERS_KEYS = {
     "d_min_m": float,
     "d_max_m": float,
     "rician": float,
-    "rician_db": lambda raw: db_to_linear(float(raw)),
     "path_loss_ref_db": lambda raw: db_to_linear(float(raw)),
     "path_loss_exp": float,
 }
@@ -487,11 +482,11 @@ def load_scenario(path) -> Scenario:
     Sections: ``[system]`` (array and frame parameters), ``[users]``
     (either a generation recipe via seed/count/d_min_m/d_max_m, or
     explicit ``user1 = distance elevation azimuth`` lines, not both), and an
-    optional ``[hyper]`` for solver settings.  ``[system] k_users`` must
-    equal the number of users, and ``pilot_len`` defaults to it.  Powers
-    are given in dBm, lengths in meters; values are taken literally (no
-    ``%`` interpolation).  Malformed input raises `ScenarioError` naming
-    the offending section and key.
+    optional ``[hyper]`` for solver settings.  K is ``[users] count`` or the
+    number of user lines, and ``pilot_len`` defaults to it.  Powers are
+    given in dBm, lengths in meters; values are taken literally (no ``%``
+    interpolation).  Malformed input, an unknown key included, raises
+    `ScenarioError` naming the offending section and key.
     """
     parser = configparser.ConfigParser(
         inline_comment_prefixes=(";", "#"), interpolation=None
@@ -519,10 +514,8 @@ def load_scenario(path) -> Scenario:
         [(k, v) for k, v in parser.items("users") if k not in explicit],
         _USERS_KEYS,
     )
-    if "rician" in usr_sec and "rician_db" in usr_sec:
-        raise ScenarioError("[users] sets both rician and rician_db")
     large = dict(
-        rician=usr_sec.get("rician", usr_sec.get("rician_db", UserModel.rician)),
+        rician=usr_sec.get("rician", UserModel.rician),
         path_loss_ref=usr_sec.get("path_loss_ref_db", UserModel.path_loss_ref),
         path_loss_exp=usr_sec.get("path_loss_exp", UserModel.path_loss_exp),
     )
@@ -560,7 +553,7 @@ def load_scenario(path) -> Scenario:
         users = random_users(model)
 
     hyper_items = parser.items("hyper") if parser.has_section("hyper") else ()
-    scn = Scenario(
+    return Scenario(
         m_antennas=sys_sec["m_antennas"],
         wavelength=sys_sec["wavelength_m"],
         region_size=sys_sec["region_size_m"],
@@ -573,9 +566,3 @@ def load_scenario(path) -> Scenario:
         hyper=HyperParams(**_Section("hyper", hyper_items, _HYPER_KEYS)),
         user_model=model,
     )
-    if sys_sec["k_users"] != scn.k_users:
-        listed = f"count = {model.count}" if model else f"user1..user{scn.k_users}"
-        raise ScenarioError(
-            f"k_users = {sys_sec['k_users']} in [system] disagrees with {listed} in [users]"
-        )
-    return scn

@@ -7,12 +7,12 @@ import pytest
 
 from fas_optim.scenario import Scenario, load_scenario
 
-SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+REPO = Path(__file__).resolve().parents[1]
+SCENARIO_DIR = REPO / "scenarios"
 
 BASE_INI = """\
 [system]
 m_antennas = {m_antennas}
-k_users = {k_users}
 wavelength_m = 0.1
 region_size_m = {region_size}
 d_min_m = 0.05
@@ -81,6 +81,15 @@ def holding(users, q=1e-9):
         tx_power=1.0, noise_power=q * k, coherence_len=196, pilot_len=k,
         users=users,
     )
+
+
+@pytest.fixture
+def pin_note(monkeypatch):
+    """Failure message for an md5 pin: this host's kernels and the pins' (tools/)."""
+    monkeypatch.syspath_prepend(str(REPO / "tools"))
+    import kernel_fingerprint
+
+    return kernel_fingerprint.pin_note()
 
 
 @pytest.fixture(scope="session")

@@ -127,7 +127,7 @@ def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
     [
         ("seed = 12", "seed = -12", [], "user seed must be >= 0, got -12"),
         ("count = 2", "count = -1", [], "[users] count must be >= 1, got -1"),
-        # no users is a bad count, not a bad k_users, whatever [system] says
+        # no users is a bad count
         ("count = 2", "count = 0", [], "[users] count must be >= 1, got 0"),
         ("seed = 1\n", "seed = -1\n", [], "seed must be >= 0, got -1"),
         ("", "", ["--seed", "-1"], "seed must be >= 0, got -1"),
@@ -159,7 +159,8 @@ def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
             "noise_power_dbm = -104", "noise_power_dbm = 5000", [],
             "bad value for noise_power_dbm in [system]: '5000'",
         ),
-        ("rician = 6", "rician_db = 4000", [], "bad value for rician_db in [users]: '4000'"),
+        # a Rician factor (linear) that overflows a float
+        ("rician = 6", "rician = 1e400", [], "user 0: rician must be finite, got inf"),
         (
             "path_loss_ref_db = -40", "path_loss_ref_db = 4000", [],
             "bad value for path_loss_ref_db in [users]: '4000'",
@@ -182,8 +183,8 @@ def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
         ),
         # finite, but its square in the closed form is not
         (
-            "rician = 6", "rician_db = 3000", [],
-            "user 0: Rician factor 1e+300 (rician, rician_db) overflows",
+            "rician = 6", "rician = 1e300", [],
+            "user 0: Rician factor 1e+300 (rician) overflows",
         ),
         # legal but so close to 1 that the line search would crawl
         ("kappa = 0.8", "kappa = 0.9999", [], "kappa must be <= 0.99, got 0.9999"),
@@ -211,11 +212,12 @@ def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
             "count = 5\nd_min_m = 50\nuser1 = 55 1 1\nuser2 = 60 1 1\n", [],
             "[users] sets seed, count, d_min_m beside user lines: give one form",
         ),
-        # the user count is declared twice in a file, and the two must agree
+        # removed keys: the users fix K, and the Rician factor has one key
         (
-            "count = 2", "count = 1", [],
-            "k_users = 2 in [system] disagrees with count = 1 in [users]",
+            "m_antennas = 4", "m_antennas = 4\nk_users = 2", [],
+            "unknown key in [system]: k_users",
         ),
+        ("rician = 6", "rician_db = 7.8", [], "unknown key in [users]: rician_db"),
         # 2*pi/wavelength is inf, or its product with the region side is
         (
             "wavelength_m = 0.1", "wavelength_m = 1e-320", [],
@@ -268,7 +270,8 @@ def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
         "path-loss-overflow", "rician-db-sweep-overflow", "est-gain-one",
         "est-gain-zero", "rician-db-squared-overflow", "kappa-crawl",
         "missing-key", "duplicate-key", "key-before-section", "no-users-section",
-        "explicit-user-elevation", "users-both-forms", "k-users-count-mismatch", "wavelength-phase-overflow",
+        "explicit-user-elevation", "users-both-forms", "removed-k-users", "removed-rician-db",
+        "wavelength-phase-overflow",
         "region-phase-overflow", "users-d-max-inf", "users-d-min-nan",
         "path-loss-overflow-drawn", "path-loss-overflow-listed", "mu-tiny", "mu-huge",
         "mu-below-resolution",
@@ -347,6 +350,25 @@ def test_run_mc_trials_fills_column_at_any_worker_count(tmp_path, capsys, monkey
         assert len(mc) == 4 and all(math.isfinite(float(v)) for v in mc)
         outputs.append(((out / "summary.csv").read_bytes(), mc))
     assert outputs[1] == outputs[0]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_run_failing_task_names_its_point(tmp_path, capsys, monkeypatch, workers):
+    # 25 antennas at pitch 0.05 do not fit a 0.15 square, 4 do; the point
+    # builds, so its fpa task fails, after the m_antennas = 4 tasks ran
+    monkeypatch.setenv("FAS_OPTIM_THREADS", workers)
+    ini = write_ini(tmp_path, m_antennas=4, k_users=2, region_size=0.15)
+    out = tmp_path / "o"
+    code = cli.main(
+        ["run", "--scenario", str(ini), "--sweep", "m_antennas=4,25", "--repeats", "2",
+         "--algos", "fpa", "--out", str(out)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: m_antennas = 25.0, fpa: UPA does not fit: layout does not fit "
+        "region: 5x5 grid at pitch 0.05 exceeds side 0.15\n"
+    )
+    assert not out.exists()
 
 
 def test_run_plots_one_huge_sweep_value(tmp_path, capsys, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from fas_optim import estimation
 from fas_optim.channel import complex_normal, los_matrix, sample_channel
 from fas_optim.estimation import lmmse_estimate, make_pilots, matmul_rows, observe_pilots
-from fas_optim.scenario import ScenarioError, derive_user
+from fas_optim.scenario import derive_user
 from conftest import holding
 
 
@@ -23,11 +23,6 @@ def test_make_pilots_orthonormal_tall():
     assert s.shape == (4, 2)
     np.testing.assert_allclose(s.conj().T @ s, np.eye(2), atol=1e-12)
     np.testing.assert_allclose(np.abs(s), 1.0 / 2.0, atol=1e-12)
-
-
-def test_make_pilots_rejects_short():
-    with pytest.raises(ScenarioError, match=r"pilot_len < k_users \(1 < 2\)"):
-        make_pilots(1, 2)
 
 
 def test_observe_pilots_noiseless_is_exact():

@@ -94,7 +94,7 @@ def test_scenario_point_none_keeps_explicit_users(tmp_path):
     path = tmp_path / "explicit.ini"
     path.write_text(
         "[system]\n"
-        "m_antennas = 4\nk_users = 2\nwavelength_m = 0.1\nregion_size_m = 0.4\n"
+        "m_antennas = 4\nwavelength_m = 0.1\nregion_size_m = 0.4\n"
         "tx_power_dbm = 30\nnoise_power_dbm = -104\ncoherence_len = 196\n"
         "[users]\nuser1 = 55 1.0 0.5\nuser2 = 60 2.0 2.5\n"
     )
@@ -285,17 +285,17 @@ def test_run_experiment_reproducible_minus_timing(table1_k3, tmp_path, monkeypat
     ).read_bytes()
 
 
-def test_run_experiment_golden_summary(tmp_path, monkeypatch):
+def test_run_experiment_golden_summary(tmp_path, monkeypatch, pin_note):
     # pins summary.csv byte for byte: any change to a solver's trajectory,
     # the baseline grid or the seeding shows up here
     monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
     sweep = harness.SweepSpec(axis="m_antennas", values=(4, 9))
     harness.run_experiment(SCENARIO_DIR / "table1_k3.ini", sweep, tmp_path, seed=7)
     digest = hashlib.md5((tmp_path / "summary.csv").read_bytes()).hexdigest()
-    assert digest == "10b576038bbb33ed9ac1368384647fa4"
+    assert digest == "10b576038bbb33ed9ac1368384647fa4", pin_note
     # and the figure drawn from it, byte for byte
     figure = hashlib.md5((tmp_path / "sweep_m_antennas.svg").read_bytes()).hexdigest()
-    assert figure == "54e1cc1b9941f29483916651788e01f3"
+    assert figure == "54e1cc1b9941f29483916651788e01f3", pin_note
 
 
 def test_run_experiment_mc_column(table1_k3, tmp_path, monkeypatch):
@@ -386,14 +386,14 @@ def test_validate_closed_form_passes(table1_k3):
     assert "PASS" in text and "sinr" in text and "10000 trials" in text
 
 
-def test_validate_closed_form_golden_report():
+def test_validate_closed_form_golden_report(pin_note):
     # pins every term row and both SINR vectors at full precision: any change
     # to the closed form, the oracle or the way the report reads them shows here
     rep = harness.validate_closed_form(SCENARIO_DIR / "table1_k3.ini", 20_000, seed=5)
     values = [(r.user, r.term, r.closed, r.mc, r.se) for r in rep.rows]
     values += rep.sinr_closed.tolist() + rep.sinr_mc.tolist()
     digest = hashlib.md5(repr(values).encode()).hexdigest()
-    assert digest == "206dfbb60f62849a3658ab3545bf6b00"
+    assert digest == "206dfbb60f62849a3658ab3545bf6b00", pin_note
 
 
 def test_validate_closed_form_tracks_noise_scaling(tmp_path):

@@ -10,7 +10,8 @@ Each sweep runs `scenarios/table1_k5.ini` with 2 repeats through
 
 in a temporary directory, and hashes the summary.csv and the SVG figure
 it writes.  A change meant to keep results bit-identical must leave
-every md5 as pinned.  Prints one line per sweep and exits 1 on any
+every md5 as pinned.  Prints the kernel fingerprint
+(`tools/kernel_fingerprint.py`), then one line per md5, and exits 1 on any
 mismatch.  Runs `FAS_OPTIM_THREADS` workers, 2 when it is unset;
 summary.csv does not depend on the worker count.
 """
@@ -27,6 +28,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from fas_optim import harness  # noqa: E402
+from kernel_fingerprint import pin_note  # noqa: E402  (this script's own directory)
 
 SCENARIO = ROOT / "scenarios" / "table1_k5.ini"
 REPEATS = 2
@@ -59,6 +61,7 @@ def output_md5s(axis: str, values: tuple, algos: str, seed: int, out: Path) -> t
 
 def main() -> int:
     os.environ.setdefault("FAS_OPTIM_THREADS", "2")
+    print(pin_note())
     mismatches = 0
     with tempfile.TemporaryDirectory() as tmp:
         for i, (axis, values, algos, seed, pinned) in enumerate(REFERENCES):
