@@ -175,13 +175,13 @@ def run_experiment(
 ) -> list[ResultRow]:
     """Run the sweep, write results.csv, summary.csv, and the plot.
 
-    `scenario` is a `Scenario` or a path to one.  Returns the rows in
-    (axis value, repeat, algorithm) order, with the algorithms in
-    `ALGORITHMS` order whatever their order in `sweep`; summary.csv and
-    the plot keep the order of `sweep`.  Identical inputs give
-    identical rows apart from `wall_ms`.  With `mc_trials` > 0 every
-    task also simulates its layout (`rate.mc_uatf_sinr`) for the
-    `mc_min_rate` column.
+    `scenario` is a `Scenario` or a path to one.  Returns the rows in (axis
+    value, repeat, algorithm) order, with the algorithms in `ALGORITHMS`
+    order whatever their order in `sweep`; summary.csv and the plot keep the
+    order of `sweep`.  Identical inputs give identical rows apart from
+    `wall_ms`.  With `mc_trials` > 0 every task also simulates its layout
+    (`rate.mc_uatf_sinr`) for the `mc_min_rate` column.  `out_dir` is made
+    after every task has finished; one that is or lies in a file fails first.
     """
     scn = scenario if isinstance(scenario, Scenario) else load_scenario(scenario)
     master = scn.hyper.seed if seed is None else seed
@@ -191,6 +191,10 @@ def run_experiment(
         raise ScenarioError(
             f"Monte Carlo trials (mc_trials, --mc-trials) must be 0 or >= 2, got {mc_trials}"
         )
+    out = Path(out_dir)
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ScenarioError(f"out_dir (--out) {out}: {nearest} is not a directory")
     plan, tasks = [], []  # the row's identifying fields, and its task
     for ai, value in enumerate(sweep.values):
         for repeat in range(sweep.repeats):
@@ -213,8 +217,7 @@ def run_experiment(
     except ScenarioError as exc:
         axis, value, _, algo, _ = plan[len(measured)]
         raise ScenarioError(f"{axis} = {value}, {algo}: {exc}") from None
-    out = Path(out_dir)  # made only once every task has finished
-    out.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)  # made only once every task has finished
 
     rows = [ResultRow(*key, *values) for key, values in zip(plan, measured)]
     write_results(out / "results.csv", rows)
@@ -311,6 +314,11 @@ class ValidationReport:
     ok: bool
 
 
+def _ratio(num, den):
+    """num / den for den >= 0, reading 0/0 as 0 and x/0 as inf."""
+    return num / den if den > 0.0 else (0.0 if num == 0.0 else math.inf)
+
+
 def validate_closed_form(
     scenario, trials: int, seed: int | None = None, layout: np.ndarray | None = None
 ) -> ValidationReport:
@@ -332,14 +340,7 @@ def validate_closed_form(
         for k in range(scn.k_users):
             cf, sim, se = (getattr(t, term)[k] for t in (closed, est, est.se))
             diff = abs(cf - sim)
-            if cf != 0.0:
-                rel = diff / abs(cf)
-            else:
-                rel = 0.0 if sim == 0.0 else float("inf")
-            if se > 0.0:
-                sig = diff / se
-            else:
-                sig = 0.0 if diff == 0.0 else float("inf")
+            rel, sig = _ratio(diff, abs(cf)), _ratio(diff, se)
             rows.append(TermCheck(k, term, float(cf), float(sim), float(se), rel, sig))
     sinr_closed = closed.sinr(scn.tx_power, scn.noise_power)
     sinr_mc = est.sinr(scn.tx_power, scn.noise_power)

@@ -38,13 +38,18 @@ from .scenario import (
     Scenario,
     ScenarioError,
     grid_layout,
-    line_search_steps,
     project,
     violation_counts,
     violation_set,
 )
 
 LINE_SEARCH_PREFIX = 40  # candidates scored per chunk; the accepted one is rarely later
+ZETA_MIN_FACTOR = 1e-8  # line search gives up below this fraction of wavelength
+
+
+def line_search_steps(kappa: float) -> int:
+    """Candidate steps ``wavelength * kappa**n`` down to `ZETA_MIN_FACTOR` of it."""
+    return math.ceil(math.log(ZETA_MIN_FACTOR) / math.log(kappa)) + 1
 
 
 def _soft_min(rates: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
@@ -94,21 +99,20 @@ def _line_search(
     Candidates are ``wavelength * kappa**n``, n = 0, 1, ...; a candidate
     is accepted when the projected trial point improves the objective
     `g_value` at `point` by at least ``varpi * zeta * ||grad||^2`` and has
-    no spacing violations.  `point` and `grad` are one layout (2, M) or a
-    batch (..., 2, M) with one `g_value` per layout.  Candidates are
-    built and scored in chunks of `LINE_SEARCH_PREFIX`, each chunk only
-    for the layouts with no passing step in the earlier ones, so memory
-    stays bounded however many steps `kappa` makes; only candidates that
-    pass the increase test are spacing-checked.  The first passing step
-    is the one the sequential shrink loop takes.  Returns the steps, the
-    accepted trial layouts and their objective values; a layout with no
-    passing step down to ``1e-8 * wavelength`` gets NaN in all three,
-    also when no layout has one.
+    no spacing violations.  `point` and `grad` are a batch (R, 2, M) with
+    one `g_value` per layout; a single (2, M) layout is a batch of one.
+    Candidates are built and scored in chunks of `LINE_SEARCH_PREFIX`,
+    each chunk only for the layouts with no passing step in the earlier
+    ones, so memory stays bounded however many steps `kappa` makes; only
+    candidates that pass the increase test are spacing-checked.  The
+    first passing step is the one the sequential shrink loop takes.
+    Returns the steps (R,), the accepted trial layouts (R, 2, M) and
+    their objective values (R,); a layout with no passing step down to
+    ``ZETA_MIN_FACTOR * wavelength`` gets NaN in all three, also when no
+    layout has one.
     """
     hyp = scn.hyper
-    point = np.asarray(point, dtype=float)
-    batch = point.shape[:-2]
-    points = point.reshape(-1, *point.shape[-2:])
+    points = np.asarray(point, dtype=float).reshape(-1, 2, scn.m_antennas)
     grads = np.asarray(grad, dtype=float).reshape(points.shape)
     g_values = np.asarray(g_value, dtype=float).reshape(-1)
     grad_sq = np.sum(grads.reshape(len(grads), -1) ** 2, axis=-1)
@@ -140,11 +144,7 @@ def _line_search(
         layouts[rows] = cands[hit, first]
         values[rows] = g_trials[hit, first]
         pending = pending[~hit]
-    return (
-        steps.reshape(batch)[()],
-        layouts.reshape(point.shape),
-        values.reshape(batch)[()],
-    )
+    return steps, layouts, values
 
 
 # grid pitch margin over d_min: at pitch exactly d_min the start sits on the

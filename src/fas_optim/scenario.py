@@ -174,8 +174,8 @@ class Scenario:
 
     Every instance is valid: building one, `dataclasses.replace` included,
     raises `ScenarioError` naming the first field that breaks an invariant.
-    Each field's own range (the rule tables, then `KAPPA_MAX`, which bounds the
-    line search's step count) is checked first, then that float64 resolves
+    Each field's own range (the rule tables; kappa's cap `KAPPA_MAX` bounds
+    the line search's step count) is checked first, then that float64 resolves
     `grad_tol` in the soft-min at sharpness `mu`, then that the largest LoS
     phase, (2*pi/wavelength) * region_size in the order `channel.steering`
     takes it, is finite, then the pilot length's relations, and all before
@@ -200,12 +200,6 @@ class Scenario:
     def __post_init__(self) -> None:
         _check_fields(self, _SCENARIO_RULES)
         _check_fields(self.hyper, _HYPER_RULES)
-        if self.hyper.kappa > KAPPA_MAX:
-            raise ScenarioError(
-                f"kappa must be <= {KAPPA_MAX}, got {self.hyper.kappa}: the line "
-                f"search would try up to {line_search_steps(self.hyper.kappa)} steps "
-                f"({line_search_steps(KAPPA_MAX)} at {KAPPA_MAX})"
-            )
         # the soft-min's log-sum, in [0, ln K], rounds to about ln(K) 2^-52,
         # an error that 1/mu scales past grad_tol below this floor
         mu_floor = math.log(self.k_users) * 2.0**-52 / self.hyper.grad_tol
@@ -289,13 +283,7 @@ class Scenario:
         return (self.coherence_len - self.pilot_len) / self.coherence_len
 
 
-ZETA_MIN_FACTOR = 1e-8  # line search gives up below this fraction of wavelength
 KAPPA_MAX = 0.99  # 1834 line-search steps; the count grows as 1 / (1 - kappa)
-
-
-def line_search_steps(kappa: float) -> int:
-    """Candidate steps ``wavelength * kappa**n`` down to `ZETA_MIN_FACTOR` of it."""
-    return math.ceil(math.log(ZETA_MIN_FACTOR) / math.log(kappa)) + 1
 
 
 def _check_fields(obj, rules, prefix: str = "") -> None:
@@ -321,7 +309,7 @@ _SCENARIO_RULES = (
 )
 _HYPER_RULES = (
     ("mu", lambda v: 1e-300 <= v <= 1e300, "must lie in [1e-300, 1e300]"),
-    ("kappa", lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    ("kappa", lambda v: 0 < v <= KAPPA_MAX, f"must lie in (0, {KAPPA_MAX}]"),
     ("varpi", lambda v: 0 < v < 1, "must lie in (0, 1)"),
     ("ga_pop", lambda v: v >= 2, "must be >= 2"),
     ("ga_max_iter", lambda v: v >= 1, "must be >= 1"),

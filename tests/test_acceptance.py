@@ -7,6 +7,7 @@ tests print their measured numbers, which pytest shows on failure.
 
 import dataclasses
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from fas_optim.scenario import (
     UserModel,
     random_users,
     redraw_users,
+    worker_count,
 )
 
 MASTER = 7      # master seed for the trend sweeps
@@ -32,26 +34,26 @@ def _verdict(num, ok, detail):
 # --------------------------------------------------------------- fixtures
 
 
+def _geometry_run(base_scn, s):
+    """Both optimizers plus the baseline on user geometry `s`, seeded by `s`."""
+    scn = redraw_users(base_scn, 100 + s)
+    ga_layout, _ = opt_ga.run_ga(scn, seed=1000 + s)
+    grad_layout, _ = opt_grad.run_multistart(scn, seed=2000 + s)
+    return {
+        "scn": scn,
+        "base": rate.min_rate(harness.fpa_layout(scn), scn),
+        "ga_layout": ga_layout,
+        "grad_layout": grad_layout,
+        "ga_rate": rate.min_rate(ga_layout, scn),
+        "grad_rate": rate.min_rate(grad_layout, scn),
+    }
+
+
 @pytest.fixture(scope="module")
 def geometry_runs(table1_k5):
-    """Forty random user geometries, both optimizers plus the baseline."""
-    runs = []
-    for s in range(40):
-        scn = redraw_users(table1_k5, 100 + s)
-        base = rate.min_rate(harness.fpa_layout(scn), scn)
-        ga_layout, _ = opt_ga.run_ga(scn, seed=1000 + s)
-        grad_layout, _ = opt_grad.run_multistart(scn, seed=2000 + s)
-        runs.append(
-            {
-                "scn": scn,
-                "base": base,
-                "ga_layout": ga_layout,
-                "grad_layout": grad_layout,
-                "ga_rate": rate.min_rate(ga_layout, scn),
-                "grad_rate": rate.min_rate(grad_layout, scn),
-            }
-        )
-    return runs
+    """Forty random user geometries, run on worker processes."""
+    with ProcessPoolExecutor(worker_count()) as pool:
+        return list(pool.map(_geometry_run, [table1_k5] * 40, range(40)))
 
 
 def _table(base, out, axis, values, reps):

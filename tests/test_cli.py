@@ -186,8 +186,8 @@ def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
             "rician = 6", "rician = 1e300", [],
             "user 0: Rician factor 1e+300 (rician) overflows",
         ),
-        # legal but so close to 1 that the line search would crawl
-        ("kappa = 0.8", "kappa = 0.9999", [], "kappa must be <= 0.99, got 0.9999"),
+        # so close to 1 that the line search would crawl
+        ("kappa = 0.8", "kappa = 0.9999", [], "kappa must lie in (0, 0.99], got 0.9999"),
         # files the loader cannot take apart
         ("m_antennas = 4\n", "", [], "missing key in [system]: m_antennas"),
         (
@@ -332,6 +332,30 @@ def test_run_rejects_bad_mc_trials_up_front(tmp_path, capsys, monkeypatch, value
     err = capsys.readouterr().err
     assert f"(mc_trials, --mc-trials) must be 0 or >= 2, got {value}" in err
     assert not out.exists()  # rejected before any task ran
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["out-is-file", "out-under-file"])
+def test_run_rejects_out_in_a_file_up_front(tmp_path, capsys, monkeypatch, below):
+    # a file where --out or one of its parents should be a directory
+    monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
+    ran, run_task = [], harness._run_task
+
+    def spy(*task):
+        ran.append(task)
+        return run_task(*task)
+
+    monkeypatch.setattr(harness, "_run_task", spy)
+    ini = write_ini(tmp_path, m_antennas=4, k_users=2)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = cli.main(
+        ["run", "--scenario", str(ini), "--algos", "fpa", "--out", str(taken / below)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: out_dir (--out) {taken / below}: {taken} is not a directory\n"
+    )
+    assert ran == []  # rejected before any task ran
 
 
 def test_run_mc_trials_fills_column_at_any_worker_count(tmp_path, capsys, monkeypatch):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from fas_optim import channel, opt_ga, opt_grad, rate, scenario
 from fas_optim.harness import seed_for
+from fas_optim.opt_grad import ZETA_MIN_FACTOR
 from fas_optim.scenario import (
-    ZETA_MIN_FACTOR,
     Scenario,
     ScenarioError,
     derive_user,
@@ -330,27 +330,26 @@ def test_backtrack_exhausts_on_boundary_grid(table1_k3):
     g_value = opt_grad.smoothed_objective(point, table1_k3)
     step, layout, value = opt_grad._line_search(point, grad, table1_k3, g_value)
     assert np.isnan(step) and np.isnan(value)
-    assert layout.shape == point.shape and np.isnan(layout).all()
+    assert layout.shape == (1, *point.shape) and np.isnan(layout).all()
 
 
-def test_line_search_memory_stays_bounded_for_fine_kappa(monkeypatch):
-    # kappa 0.9999 makes 184199 candidate steps; scored all at once past
-    # the first chunk they need tens of MiB even for one M=2, K=3 layout.
-    # A Scenario rejects kappa above KAPPA_MAX, so the bound is lifted here.
-    monkeypatch.setattr(scenario, "KAPPA_MAX", 1.0)
-    scn = small_scenario([(0.4, 0.9), (1.3, 2.2), (2.0, 0.6)], m=2)
-    scn = dataclasses.replace(scn, hyper=dataclasses.replace(scn.hyper, kappa=0.9999))
-    point = np.array([[-0.025, 0.025], [0.0, 0.0]])  # exactly d_min apart
+def test_line_search_memory_stays_bounded_for_fine_kappa(table1_k5):
+    # at KAPPA_MAX a search tries 1834 steps; six K = M = 9 layouts that
+    # exhaust every one of them, scored all at once, need over 40 MiB
+    hyper = dataclasses.replace(table1_k5.hyper, kappa=scenario.KAPPA_MAX)
+    scn = redraw_users(dataclasses.replace(table1_k5, hyper=hyper), 5, count=9)
+    assert opt_grad.line_search_steps(scn.hyper.kappa) > opt_grad.LINE_SEARCH_PREFIX
+    point = np.stack([upa_layout(9, scn.d_min, scn.region_size)] * 6)  # at the limit
     g_value = opt_grad.smoothed_objective(point, scn)
     tracemalloc.start()
     try:
-        # pushed together
+        # pushed together, so every candidate violates the spacing limit
         step, layout, value = opt_grad._line_search(point, -point, scn, g_value)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
-    assert np.isnan(step) and np.isnan(value) and np.isnan(layout).all()
+    assert np.isnan(step).all() and np.isnan(value).all() and np.isnan(layout).all()
 
 
 # ------------------------------------------------------------- full ascents
