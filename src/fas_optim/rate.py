@@ -68,8 +68,8 @@ def _batch_results(
 ) -> Iterator[tuple]:
     """Yield ``simulate(stream, size)`` per batch of `MC_BATCH` trials, in batch order.
 
-    Each batch draws only from its own stream spawned from `rng`, and the
-    last may be short, so results depend only on `rng` and `trials`.
+    Each batch draws only from its own stream, spawned from `rng` as it is
+    submitted; the last may be short.  Results depend only on `rng` and `trials`.
     Batches run on `worker_count()` threads, inline when there is one
     batch or one worker, with at most one batch more submitted than there
     are workers, so finished results cannot pile up.  A batch that raises
@@ -79,8 +79,8 @@ def _batch_results(
     if trials < 2:
         raise ScenarioError(f"trials must be >= 2, got {trials}")
     n = -(-trials // MC_BATCH)
-    sizes = [min(MC_BATCH, trials - i * MC_BATCH) for i in range(n)]
-    batches = list(zip(rng.spawn(n), sizes))
+    # spawned one by one as batches start: spawn(1) n times gives spawn(n)'s streams
+    batches = ((rng.spawn(1)[0], min(MC_BATCH, trials - i * MC_BATCH)) for i in range(n))
     workers = min(worker_count(), n)
     if workers == 1:
         for stream, size in batches:

@@ -480,7 +480,7 @@ def load_scenario(path) -> Scenario:
         inline_comment_prefixes=(";", "#"), interpolation=None
     )
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is skipped
             parser.read_file(fh)
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"scenario file {path} is not UTF-8: {exc}") from None

@@ -1,11 +1,13 @@
-"""Shared fixtures: reference scenarios and an INI writer for variants."""
+"""Shared fixtures: reference scenarios, an INI writer for variants, a scenario
+builder and finite differences."""
 
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fas_optim.scenario import Scenario, load_scenario
+from fas_optim.scenario import Scenario, derive_user, load_scenario
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO / "scenarios"
@@ -73,14 +75,38 @@ def explicit_users(text, count):
     return text
 
 
-def holding(users, q=1e-9):
-    """A one-antenna scenario of `users` at pilot noise variance `q` per entry."""
+Q = 1e-10  # pilot noise variance per entry of the hand-built scenarios
+
+
+def users_at(angles, distances=None, rician=6.0):
+    """Users at (elevation, azimuth) `angles`, 55 m away unless `distances` are given."""
+    distances = distances or [55.0] * len(angles)
+    return tuple(derive_user(d, e, a, rician=rician) for (e, a), d in zip(angles, distances))
+
+
+def make_scenario(users, m=4, q=Q, **fields):
+    """`users` in the geometry of scenarios/table1_k*.ini, any field overridden.
+
+    Wavelength 0.1 m, a 0.6 m box, d_min 0.05 m, 1 W, T = 196 and tau = K,
+    with noise_power q K: pilot noise variance `q` per entry.
+    """
     k = len(users)
-    return Scenario(
-        m_antennas=1, wavelength=0.1, region_size=0.6, d_min=0.05,
-        tx_power=1.0, noise_power=q * k, coherence_len=196, pilot_len=k,
-        users=users,
+    geometry = dict(
+        m_antennas=m, wavelength=0.1, region_size=0.6, d_min=0.05, tx_power=1.0,
+        noise_power=q * k, coherence_len=196, pilot_len=k,
     )
+    return Scenario(users=users, **{**geometry, **fields})
+
+
+def fd_gradient(fun, layout, h=1e-6):
+    """Central differences of `fun` at `layout` (2, M), shape fun's output + (2, M).
+
+    `fun` takes a batch of layouts: every coordinate moves by +h and by -h
+    in one call each.
+    """
+    steps = h * np.eye(layout.size).reshape(layout.size, *layout.shape)
+    diff = (fun(layout + steps) - fun(layout - steps)) / (2 * h)
+    return np.moveaxis(diff, 0, -1).reshape(*diff.shape[1:], *layout.shape)
 
 
 @pytest.fixture

@@ -13,13 +13,8 @@ import numpy as np
 import pytest
 
 from fas_optim import channel, estimation, harness, opt_ga, opt_grad, rate
-from fas_optim.scenario import (
-    Scenario,
-    UserModel,
-    random_users,
-    redraw_users,
-    worker_count,
-)
+from fas_optim.scenario import UserModel, random_users, redraw_users, worker_count
+from conftest import fd_gradient, make_scenario
 
 MASTER = 7      # master seed for the trend sweeps
 Z = 1.645       # one-sided threshold of every paired trend test, in SEs
@@ -153,44 +148,22 @@ def test_criterion_03_estimator_orthogonality(table1_k3):
     )
 
 
-def _random_instance(m, k, seed):
-    rng = np.random.default_rng(seed)
-    rician = float(rng.choice(np.array([0.5, 6.0, 40.0])))
-    noise = 10.0 ** (-13.4)
-    users = random_users(UserModel(seed, k, rician=rician))
-    scn = Scenario(
-        m_antennas=m,
-        wavelength=0.1,
-        region_size=0.6,
-        d_min=0.05,
-        tx_power=1.0,
-        noise_power=noise,
-        coherence_len=196,
-        pilot_len=k,
-        users=users,
-    )
-    return scn, rng.uniform(-0.3, 0.3, (2, m))
-
-
 def test_criterion_04_gradient_matches_finite_differences():
-    h = 1e-6
     worst = 0.0
     count = 0
     for m in (2, 4, 9):
         for k in (2, 3, 5):
             for inst in range(12):
-                scn, layout = _random_instance(m, k, 1000 * m + 100 * k + inst)
+                seed = 1000 * m + 100 * k + inst
+                rng = np.random.default_rng(seed)
+                rician = float(rng.choice(np.array([0.5, 6.0, 40.0])))
+                users = random_users(UserModel(seed, k, rician=rician))
+                scn = make_scenario(users, m=m, noise_power=10.0 ** (-13.4))
+                layout = rng.uniform(-0.3, 0.3, (2, m))
                 analytic = opt_grad.objective_gradient(layout, scn)
-                fd = np.zeros_like(layout)
-                for d in range(2):
-                    for a in range(m):
-                        up, dn = layout.copy(), layout.copy()
-                        up[d, a] += h
-                        dn[d, a] -= h
-                        fd[d, a] = (
-                            opt_grad.smoothed_objective(up, scn)
-                            - opt_grad.smoothed_objective(dn, scn)
-                        ) / (2.0 * h)
+                fd = fd_gradient(
+                    lambda lays: opt_grad.smoothed_objective(lays, scn), layout
+                )
                 err = np.linalg.norm(fd - analytic) / np.linalg.norm(fd)
                 worst = max(worst, err)
                 count += 1
@@ -293,18 +266,9 @@ def test_criterion_08_returned_layouts_feasible(geometry_runs):
         m = 2 + i % 3
         region = (0.2, 0.3, 0.45, 0.6)[i % 4]
         d_min = (0.03, 0.05, 0.07)[i % 3]
-        noise = 10.0 ** (-13.4)
         users = random_users(UserModel(500 + i, 2))
-        scn = Scenario(
-            m_antennas=m,
-            wavelength=0.1,
-            region_size=region,
-            d_min=d_min,
-            tx_power=1.0,
-            noise_power=noise,
-            coherence_len=196,
-            pilot_len=2,
-            users=users,
+        scn = make_scenario(
+            users, m=m, region_size=region, d_min=d_min, noise_power=10.0 ** (-13.4)
         )
         ga_layout, _ = opt_ga.run_ga(scn, seed=600 + i)
         grad_layout, _ = opt_grad.run_multistart(scn, seed=700 + i, restarts=2)

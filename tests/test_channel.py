@@ -14,19 +14,13 @@ from fas_optim.channel import (
     user_directions,
 )
 from fas_optim.scenario import derive_user
-from conftest import holding
-
-
-def users_at(angles, distance=55.0, rician=6.0):
-    return tuple(
-        derive_user(distance, e, a, rician=rician)
-        for e, a in angles
-    )
+from conftest import make_scenario, users_at
 
 
 def sample(layout, users, rng, trials):
     """`sample_channel` of `users` at `layout`, wavelength 0.1."""
-    return sample_channel(los_matrix(layout, users, 0.1), holding(users), rng, trials)
+    scn = make_scenario(users, m=1, q=1e-9)
+    return sample_channel(los_matrix(layout, users, 0.1), scn, rng, trials)
 
 
 def los_column(layout, user, wavelength):
@@ -145,9 +139,7 @@ def test_los_cross_products_translation_invariant():
 
 def test_los_cross_products_shared_direction():
     # users arriving from the same direction are fully aligned: |inner| = M
-    users = users_at([(0.8, 1.1), (0.8, 1.1)], distance=50.0) + users_at(
-        [(0.8, 1.1)], distance=70.0
-    )
+    users = users_at([(0.8, 1.1)] * 3, [50.0, 50.0, 70.0])
     rng = np.random.default_rng(2)
     layout = rng.uniform(-0.3, 0.3, (2, 9))
     mat = los_matrix(layout, users, 0.1)

@@ -9,7 +9,7 @@ from fas_optim import estimation
 from fas_optim.channel import complex_normal, los_matrix, sample_channel
 from fas_optim.estimation import lmmse_estimate, make_pilots, matmul_rows, observe_pilots
 from fas_optim.scenario import derive_user
-from conftest import holding
+from conftest import make_scenario, users_at
 
 
 def test_make_pilots_orthonormal_square():
@@ -83,7 +83,7 @@ def test_lmmse_gain_half_when_powers_match():
     q = 3e-13
     eps = 6.0
     user = derive_user(1.0, 0.7, 1.3, rician=eps, path_loss_ref=q * (eps + 1.0))
-    scn = holding((user,), q)
+    scn = make_scenario((user,), m=1, q=q)
     assert user.nlos_power == pytest.approx(q, rel=1e-12, abs=0)
     assert scn.est_gains[0] == pytest.approx(0.5, rel=1e-12, abs=0)
     rng = np.random.default_rng(2)
@@ -99,23 +99,21 @@ def test_lmmse_tracks_observation_at_high_snr():
     rng = np.random.default_rng(3)
     obs = complex_normal(rng, (5, 1))
     los = complex_normal(rng, (5, 1))
-    est = lmmse_estimate(obs, holding((user,), 1e-18), los)
+    est = lmmse_estimate(obs, make_scenario((user,), m=1, q=1e-18), los)
     np.testing.assert_allclose(est, obs, rtol=1e-6, atol=1e-8)
 
 
 def test_estimate_mean_is_scaled_los():
     # over the pilot chain, E{hhat} = sqrt(c eps) hbar
     q = 1e-9
-    users = tuple(
-        derive_user(d, e, a) for d, e, a in [(55.0, 0.5, 0.6), (60.0, 2.0, 1.0)]
-    )
+    users = users_at([(0.5, 0.6), (2.0, 1.0)], [55.0, 60.0])
     rng = np.random.default_rng(4)
     layout = np.random.default_rng(5).uniform(-0.3, 0.3, (2, 3))
     wavelength = 0.1
     n = 100_000
     tau, p = 2, 1.0
     sigma2 = q * tau * p
-    scn, los = holding(users, q), los_matrix(layout, users, wavelength)
+    scn, los = make_scenario(users, m=1, q=q), los_matrix(layout, users, wavelength)
     h = sample_channel(los, scn, rng, trials=n)
     obs = observe_pilots(h, make_pilots(tau, 2), p, sigma2, rng)
     gains = scn.est_gains
@@ -136,7 +134,7 @@ def test_estimate_variance_is_gain_scaled():
     n = 200_000
     tau, p = 1, 1.0
     sigma2 = q * tau * p
-    scn, los = holding((user,), q), los_matrix(layout, (user,), 0.1)
+    scn, los = make_scenario((user,), m=1, q=q), los_matrix(layout, (user,), 0.1)
     h = sample_channel(los, scn, rng, trials=n)
     obs = observe_pilots(h, make_pilots(tau, 1), p, sigma2, rng)
     gains = scn.est_gains
@@ -148,7 +146,7 @@ def test_estimate_variance_is_gain_scaled():
 
 def test_estimation_leaves_its_arguments_alone():
     rng = np.random.default_rng(6)
-    users = (derive_user(55.0, 0.5, 0.6), derive_user(60.0, 2.0, 1.0))
+    users = users_at([(0.5, 0.6), (2.0, 1.0)], [55.0, 60.0])
     h = complex_normal(rng, (5, 4, 2))
     los = complex_normal(rng, (4, 2))
     pilots = make_pilots(3, 2)
@@ -156,6 +154,6 @@ def test_estimation_leaves_its_arguments_alone():
     kept = [a.copy() for a in args]
     obs = observe_pilots(h, pilots, 1.0, 1e-3, rng)
     kept_obs = obs.copy()
-    lmmse_estimate(obs, holding(users, 1e-3 / 3), los)
+    lmmse_estimate(obs, make_scenario(users, m=1, q=1e-3 / 3), los)
     for arg, before in zip(args + [obs], kept + [kept_obs]):
         assert arg.tobytes() == before.tobytes()

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fas_optim import channel, opt_ga, rate
 from fas_optim.scenario import (
     HyperParams,
-    Scenario,
     UserModel,
     db_to_linear,
     dbm_to_watt,
@@ -19,6 +18,7 @@ from fas_optim.scenario import (
     violation_counts,
     violation_set,
 )
+from conftest import make_scenario
 
 
 def fitness(layouts, scn):
@@ -92,16 +92,12 @@ def ga_scenarios(draw):
     rician_db = draw(st.floats(33.0, 40.0) if strong else st.floats(0.0, 20.0))
     tx_power = 10.0 ** draw(st.floats(1.0, 3.0) if strong else st.floats(-3.0, 0.0))
     model = UserModel(seed=0, count=k, rician=db_to_linear(rician_db))
-    scn = Scenario(
-        m_antennas=m,
-        wavelength=0.1,
+    scn = make_scenario(
+        random_users(model),
+        m=m,
         region_size=draw(st.floats(0.15, 0.6)),
-        d_min=0.05,
         tx_power=tx_power,
         noise_power=dbm_to_watt(-104.0),
-        coherence_len=196,
-        pilot_len=k,
-        users=random_users(model),
         hyper=HyperParams(ga_pop=20, ga_max_iter=40),
         user_model=model,
     )
@@ -201,16 +197,11 @@ def test_population_responses_and_fitness_match_a_fresh_evaluation(k, m, region,
     # children inherit their parents' LoS responses and recompute only moved
     # antennas; the carried arrays must be the fresh ones, bit for bit
     model = UserModel(seed=seed, count=k)
-    scn = Scenario(
-        m_antennas=m,
-        wavelength=0.1,
+    scn = make_scenario(
+        random_users(model),
+        m=m,
         region_size=region,
-        d_min=0.05,
-        tx_power=1.0,
         noise_power=dbm_to_watt(-104.0),
-        coherence_len=196,
-        pilot_len=k,
-        users=random_users(model),
         hyper=HyperParams(ga_pop=20),
         user_model=model,
     )

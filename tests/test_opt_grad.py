@@ -13,48 +13,13 @@ from fas_optim import channel, opt_ga, opt_grad, rate, scenario
 from fas_optim.harness import seed_for
 from fas_optim.opt_grad import ZETA_MIN_FACTOR
 from fas_optim.scenario import (
-    Scenario,
+    HyperParams,
     ScenarioError,
-    derive_user,
     grid_layout,
     redraw_users,
     upa_layout,
 )
-
-Q = 1e-10
-
-
-def small_scenario(angles, m=4, distances=None, mu=100.0):
-    distances = distances or [55.0] * len(angles)
-    k = len(angles)
-    users = tuple(
-        derive_user(d, e, a)
-        for (e, a), d in zip(angles, distances)
-    )
-    scn = Scenario(
-        m_antennas=m,
-        wavelength=0.1,
-        region_size=0.6,
-        d_min=0.05,
-        tx_power=1.0,
-        noise_power=Q * k,
-        coherence_len=196,
-        pilot_len=k,
-        users=users,
-    )
-    return dataclasses.replace(scn, hyper=dataclasses.replace(scn.hyper, mu=mu))
-
-
-def fd_gradient(fun, layout, h=1e-6):
-    grad = np.zeros_like(layout)
-    for d in range(layout.shape[0]):
-        for m in range(layout.shape[1]):
-            up = layout.copy()
-            up[d, m] += h
-            dn = layout.copy()
-            dn[d, m] -= h
-            grad[d, m] = (fun(up) - fun(dn)) / (2.0 * h)
-    return grad
+from conftest import fd_gradient, make_scenario, users_at
 
 
 # ----------------------------------------------------------------- soft-min
@@ -90,7 +55,7 @@ def test_soft_min_sharpens_with_mu(table1_k3):
 
 
 def test_soft_min_single_user_is_exact():
-    scn = small_scenario([(0.7, 1.2)])
+    scn = make_scenario(users_at([(0.7, 1.2)]))
     layout = upa_layout(4, 0.06, 0.6)
     ctx = rate.closed_form_context(scn)
     assert opt_grad.smoothed_objective(layout, scn) == pytest.approx(
@@ -107,14 +72,14 @@ def _dsinr(layout, scn):
 
 
 def test_sinr_gradient_single_user_is_zero():
-    scn = small_scenario([(0.7, 1.2)])
+    scn = make_scenario(users_at([(0.7, 1.2)]))
     layout = np.random.default_rng(2).uniform(-0.3, 0.3, (2, 4))
     np.testing.assert_array_equal(_dsinr(layout, scn)[0], 0.0)
 
 
 def test_gradient_vanishes_for_aligned_users():
     # users sharing an arrival direction: |f_ki|^2 pinned at M^2, no slope
-    scn = small_scenario([(0.8, 1.1), (0.8, 1.1)], distances=[50.0, 70.0])
+    scn = make_scenario(users_at([(0.8, 1.1), (0.8, 1.1)], [50.0, 70.0]))
     layout = np.random.default_rng(3).uniform(-0.3, 0.3, (2, 4))
     np.testing.assert_allclose(
         opt_grad.objective_gradient(layout, scn), 0.0, atol=1e-18
@@ -122,29 +87,27 @@ def test_gradient_vanishes_for_aligned_users():
 
 
 def test_sinr_gradient_matches_finite_differences():
-    scn = small_scenario([(0.4, 0.9), (1.3, 2.2), (2.0, 0.6)], m=5)
+    scn = make_scenario(users_at([(0.4, 0.9), (1.3, 2.2), (2.0, 0.6)]), m=5)
     ctx = rate.closed_form_context(scn)
     layout = np.random.default_rng(4).uniform(-0.25, 0.25, (2, 5))
+    fd = fd_gradient(lambda layouts: rate.sinr_for(ctx, layouts), layout)
     for k in range(3):
         analytic = _dsinr(layout, scn)[k]
-
-        def sinr_k(lay, k=k):
-            return float(rate.sinr_for(ctx, lay)[k])
-
-        fd = fd_gradient(sinr_k, layout)
-        err = np.linalg.norm(fd - analytic) / np.linalg.norm(fd)
+        err = np.linalg.norm(fd[k] - analytic) / np.linalg.norm(fd[k])
         assert err < 1e-5
 
 
 def test_objective_gradient_matches_finite_differences(table1_k3):
     layout = opt_grad.default_init(table1_k3)
     analytic = opt_grad.objective_gradient(layout, table1_k3)
-    fd = fd_gradient(lambda lay: opt_grad.smoothed_objective(lay, table1_k3), layout)
+    fd = fd_gradient(lambda lays: opt_grad.smoothed_objective(lays, table1_k3), layout)
     assert np.linalg.norm(fd - analytic) / np.linalg.norm(fd) < 1e-5
 
 
 def test_sharp_gradient_follows_worst_user():
-    scn = small_scenario([(0.4, 0.9), (1.3, 2.2), (2.0, 0.6)], m=5, mu=1e4)
+    scn = make_scenario(
+        users_at([(0.4, 0.9), (1.3, 2.2), (2.0, 0.6)]), m=5, hyper=HyperParams(mu=1e4)
+    )
     layout = np.random.default_rng(5).uniform(-0.25, 0.25, (2, 5))
     ctx = rate.closed_form_context(scn)
     rates = rate.rates_for(ctx, layout)
@@ -217,7 +180,7 @@ def test_line_search_value_is_objective_of_accepted_layout():
         k = int(rng.integers(2, 5))
         angles = [tuple(rng.uniform(0.2, 2.9, 2)) for _ in range(k)]
         distances = list(rng.uniform(50.0, 70.0, k))
-        scn = small_scenario(angles, m=int(rng.integers(3, 7)), distances=distances)
+        scn = make_scenario(users_at(angles, distances), m=int(rng.integers(3, 7)))
         point = opt_grad.random_feasible_layout(scn, rng)
         grad = opt_grad.objective_gradient(point, scn)
         g_point = opt_grad.smoothed_objective(point, scn)
@@ -378,7 +341,7 @@ def test_run_gradient_rejects_bad_init(table1_k3):
 
 
 def test_run_gradient_single_user_stops_immediately():
-    scn = small_scenario([(0.7, 1.2)])
+    scn = make_scenario(users_at([(0.7, 1.2)]))
     init = upa_layout(4, 0.06, 0.6)
     layout, history = opt_grad.run_gradient(scn, init=init)
     assert len(history) - 1 <= 2
@@ -546,7 +509,7 @@ def small_problems(draw):
     angle = st.floats(0.2, 2.9)
     angles = [(draw(angle), draw(angle)) for _ in range(k)]
     distances = [draw(st.floats(50.0, 70.0)) for _ in range(k)]
-    scn = small_scenario(angles, m=draw(st.integers(3, 6)), distances=distances)
+    scn = make_scenario(users_at(angles, distances), m=draw(st.integers(3, 6)))
     return scn, draw(st.integers(0, 2**32 - 1))
 
 
@@ -593,7 +556,7 @@ def test_run_multistart_feasible_and_never_below_fpa(k, m, mu, seed, data):
     angle, distance = st.floats(0.2, 2.9), st.floats(50.0, 70.0)
     angles = [(data.draw(angle), data.draw(angle)) for _ in range(k)]
     distances = [data.draw(distance) for _ in range(k)]
-    scn = small_scenario(angles, m=m, distances=distances, mu=mu)
+    scn = make_scenario(users_at(angles, distances), m=m, hyper=HyperParams(mu=mu))
     layout, _ = opt_grad.run_multistart(scn, seed, restarts=2)
     assert np.all(np.abs(layout) <= scn.region_size / 2.0)
     assert opt_ga.violation_set(layout, scn.d_min) == []
@@ -610,7 +573,7 @@ ANGLE_PAIRS = st.lists(st.tuples(ANGLE, ANGLE), min_size=1, max_size=3)
 def test_run_multistart_on_crowded_boxes(m, fill, seed, angles):
     # from the smallest box that fits the grid up to two wavelengths, a
     # random start that cannot be drawn is skipped and the grid still runs
-    scn = small_scenario(angles, m=m)
+    scn = make_scenario(users_at(angles), m=m)
     smallest = math.isqrt(m - 1) * scn.d_min  # the grid's span at pitch d_min
     scn = dataclasses.replace(scn, region_size=smallest + fill * (0.2 - smallest))
     layout, _ = opt_grad.run_multistart(scn, seed, restarts=3)
@@ -624,7 +587,9 @@ def test_run_multistart_falls_back_to_fpa(table1_k3):
     # below the grid's 0.716, and the grid start on 0.718: the returned
     # layout is the best of every start's and the grid's
     angles = [(0.3, 0.6), (0.4, 1.4), (1.2, 2.5)]
-    scn = small_scenario(angles, m=2, distances=[57.0, 51.0, 65.0], mu=0.3)
+    scn = make_scenario(
+        users_at(angles, [57.0, 51.0, 65.0]), m=2, hyper=HyperParams(mu=0.3)
+    )
     layout, _ = opt_grad.run_multistart(scn, seed=2, restarts=2)
     rng = np.random.default_rng(2)
     inits = [opt_grad.default_init(scn), opt_grad.random_feasible_layout(scn, rng)]

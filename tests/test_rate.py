@@ -13,33 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fas_optim import channel, rate
-from fas_optim.scenario import Scenario, derive_user, upa_layout
-
-Q = 1e-10
-
-
-def users_at(angles, distances=None, rician=6.0):
-    distances = distances or [55.0] * len(angles)
-    return tuple(
-        derive_user(d, e, a, rician=rician)
-        for (e, a), d in zip(angles, distances)
-    )
-
-
-def small_scenario(users, m=4, noise_power=None, pilot_len=None):
-    k = len(users)
-    noise = Q * k * 1.0 if noise_power is None else noise_power
-    return Scenario(
-        m_antennas=m,
-        wavelength=0.1,
-        region_size=0.6,
-        d_min=0.05,
-        tx_power=1.0,
-        noise_power=noise,
-        coherence_len=196,
-        pilot_len=k if pilot_len is None else pilot_len,
-        users=users,
-    )
+from fas_optim.scenario import derive_user, upa_layout
+from conftest import Q, fd_gradient, make_scenario, users_at
 
 
 # ---------------------------------------------------------------- statistics
@@ -90,7 +65,7 @@ def pair_interference(ctx, layout):
 
 def test_f_sq_diagonal_and_symmetry():
     users = users_at([(0.4, 0.9), (1.3, 2.2), (2.1, 0.3)])
-    ctx = rate.closed_form_context(small_scenario(users, m=5))
+    ctx = rate.closed_form_context(make_scenario(users, m=5))
     layout = np.random.default_rng(2).uniform(-0.3, 0.3, (2, 5))
     fsq = np.abs(los_gram(ctx, layout)) ** 2
     np.testing.assert_allclose(np.diag(fsq), 25.0, rtol=1e-12)
@@ -99,7 +74,7 @@ def test_f_sq_diagonal_and_symmetry():
 
 def test_f_sq_aligned_users_hit_m_squared():
     users = users_at([(0.8, 1.1), (0.8, 1.1)], distances=[50.0, 70.0])
-    ctx = rate.closed_form_context(small_scenario(users, m=6))
+    ctx = rate.closed_form_context(make_scenario(users, m=6))
     layout = np.random.default_rng(3).uniform(-0.3, 0.3, (2, 6))
     np.testing.assert_allclose(
         np.abs(los_gram(ctx, layout)) ** 2, np.full((2, 2), 36.0), rtol=1e-12
@@ -109,7 +84,7 @@ def test_f_sq_aligned_users_hit_m_squared():
 def test_f_sq_destructive_pair():
     # quarter-wavelength offset between opposite arrivals cancels exactly
     users = users_at([(math.pi / 2, 0.0), (math.pi / 2, math.pi)])
-    ctx = rate.closed_form_context(small_scenario(users, m=2))
+    ctx = rate.closed_form_context(make_scenario(users, m=2))
     layout = np.array([[0.0, 0.025], [0.0, 0.0]])
     fsq = np.abs(los_gram(ctx, layout)) ** 2
     assert fsq[0, 1] == pytest.approx(0.0, abs=1e-20)
@@ -119,7 +94,7 @@ def test_f_sq_destructive_pair():
 def test_context_terms_are_layout_free():
     # the layout enters the SINR only through the interference sum
     users = users_at([(0.4, 0.9), (1.3, 2.2)])
-    scn = small_scenario(users)
+    scn = make_scenario(users)
     ctx = rate.closed_form_context(scn)
     p, s2 = scn.tx_power, scn.noise_power
     zeros = np.zeros((2, 4))
@@ -138,7 +113,7 @@ def test_context_terms_are_layout_free():
 
 def test_signal_is_noise_squared():
     users = users_at([(0.4, 0.9), (1.3, 2.2), (2.0, 1.5)])
-    scn = small_scenario(users, m=7)
+    scn = make_scenario(users, m=7)
     ctx = rate.closed_form_context(scn)
     np.testing.assert_allclose(ctx.e_signal, ctx.e_noise**2, rtol=1e-12)
     for k, u in enumerate(users):
@@ -149,7 +124,7 @@ def test_signal_is_noise_squared():
 def test_rayleigh_limit_of_terms():
     # eps = 0 collapses leak and interference to their diffuse-only forms
     users = users_at([(0.4, 0.9), (1.3, 2.2)], rician=0.0)
-    scn = small_scenario(users, m=5)
+    scn = make_scenario(users, m=5)
     q = scn.noise_over_taup
     ctx = rate.closed_form_context(scn)
     interference = pair_interference(ctx, np.zeros((2, 5)))
@@ -181,7 +156,7 @@ def test_layout_free_terms_match_expanded_form(k, m, ricians, distances, noise_s
         derive_user(d, e, az, rician=r)
         for (e, az), d, r in zip(angles, distances, ricians)
     )
-    scn = small_scenario(users, m=m, noise_power=Q * k * 10.0**noise_scale)
+    scn = make_scenario(users, m=m, noise_power=Q * k * 10.0**noise_scale)
     ctx = rate.closed_form_context(scn)
     c, eps, a, q = scn.nlos_powers, scn.ricians, scn.est_gains, scn.noise_over_taup
     leak = (
@@ -213,13 +188,13 @@ def test_layout_free_terms_match_expanded_form(k, m, ricians, distances, noise_s
 
 def test_interference_diagonal_is_zero():
     users = users_at([(0.4, 0.9), (1.3, 2.2), (2.0, 1.5)])
-    ctx = rate.closed_form_context(small_scenario(users))
+    ctx = rate.closed_form_context(make_scenario(users))
     np.testing.assert_array_equal(np.diag(pair_interference(ctx, np.zeros((2, 4)))), 0.0)
 
 
 def test_sinr_decreases_with_extra_interference():
     users = users_at([(0.4, 0.9), (1.3, 2.2), (2.0, 1.5)])
-    ctx = rate.closed_form_context(small_scenario(users))
+    ctx = rate.closed_form_context(make_scenario(users))
     layout = np.random.default_rng(5).uniform(-0.3, 0.3, (2, 4))
     base = rate.sinr_for(ctx, layout)
     # scaling both pair weights scales the (0, 1) interference term by 1.5
@@ -234,7 +209,7 @@ def test_sinr_decreases_with_extra_interference():
 
 def test_vanishing_power_kills_sinr():
     users = users_at([(0.4, 0.9), (1.3, 2.2)])
-    quiet = dataclasses.replace(small_scenario(users), tx_power=1e-30)
+    quiet = dataclasses.replace(make_scenario(users), tx_power=1e-30)
     ctx = rate.closed_form_context(quiet)
     assert np.all(rate.sinr_for(ctx, np.zeros((2, 4))) < 1e-12)
     assert np.all(rate.rates_for(ctx, np.zeros((2, 4))) < 1e-12)
@@ -242,7 +217,7 @@ def test_vanishing_power_kills_sinr():
 
 def test_full_frame_pilots_zero_rate():
     users = users_at([(0.4, 0.9), (1.3, 2.2)])
-    scn = small_scenario(users)
+    scn = make_scenario(users)
     # tau = tau_c means no data symbols at all.  A Scenario rejects that when
     # built, so this one is a copy with the field set past the check.
     all_pilots = copy.copy(scn)
@@ -255,7 +230,7 @@ def test_full_frame_pilots_zero_rate():
 
 def test_single_user_has_no_interference():
     users = users_at([(0.4, 0.9)])
-    scn = small_scenario(users, m=6)
+    scn = make_scenario(users, m=6)
     ctx = rate.closed_form_context(scn)
     layout = np.random.default_rng(6).uniform(-0.3, 0.3, (2, 6))
     interference = pair_interference(ctx, layout)
@@ -297,7 +272,7 @@ def random_problems(draw):
     gaps = np.linalg.norm(dirs[:, None] - dirs[None, :], axis=-1)
     assume(gaps[np.triu_indices(k, 1)].min() > 0.05)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return small_scenario(users, m=m), rng.uniform(-0.3, 0.3, (2, m)), rng
+    return make_scenario(users, m=m), rng.uniform(-0.3, 0.3, (2, m)), rng
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -305,11 +280,7 @@ def random_problems(draw):
 def test_sinr_gradients_match_finite_differences(problem):
     scn, layout, _ = problem
     ctx = rate.closed_form_context(scn)
-    h, size = 1e-6, layout.size
-    steps = h * np.eye(size).reshape(size, *layout.shape)
-    # central differences of every user's SINR, all positions in two batches
-    up, down = rate.sinr_for(ctx, layout + steps), rate.sinr_for(ctx, layout - steps)
-    fd = ((up - down) / (2 * h)).T.reshape(scn.k_users, *layout.shape)
+    fd = fd_gradient(lambda layouts: rate.sinr_for(ctx, layouts), layout)
     analytic = rate.sinr_gradients(ctx, layout)[1]
     err = np.linalg.norm(fd - analytic, axis=(1, 2)) / np.linalg.norm(fd, axis=(1, 2))
     assert np.all(err < 1e-5)
@@ -368,11 +339,8 @@ def test_mc_strong_los_limit():
     # huge Rician factor and tiny noise make every trial almost deterministic,
     # so a short run must reproduce the closed form tightly
     noise = 1e-18
-    users = tuple(
-        derive_user(d, e, a, rician=1e6)
-        for d, e, a in [(55.0, 0.5, 0.6), (60.0, 2.0, 1.0)]
-    )
-    scn = small_scenario(users, m=4, noise_power=noise)
+    users = users_at([(0.5, 0.6), (2.0, 1.0)], [55.0, 60.0], rician=1e6)
+    scn = make_scenario(users, m=4, noise_power=noise)
     layout = np.random.default_rng(8).uniform(-0.3, 0.3, (2, 4))
     ctx = rate.closed_form_context(scn)
     est = rate.mc_uatf_sinr(layout, scn, 4000, seed=9)
@@ -484,7 +452,7 @@ def test_simulation_bits_pinned_at_nine_users(pin_note):
     # K = pilot_len = M = 9 over three batches, the last one short.  Pinned
     # from per-matrix despreading products and an antenna-major cross term:
     # the row-blocked products and the users-major contraction keep every bit
-    scn = small_scenario(users_at(NINE_USERS), m=9)
+    scn = make_scenario(users_at(NINE_USERS), m=9)
     est = rate.mc_uatf_sinr(upa_layout(9, 0.05, 0.6), scn, MULTI_BLOCK, seed=5)
     digest = hashlib.md5(b"".join(_mc_bits(est))).hexdigest()
     assert digest == "2f2c6f96335116dae1aeb733ea53dbe9", pin_note
@@ -509,6 +477,27 @@ def test_one_batch_starts_no_thread(table1_k3, monkeypatch):
     rate.lemma_checks(2, rate.MC_BATCH, seed=1)
     with pytest.raises(AssertionError, match="a thread was started"):
         rate.mc_uatf_sinr(layout, table1_k3, rate.MC_BATCH + 1, seed=1)
+
+
+def test_batch_streams_are_spawned_as_batches_start(monkeypatch):
+    # 1e9 trials are 122071 batches; spawning every stream up front took
+    # seconds and 121 MB before the first batch ran
+    class Counted:
+        def __init__(self, rng):
+            self.rng, self.spawned = rng, 0
+
+        def spawn(self, n):
+            self.spawned += n
+            return self.rng.spawn(n)
+
+    def simulate(stream, size):
+        raise RuntimeError("first batch failed")
+
+    monkeypatch.setenv("FAS_OPTIM_THREADS", "2")
+    rng = Counted(np.random.default_rng(1))
+    with pytest.raises(RuntimeError, match="first batch failed"):
+        list(rate._batch_results(rng, 10**9, simulate))
+    assert rng.spawned <= 2 + 1  # the workers' batches and one queued
 
 
 def test_batch_error_reaches_caller(table1_k3, monkeypatch):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from fas_optim import rate
 from fas_optim.scenario import (
     HyperParams,
-    Scenario,
     ScenarioError,
     UserModel,
     db_to_linear,
@@ -23,7 +22,7 @@ from fas_optim.scenario import (
     redraw_users,
     upa_layout,
 )
-from conftest import SCENARIO_DIR, explicit_users, write_ini
+from conftest import SCENARIO_DIR, explicit_users, make_scenario, write_ini
 
 
 def test_dbm_to_watt():
@@ -276,7 +275,7 @@ def test_building_rejects_faults_that_once_ran(table1_k3):
     ]
     for changes, needle in cases:
         with pytest.raises(ScenarioError, match=needle):
-            Scenario(**{**fields, **changes})
+            make_scenario(**{**fields, **changes})
         with pytest.raises(ScenarioError, match=needle):
             dataclasses.replace(bare, **changes)
 
@@ -473,6 +472,13 @@ def test_load_rejects_bad_value(tmp_path):
     path.write_text(path.read_text().replace("m_antennas = 9", "m_antennas = nine"))
     with pytest.raises(ScenarioError, match="bad value for m_antennas"):
         load_scenario(path)
+
+
+def test_load_skips_byte_order_mark(tmp_path, table1_k3):
+    # Windows Notepad starts a UTF-8 file with a byte-order mark
+    path = tmp_path / "bom.ini"
+    path.write_bytes(b"\xef\xbb\xbf" + (SCENARIO_DIR / "table1_k3.ini").read_bytes())
+    assert load_scenario(path) == table1_k3
 
 
 def test_load_inline_comments(tmp_path):
