@@ -107,7 +107,7 @@ def scenario_point(scn: Scenario, axis: str, value, user_seed: int) -> Scenario:
     """Scenario at one sweep point with users redrawn from `user_seed`.
 
     Listed users (no `user_model`) are kept; `k_users` and `rician_db`
-    change the user recipe, so they need one.  A `ScenarioError` raised
+    change what is drawn, so they need one.  A `ScenarioError` raised
     while building the point is prefixed with the axis and the value, as
     it may name a field derived from them.
     """

@@ -87,15 +87,14 @@ class UserStats:
 
 @dataclass(frozen=True)
 class UserModel:
-    """Recipe for drawing users, kept so sweeps can resample per repeat.
+    """Large-scale statistics of one user: the recipe every user is derived from.
 
-    Distances are uniform on `d_range` (meters) and both arrival angles
-    uniform on [0, pi].  The defaults are the reference large-scale
-    model: Rician factor 6, -40 dB path loss at 1 m, exponent 2.8.
+    A distance is uniform on `d_range` (meters) when drawn, and both arrival
+    angles uniform on [0, pi]; the Rician factor and the path loss model
+    apply to drawn and listed users alike.  The defaults are the reference
+    large-scale model: Rician factor 6, -40 dB path loss at 1 m, exponent 2.8.
     """
 
-    seed: int
-    count: int
     d_range: tuple[float, float] = (50.0, 70.0)
     rician: float = 6.0
     path_loss_ref: float = 1e-4
@@ -103,55 +102,39 @@ class UserModel:
 
 
 def derive_user(
-    distance: float,
-    elevation: float,
-    azimuth: float,
-    *,
-    rician: float = UserModel.rician,
-    path_loss_ref: float = UserModel.path_loss_ref,
-    path_loss_exp: float = UserModel.path_loss_exp,
+    distance: float, elevation: float, azimuth: float, model: UserModel = UserModel()
 ) -> UserStats:
-    """Build a `UserStats` from geometry and the large-scale model.
+    """Build a `UserStats` from geometry and the large-scale `model`.
 
     Path loss follows ``path_loss_ref * distance ** -path_loss_exp`` with
-    the reference gain taken at 1 m.
+    the reference gain taken at 1 m; the Rician factor is the model's.
     """
     if distance <= 0:
         raise ScenarioError(f"distance must be positive, got {distance}")
     try:  # Python floats raise on overflow where numpy's power only warns
-        path_loss = path_loss_ref * float(distance) ** -float(path_loss_exp)
+        path_loss = model.path_loss_ref * float(distance) ** -float(model.path_loss_exp)
     except OverflowError:
         raise ScenarioError("path loss overflows (path_loss_ref_db, path_loss_exp)") from None
-    return UserStats(path_loss, rician, elevation, azimuth)
+    return UserStats(path_loss, model.rician, elevation, azimuth)
 
 
-def random_users(model: UserModel) -> tuple[UserStats, ...]:
-    """Draw `model.count` users with uniform distances and arrival angles."""
-    if model.seed < 0:
-        raise ScenarioError(f"user seed must be >= 0, got {model.seed}")
-    if model.count < 1:
-        raise ScenarioError(f"[users] count must be >= 1, got {model.count}")
+def random_users(model: UserModel, count: int, seed: int) -> tuple[UserStats, ...]:
+    """Draw `count` users of `model` from `seed`: every distance before any angle."""
+    if seed < 0:
+        raise ScenarioError(f"user seed must be >= 0, got {seed}")
+    if count < 1:
+        raise ScenarioError(f"[users] count must be >= 1, got {count}")
     lo, hi = model.d_range
     if not (0 < lo <= hi and math.isfinite(hi)):
         raise ScenarioError(
             f"bad distance range {model.d_range}: [users] d_min_m and d_max_m "
             "must be finite with 0 < d_min_m <= d_max_m"
         )
-    rng = np.random.default_rng(model.seed)
-    dist = rng.uniform(lo, hi, model.count)
-    elev = rng.uniform(0.0, math.pi, model.count)
-    azim = rng.uniform(0.0, math.pi, model.count)
-    return tuple(
-        derive_user(
-            d,
-            e,
-            a,
-            rician=model.rician,
-            path_loss_ref=model.path_loss_ref,
-            path_loss_exp=model.path_loss_exp,
-        )
-        for d, e, a in zip(dist, elev, azim)
-    )
+    rng = np.random.default_rng(seed)
+    dist = rng.uniform(lo, hi, count)
+    elev = rng.uniform(0.0, math.pi, count)
+    azim = rng.uniform(0.0, math.pi, count)
+    return tuple(derive_user(d, e, a, model) for d, e, a in zip(dist, elev, azim))
 
 
 @dataclass(frozen=True)
@@ -183,6 +166,11 @@ class Scenario:
     one of its two variances is negligible against the other, and 0/0 that
     both vanish; the message names the keys behind each.  A Rician factor
     whose square overflows is rejected too, as the closed form squares it.
+
+    `user_model` is the recipe drawn users came from, kept so
+    `redraw_users` can draw new ones; like its distance range, its Rician
+    factor describes future draws only, as the rates read each user's own.
+    It is None for listed users, which are never redrawn.
     """
 
     m_antennas: int
@@ -325,19 +313,18 @@ _USER_RULES = (
 
 
 def redraw_users(scn: Scenario, seed: int, *, count: int | None = None) -> Scenario:
-    """Resample users from the stored recipe, keeping everything else.
+    """Draw new users of the scenario's `user_model` from `seed`, keeping everything else.
 
-    A given `count` sets the user number and the pilot length, tau = K;
-    without one both are kept.  Requires the scenario to carry a `user_model`.
+    Without `count` it draws `k_users` users and keeps the pilot length; a
+    given `count` sets both the user number and the pilot length, tau = K.
+    Requires the scenario to carry a `user_model`.
     """
     if scn.user_model is None:
         raise ScenarioError("scenario has no user model to redraw from")
-    k = scn.user_model.count if count is None else count
+    k = scn.k_users if count is None else count
     pilot_len = scn.pilot_len if count is None else count
-    model = dataclasses.replace(scn.user_model, seed=seed, count=k)
-    return dataclasses.replace(
-        scn, pilot_len=pilot_len, users=random_users(model), user_model=model
-    )
+    users = random_users(scn.user_model, k, seed)
+    return dataclasses.replace(scn, pilot_len=pilot_len, users=users)
 
 
 def upa_layout(m_antennas: int, pitch: float, region_size: float) -> np.ndarray:
@@ -469,12 +456,14 @@ def load_scenario(path) -> Scenario:
 
     Sections: ``[system]`` (array and frame parameters), ``[users]``
     (either a generation recipe via seed/count/d_min_m/d_max_m, or
-    explicit ``user1 = distance elevation azimuth`` lines, not both), and an
-    optional ``[hyper]`` for solver settings.  K is ``[users] count`` or the
-    number of user lines, and ``pilot_len`` defaults to it.  Powers are
-    given in dBm, lengths in meters; values are taken literally (no ``%``
-    interpolation).  Malformed input, an unknown key included, raises
-    `ScenarioError` naming the offending section and key.
+    explicit ``user1 = distance elevation azimuth`` lines, not both; both
+    forms derive through one `UserModel`, with rician, path_loss_ref_db and
+    path_loss_exp), and an optional ``[hyper]`` for solver settings.  K is
+    ``[users] count`` or the number of user lines, and ``pilot_len``
+    defaults to it.  Powers are given in dBm, lengths in meters; values
+    are taken literally (no ``%`` interpolation).  Malformed input, an
+    unknown key included, raises `ScenarioError` naming the offending
+    section and key.
     """
     parser = configparser.ConfigParser(
         inline_comment_prefixes=(";", "#"), interpolation=None
@@ -502,13 +491,14 @@ def load_scenario(path) -> Scenario:
         [(k, v) for k, v in parser.items("users") if k not in explicit],
         _USERS_KEYS,
     )
-    large = dict(
-        rician=usr_sec.get("rician", UserModel.rician),
-        path_loss_ref=usr_sec.get("path_loss_ref_db", UserModel.path_loss_ref),
-        path_loss_exp=usr_sec.get("path_loss_exp", UserModel.path_loss_exp),
+    lo, hi = UserModel.d_range
+    model = UserModel(
+        (usr_sec.get("d_min_m", lo), usr_sec.get("d_max_m", hi)),
+        usr_sec.get("rician", UserModel.rician),
+        usr_sec.get("path_loss_ref_db", UserModel.path_loss_ref),
+        usr_sec.get("path_loss_exp", UserModel.path_loss_exp),
     )
 
-    model = None
     if explicit:
         recipe = [k for k in usr_sec if k in ("seed", "count", "d_min_m", "d_max_m")]
         if recipe:
@@ -533,12 +523,10 @@ def load_scenario(path) -> Scenario:
                 lines.append([float(p) for p in parts])
             except ValueError:
                 raise ScenarioError(f"bad number in [users] {key}") from None
-        users = tuple(derive_user(*line, **large) for line in lines)
+        users = tuple(derive_user(*line, model) for line in lines)
     else:
-        lo, hi = UserModel.d_range
-        d_range = (usr_sec.get("d_min_m", lo), usr_sec.get("d_max_m", hi))
-        model = UserModel(usr_sec["seed"], usr_sec["count"], d_range, **large)
-        users = random_users(model)
+        seed = usr_sec["seed"]  # named first when both keys are missing
+        users = random_users(model, usr_sec["count"], seed)
 
     hyper_items = parser.items("hyper") if parser.has_section("hyper") else ()
     return Scenario(
@@ -552,5 +540,5 @@ def load_scenario(path) -> Scenario:
         pilot_len=sys_sec.get("pilot_len", len(users)),
         users=users,
         hyper=HyperParams(**_Section("hyper", hyper_items, _HYPER_KEYS)),
-        user_model=model,
+        user_model=None if explicit else model,
     )

@@ -1,13 +1,15 @@
 """Shared fixtures: reference scenarios, an INI writer for variants, a scenario
-builder and finite differences."""
+builder, finite differences and a spacing check."""
 
+import itertools
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fas_optim.scenario import Scenario, derive_user, load_scenario
+from fas_optim.scenario import Scenario, UserModel, derive_user, load_scenario
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO / "scenarios"
@@ -81,7 +83,8 @@ Q = 1e-10  # pilot noise variance per entry of the hand-built scenarios
 def users_at(angles, distances=None, rician=6.0):
     """Users at (elevation, azimuth) `angles`, 55 m away unless `distances` are given."""
     distances = distances or [55.0] * len(angles)
-    return tuple(derive_user(d, e, a, rician=rician) for (e, a), d in zip(angles, distances))
+    model = UserModel(rician=rician)
+    return tuple(derive_user(d, e, a, model) for (e, a), d in zip(angles, distances))
 
 
 def make_scenario(users, m=4, q=Q, **fields):
@@ -107,6 +110,17 @@ def fd_gradient(fun, layout, h=1e-6):
     steps = h * np.eye(layout.size).reshape(layout.size, *layout.shape)
     diff = (fun(layout + steps) - fun(layout - steps)) / (2 * h)
     return np.moveaxis(diff, 0, -1).reshape(*diff.shape[1:], *layout.shape)
+
+
+def min_spacing(layout):
+    """Smallest distance between two antennas of `layout` (2, M), pair by pair.
+
+    It shares no code with `scenario.violation_set`, the check it audits.
+    """
+    points = np.asarray(layout, dtype=float).T
+    return min(
+        (math.dist(a, b) for a, b in itertools.combinations(points, 2)), default=math.inf
+    )
 
 
 @pytest.fixture

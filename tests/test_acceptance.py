@@ -14,7 +14,7 @@ import pytest
 
 from fas_optim import channel, estimation, harness, opt_ga, opt_grad, rate
 from fas_optim.scenario import UserModel, random_users, redraw_users, worker_count
-from conftest import fd_gradient, make_scenario
+from conftest import fd_gradient, make_scenario, min_spacing
 
 MASTER = 7      # master seed for the trend sweeps
 Z = 1.645       # one-sided threshold of every paired trend test, in SEs
@@ -157,7 +157,7 @@ def test_criterion_04_gradient_matches_finite_differences():
                 seed = 1000 * m + 100 * k + inst
                 rng = np.random.default_rng(seed)
                 rician = float(rng.choice(np.array([0.5, 6.0, 40.0])))
-                users = random_users(UserModel(seed, k, rician=rician))
+                users = random_users(UserModel(rician=rician), k, seed)
                 scn = make_scenario(users, m=m, noise_power=10.0 ** (-13.4))
                 layout = rng.uniform(-0.3, 0.3, (2, m))
                 analytic = opt_grad.objective_gradient(layout, scn)
@@ -266,7 +266,7 @@ def test_criterion_08_returned_layouts_feasible(geometry_runs):
         m = 2 + i % 3
         region = (0.2, 0.3, 0.45, 0.6)[i % 4]
         d_min = (0.03, 0.05, 0.07)[i % 3]
-        users = random_users(UserModel(500 + i, 2))
+        users = random_users(UserModel(), 2, 500 + i)
         scn = make_scenario(
             users, m=m, region_size=region, d_min=d_min, noise_power=10.0 ** (-13.4)
         )
@@ -276,7 +276,7 @@ def test_criterion_08_returned_layouts_feasible(geometry_runs):
         layouts.append((grad_layout, scn))
     bad = 0
     for layout, scn in layouts:
-        if opt_ga.violation_set(layout, scn.d_min):
+        if min_spacing(layout) < scn.d_min - 1e-12:
             bad += 1
         elif not np.all(np.abs(layout) <= scn.region_size / 2.0 + 1e-12):
             bad += 1

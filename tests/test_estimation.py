@@ -8,7 +8,7 @@ import pytest
 from fas_optim import estimation
 from fas_optim.channel import complex_normal, los_matrix, sample_channel
 from fas_optim.estimation import lmmse_estimate, make_pilots, matmul_rows, observe_pilots
-from fas_optim.scenario import derive_user
+from fas_optim.scenario import UserModel, derive_user
 from conftest import make_scenario, users_at
 
 
@@ -82,7 +82,7 @@ def test_lmmse_gain_half_when_powers_match():
     # c = q makes the estimator average the observation and the mean
     q = 3e-13
     eps = 6.0
-    user = derive_user(1.0, 0.7, 1.3, rician=eps, path_loss_ref=q * (eps + 1.0))
+    user = derive_user(1.0, 0.7, 1.3, UserModel(rician=eps, path_loss_ref=q * (eps + 1.0)))
     scn = make_scenario((user,), m=1, q=q)
     assert user.nlos_power == pytest.approx(q, rel=1e-12, abs=0)
     assert scn.est_gains[0] == pytest.approx(0.5, rel=1e-12, abs=0)

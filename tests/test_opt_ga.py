@@ -91,9 +91,9 @@ def ga_scenarios(draw):
     k, m = draw(st.integers(2, 3) if strong else st.integers(1, 4)), draw(st.integers(2, 6))
     rician_db = draw(st.floats(33.0, 40.0) if strong else st.floats(0.0, 20.0))
     tx_power = 10.0 ** draw(st.floats(1.0, 3.0) if strong else st.floats(-3.0, 0.0))
-    model = UserModel(seed=0, count=k, rician=db_to_linear(rician_db))
+    model = UserModel(rician=db_to_linear(rician_db))
     scn = make_scenario(
-        random_users(model),
+        random_users(model, k, 0),
         m=m,
         region_size=draw(st.floats(0.15, 0.6)),
         tx_power=tx_power,
@@ -196,9 +196,9 @@ def test_evolve_keeps_best_monotone(table1_k3):
 def test_population_responses_and_fitness_match_a_fresh_evaluation(k, m, region, seed):
     # children inherit their parents' LoS responses and recompute only moved
     # antennas; the carried arrays must be the fresh ones, bit for bit
-    model = UserModel(seed=seed, count=k)
+    model = UserModel()
     scn = make_scenario(
-        random_users(model),
+        random_users(model, k, seed),
         m=m,
         region_size=region,
         noise_power=dbm_to_watt(-104.0),

@@ -9,11 +9,11 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fas_optim import channel, rate
-from fas_optim.scenario import derive_user, upa_layout
+from fas_optim.scenario import UserModel, derive_user, upa_layout
 from conftest import Q, fd_gradient, make_scenario, users_at
 
 
@@ -153,7 +153,7 @@ def test_layout_free_terms_match_expanded_form(k, m, ricians, distances, noise_s
     # every pilot-noise term carries M, as var{a n^H e} = M q a^2 c does
     angles = [(0.3 + 0.4 * i, 0.2 + 0.5 * i) for i in range(k)]
     users = tuple(
-        derive_user(d, e, az, rician=r)
+        derive_user(d, e, az, UserModel(rician=r))
         for (e, az), d, r in zip(angles, distances, ricians)
     )
     scn = make_scenario(users, m=m, noise_power=Q * k * 10.0**noise_scale)
@@ -277,6 +277,11 @@ def random_problems(draw):
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(random_problems())
+@example((
+    make_scenario(users_at([(0.4, 0.9), (1.3, 2.2), (2.0, 0.6)]), m=5),
+    np.random.default_rng(4).uniform(-0.25, 0.25, (2, 5)),
+    None,
+))
 def test_sinr_gradients_match_finite_differences(problem):
     scn, layout, _ = problem
     ctx = rate.closed_form_context(scn)

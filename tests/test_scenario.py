@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fas_optim import rate
+from fas_optim import harness, rate
 from fas_optim.scenario import (
     HyperParams,
     ScenarioError,
@@ -22,7 +22,7 @@ from fas_optim.scenario import (
     redraw_users,
     upa_layout,
 )
-from conftest import SCENARIO_DIR, explicit_users, make_scenario, write_ini
+from conftest import SCENARIO_DIR, explicit_users, make_scenario, min_spacing, write_ini
 
 
 def test_dbm_to_watt():
@@ -48,7 +48,7 @@ def test_derive_user_power_split_and_gain(table1_k3):
     # nlos_power * (rician + 1) recovers the path loss; the scenario's gain
     # is the LMMSE ratio c / (c + q).  Both should hold to machine precision.
     users = tuple(
-        derive_user(d, 1.0, 2.0, rician=eps)
+        derive_user(d, 1.0, 2.0, UserModel(rician=eps))
         for d, eps in [(50.0, 6.0), (70.0, 0.5), (55.0, 40.0)]
     )
     scn = dataclasses.replace(table1_k3, users=users)
@@ -85,7 +85,7 @@ def test_scenario_rejects_user_out_of_range(table1_k3, field, value, needle):
 
 
 def test_random_users_ranges_and_determinism():
-    users = random_users(UserModel(7, 40, (50.0, 70.0)))
+    users = random_users(UserModel((50.0, 70.0)), 40, 7)
     assert len(users) == 40
     ref = 1e-4
     for u in users:
@@ -94,15 +94,15 @@ def test_random_users_ranges_and_determinism():
         assert 0.0 <= u.elevation <= math.pi
         assert 0.0 <= u.azimuth <= math.pi
         assert u.rician == 6.0
-    again = random_users(UserModel(7, 40, (50.0, 70.0)))
+    again = random_users(UserModel((50.0, 70.0)), 40, 7)
     assert users == again
-    other = random_users(UserModel(8, 40, (50.0, 70.0)))
+    other = random_users(UserModel((50.0, 70.0)), 40, 8)
     assert users != other
 
 
 def test_random_users_bad_range():
     with pytest.raises(ScenarioError, match="bad distance range"):
-        random_users(UserModel(0, 3, (0.0, 70.0)))
+        random_users(UserModel((0.0, 70.0)), 3, 0)
 
 
 def test_load_table1_k3(table1_k3):
@@ -123,7 +123,7 @@ def test_load_table1_k3(table1_k3):
     assert scn.hyper.kappa == 0.8
     assert scn.hyper.varpi == 0.5
     assert scn.hyper.seed == 1
-    assert scn.user_model is not None and scn.user_model.seed == 12
+    assert scn.user_model == UserModel()  # the file restates the reference model
 
 
 def test_load_table1_k5(table1_k5):
@@ -161,7 +161,7 @@ def test_replaced_power_matches_loaded_scenario(table1_k3, tmp_path):
 
 def test_loaded_users_follow_model(table1_k3):
     # the file recipe must give the same draw as calling random_users directly
-    expected = random_users(UserModel(12, 3, (50.0, 70.0)))
+    expected = random_users(UserModel((50.0, 70.0)), 3, 12)
     assert table1_k3.users == expected
 
 
@@ -178,9 +178,12 @@ def test_validate_rejects_full_frame_pilots(table1_k3):
 @settings(max_examples=20, deadline=None, database=None)
 @given(st.integers(1, 6), st.integers(0, 10), st.integers(0, 2**16))
 def test_user_count_follows_replaced_users(table1_k3, k, spare_pilots, seed):
-    users = random_users(UserModel(seed, k))
+    users = random_users(UserModel(), k, seed)
     scn = dataclasses.replace(table1_k3, users=users, pilot_len=k + spare_pilots)
     assert scn.k_users == len(users) == k
+    # a redraw, at a sweep point too, draws as many users and keeps tau
+    for point in (redraw_users(scn, seed), harness.scenario_point(scn, "m_antennas", 4, seed)):
+        assert (point.k_users, point.pilot_len) == (k, k + spare_pilots)
     ctx = rate.closed_form_context(scn)
     layout = grid_layout(scn)
     est = rate.mc_uatf_sinr(layout, scn, 16, seed=seed)
@@ -291,8 +294,6 @@ def test_redraw_users_new_count_tracks_pilots(table1_k3):
     assert scn.k_users == 7
     assert scn.pilot_len == 7
     assert len(scn.users) == 7
-    assert scn.user_model.count == 7
-    assert scn.user_model.seed == 99
     # a given count sets tau = K also when it equals the current user count
     same = redraw_users(dataclasses.replace(table1_k3, pilot_len=5), 99, count=3)
     assert (same.k_users, same.pilot_len) == (3, 3)
@@ -350,10 +351,7 @@ def test_upa_layout_partial_row_keeps_spacing():
     grid = upa_layout(7, 0.05, 0.6)
     assert grid.shape == (2, 7)
     # centered: mean of full columns is 0 and every pair is >= pitch apart
-    diff = grid[:, :, None] - grid[:, None, :]
-    dist = np.sqrt(np.sum(diff**2, axis=0))
-    dist[np.arange(7), np.arange(7)] = np.inf
-    assert dist.min() >= 0.05 - 1e-12
+    assert min_spacing(grid) >= 0.05 - 1e-12
     assert np.max(np.abs(grid)) <= 0.3
 
 
@@ -484,4 +482,4 @@ def test_load_skips_byte_order_mark(tmp_path, table1_k3):
 def test_load_inline_comments(tmp_path):
     path = write_ini(tmp_path)
     path.write_text(path.read_text().replace("seed = 12", "seed = 12  ; fixed draw"))
-    assert load_scenario(path).user_model.seed == 12
+    assert load_scenario(path).users == random_users(UserModel(), 3, 12)
