@@ -41,17 +41,26 @@ def los_matrix(layout: np.ndarray, users, wavelength: float) -> np.ndarray:
     return steering(user_directions(users), layout, wavelength).swapaxes(-1, -2)
 
 
+def half_normal(rng: np.random.Generator, shape, out=None) -> np.ndarray:
+    """Standard normals of variance 1/2, scaled in place or into `out`.
+
+    These are the real or the imaginary parts of a `complex_normal` draw.
+    """
+    draw = rng.standard_normal(shape)
+    return np.multiply(draw, 1.0 / np.sqrt(2.0), out=draw if out is None else out)
+
+
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Standard circular complex Gaussian, unit variance per entry.
 
-    The real parts are drawn first, then the imaginary parts; each is
-    scaled straight into its half of the result, so no complex temporary
-    is made.
+    Every real part is drawn first, then every imaginary part, each by
+    `half_normal` straight into its half of the result, so no complex
+    temporary is made.  A caller that draws the parts itself in that
+    order, in any chunks of the leading axis, reads the same values.
     """
-    scale = 1.0 / np.sqrt(2.0)
     out = np.empty(shape, dtype=complex)
-    np.multiply(rng.standard_normal(shape), scale, out=out.real)
-    np.multiply(rng.standard_normal(shape), scale, out=out.imag)
+    half_normal(rng, shape, out=out.real)
+    half_normal(rng, shape, out=out.imag)
     return out
 
 

@@ -11,14 +11,15 @@ shrinks the observation toward the known LoS mean:
 with a_k the user's LMMSE gain c_k / (c_k + q), c_k = `nlos_power` and
 q the pilot noise variance above; the gains and LoS amplitudes come from
 the scenario (`Scenario.est_gains`, `los_amps`).  All functions broadcast
-over leading axes of the channel block, so Monte Carlo batches pass through.
+over leading axes of the channel block, so Monte Carlo batches, or any
+block of their trials, pass through.  They are pure: none draws random
+numbers, so the caller passes the pilot noise to `observe_pilots` and
+alone decides the order its stream is read in (`rate.mc_uatf_sinr`).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .channel import complex_normal
 
 
 # Most multiply-adds (rows x inner x cols) per BLAS call in `matmul_rows`.
@@ -68,26 +69,24 @@ def observe_pilots(
     pilots: np.ndarray,
     tx_power: float,
     noise_power: float,
-    rng: np.random.Generator,
+    noise: np.ndarray,
 ) -> np.ndarray:
     """Transmit the pilot block and despread, returning per-user observations.
 
-    `channels` has shape (..., M, K).  The receive block is
-    ``sqrt(pilot_len * tx_power) * H @ pilots^H + N`` with white noise of
-    variance `noise_power` per entry; despreading by `pilots` and the
-    pilot energy gives ``H + noise`` of the same shape as `channels`.
-    Both products go through `matmul_rows`, so a Monte Carlo batch makes a
-    few BLAS calls, none threaded by OpenBLAS, instead of one per trial.
+    `channels` has shape (..., M, K) and `noise` (..., M, pilot_len): unit
+    circular complex Gaussian entries, such as `channel.complex_normal`
+    draws.  The receive block is ``sqrt(pilot_len * tx_power) * H @
+    pilots^H + sqrt(noise_power) * noise``; despreading by `pilots` and the
+    pilot energy gives ``H + noise`` of the same shape as `channels`.  The
+    function draws nothing and leaves its arguments alone.  Both products
+    go through `matmul_rows`, so a block of Monte Carlo trials makes a few
+    BLAS calls, none threaded by OpenBLAS, instead of one per trial.
     """
     channels = np.asarray(channels)
-    pilot_len = pilots.shape[0]
-    energy = np.sqrt(pilot_len * tx_power)
+    energy = np.sqrt(pilots.shape[0] * tx_power)
     block = matmul_rows(channels, pilots.conj().T)
     block *= energy
-    noise = complex_normal(rng, block.shape)
-    noise *= np.sqrt(noise_power)
-    block += noise
-    del noise
+    block += np.sqrt(noise_power) * noise
     obs = matmul_rows(block, pilots)
     obs /= energy
     return obs

@@ -39,6 +39,7 @@ from .scenario import (
     ScenarioError,
     grid_layout,
     project,
+    too_close,
     violation_counts,
     violation_set,
 )
@@ -270,10 +271,11 @@ def random_feasible_layout(scn: Scenario, rng: np.random.Generator) -> np.ndarra
         for _ in range(SAMPLE_ATTEMPTS * scn.m_antennas):
             if count == scn.m_antennas:
                 break
-            placed[:, count] = rng.uniform(-half, half, size=2)
+            point = rng.uniform(-half, half, size=2)
             # the placed antennas already keep the spacing, so only pairs
-            # with the new draw can violate it; a rejected draw is overwritten
-            if violation_counts(placed[:, : count + 1], slack * scn.d_min) == 0:
+            # with the new draw can violate it
+            if not too_close(placed[:, :count], point, slack * scn.d_min):
+                placed[:, count] = point
                 count += 1
         if count == scn.m_antennas:
             return placed

@@ -39,10 +39,17 @@ closed form beyond the channel model, so the two act as independent
 checks on each other.  Trials run in batches of `MC_BATCH`, each on its
 own random stream and on up to `worker_count()` threads; the calling
 thread folds their results with `_fold` in batch order, so every
-estimate is bit-identical for any thread count.  Every BLAS call of a
-batch, `lemma_checks` included, goes through `estimation.matmul_rows`,
-which keeps it too small for OpenBLAS to spread over its own threads:
-those would spin and contend with the batch threads.
+estimate is bit-identical for any thread count.  A batch draws its
+channel, then every real part of its pilot noise, then every imaginary
+part, the order `channel.complex_normal` reads a stream in; so it holds
+only the channel and the real parts, and runs despreading, estimation
+and the combiner statistics over blocks of `MC_BLOCK` trials, drawing
+each block's imaginary parts as it reaches them.  The block size changes
+no bit, so unlike the batch size it is not part of the reproducibility
+key.  Every BLAS call of a batch, `lemma_checks` included, goes through
+`estimation.matmul_rows`, which keeps it too small for OpenBLAS to
+spread over its own threads: those would spin and contend with the
+batch threads.
 """
 
 from __future__ import annotations
@@ -59,6 +66,7 @@ from . import channel, estimation
 from .scenario import Scenario, ScenarioError, worker_count
 
 MC_BATCH = 8192  # trials per simulation batch; part of the reproducibility key
+MC_BLOCK = 1024  # trials per estimation block of a batch; any size gives the same bits
 
 
 def _batch_results(
@@ -281,7 +289,12 @@ def mc_uatf_sinr(
     and LMMSE estimation, and accumulates the combiner statistics.
     Trials are processed in fixed batches of `MC_BATCH`, on up to
     `worker_count()` threads; results are deterministic given `seed` (an
-    int or a Generator) and do not depend on the thread count.
+    int or a Generator) and do not depend on the thread count.  A batch
+    draws its channels and the real parts of its pilot noise whole, as
+    the stream order forces, then estimates in blocks of `MC_BLOCK`
+    trials, each drawing its noise's imaginary parts as it starts and
+    writing its trials' z, interference and norms into the batch's
+    (b, K) results; the block size changes no bit.
 
     The leak term is the variance of ``z_k = hhat_k^H h_k``; its standard
     error comes from the influence function of the variance statistic,
@@ -291,25 +304,36 @@ def mc_uatf_sinr(
 
     hbar = channel.los_matrix(layout, scn.users, scn.wavelength)
     pilots = estimation.make_pilots(scn.pilot_len, scn.k_users)
+    p, s2 = scn.tx_power, scn.noise_power
+    noise_shape = (scn.m_antennas, scn.pilot_len)
 
     def simulate(stream, b):
         h = channel.sample_channel(hbar, scn, stream, trials=b)
-        obs = estimation.observe_pilots(
-            h, pilots, scn.tx_power, scn.noise_power, stream
-        )
-        hhat = estimation.lmmse_estimate(obs, scn, hbar)
-        del obs
-        norms = np.sum(np.abs(hhat) ** 2, axis=1)
-        # users-major copies put each user's antennas side by side; each
-        # source is freed once copied, so no more batch arrays live at once
-        hhat_t = np.conjugate(hhat.swapaxes(1, 2), order="C")
-        del hhat
-        h_t = np.ascontiguousarray(h.swapaxes(1, 2))
-        del h
-        cross = np.einsum("bkm,bim->bki", hhat_t, h_t)
-        del hhat_t, h_t
-        z = np.einsum("bkk->bk", cross).copy()  # a view would keep `cross` alive
-        interf = (np.abs(cross) ** 2).sum(axis=-1) - np.abs(z) ** 2
+        # complex_normal draws every real part of the pilot noise before any
+        # imaginary part, so the real parts are all a batch draws ahead
+        noise_re = channel.half_normal(stream, (b,) + noise_shape)
+        z = np.empty((b, scn.k_users), dtype=complex)
+        interf, norms = np.empty(z.shape), np.empty(z.shape)
+        for lo in range(0, b, MC_BLOCK):
+            blk = slice(lo, lo + MC_BLOCK)
+            noise = np.empty(noise_re[blk].shape, dtype=complex)
+            noise.real = noise_re[blk]
+            channel.half_normal(stream, noise.shape, out=noise.imag)
+            obs = estimation.observe_pilots(h[blk], pilots, p, s2, noise)
+            del noise  # each block array goes once used, so few live at once
+            hhat = estimation.lmmse_estimate(obs, scn, hbar)
+            del obs
+            np.sum(np.abs(hhat) ** 2, axis=1, out=norms[blk])
+            # users-major copies put each user's antennas side by side
+            hhat_t = np.conjugate(hhat.swapaxes(1, 2), order="C")
+            del hhat
+            h_t = np.ascontiguousarray(h[blk].swapaxes(1, 2))
+            cross = np.einsum("bkm,bim->bki", hhat_t, h_t)
+            del hhat_t, h_t
+            diag = np.einsum("bkk->bk", cross)
+            z[blk] = diag
+            np.subtract((np.abs(cross) ** 2).sum(axis=-1), np.abs(diag) ** 2, out=interf[blk])
+            del cross, diag
         return z, interf, norms
 
     def statistics():

@@ -15,8 +15,9 @@ The feasible set both position optimizers search lives here too: the
 square movement box of side `region_size` centered at the origin
 (`project` clamps a layout into it) and the minimum spacing `d_min`
 between any two antennas (`violation_counts` and `violation_set` check
-it), beside the regular grid (`upa_layout`, `grid_layout`) that is the
-fixed-position baseline and both solvers' grid start.
+it, `too_close` for one new antenna against placed ones), beside the
+regular grid (`upa_layout`, `grid_layout`) that is the fixed-position
+baseline and both solvers' grid start.
 
 Lengths are in meters, powers in watts, angles in radians.
 """
@@ -406,6 +407,23 @@ def violation_set(layout: np.ndarray, d_min: float) -> list[tuple[int, int]]:
 def violation_counts(layouts: np.ndarray, d_min: float) -> np.ndarray:
     """Number of violating pairs for a batch of layouts, shape (...,)."""
     return np.sum(_violation_mask(layouts, d_min), axis=(-2, -1))
+
+
+def too_close(layout: np.ndarray, point: np.ndarray, d_min: float) -> bool:
+    """Whether `point` (2,) lies strictly closer than `d_min` to an antenna of `layout`.
+
+    Each pair is tested as `_violation_mask` tests it, dx*dx + dy*dy <
+    d_min*d_min in float64, so an antenna added to a layout free of
+    violations keeps it free exactly when this is False.  The loop runs on
+    Python floats: for one point it is several times faster than numpy.
+    """
+    x, y = point.tolist()
+    limit = d_min * d_min
+    for px, py in zip(*layout.tolist()):
+        dx, dy = px - x, py - y
+        if dx * dx + dy * dy < limit:
+            return True
+    return False
 
 
 # INI keys of each section and their converters to linear units

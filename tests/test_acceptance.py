@@ -126,7 +126,8 @@ def test_criterion_03_estimator_orthogonality(table1_k3):
 
     def simulate(stream, b):
         h = channel.sample_channel(hbar, scn, stream, trials=b)
-        obs = estimation.observe_pilots(h, pilots, scn.tx_power, scn.noise_power, stream)
+        noise = channel.complex_normal(stream, h.shape[:-1] + (scn.pilot_len,))
+        obs = estimation.observe_pilots(h, pilots, scn.tx_power, scn.noise_power, noise)
         hhat = estimation.lmmse_estimate(obs, scn, hbar)
         return (
             np.einsum("bmk,bmk->bk", hhat.conj(), h - hhat),

@@ -29,7 +29,8 @@ def test_observe_pilots_noiseless_is_exact():
     rng = np.random.default_rng(0)
     h = complex_normal(rng, (6, 3))
     pilots = make_pilots(4, 3)
-    obs = observe_pilots(h, pilots, tx_power=2.0, noise_power=0.0, rng=rng)
+    noise = complex_normal(rng, (6, 4))
+    obs = observe_pilots(h, pilots, tx_power=2.0, noise_power=0.0, noise=noise)
     np.testing.assert_allclose(obs, h, atol=1e-12)
 
 
@@ -38,7 +39,8 @@ def test_observe_pilots_noise_level():
     rng = np.random.default_rng(1)
     n, tau, p, sigma2 = 400_000, 3, 2.0, 0.5
     h = np.zeros((n, 1, 2), dtype=complex)
-    obs = observe_pilots(h, make_pilots(tau, 2), p, sigma2, rng)
+    noise = complex_normal(rng, (n, 1, tau))
+    obs = observe_pilots(h, make_pilots(tau, 2), p, sigma2, noise)
     q = sigma2 / (tau * p)
     for k in range(2):
         var = np.mean(np.abs(obs[:, 0, k]) ** 2)
@@ -115,7 +117,8 @@ def test_estimate_mean_is_scaled_los():
     sigma2 = q * tau * p
     scn, los = make_scenario(users, m=1, q=q), los_matrix(layout, users, wavelength)
     h = sample_channel(los, scn, rng, trials=n)
-    obs = observe_pilots(h, make_pilots(tau, 2), p, sigma2, rng)
+    noise = complex_normal(rng, (n, 3, tau))
+    obs = observe_pilots(h, make_pilots(tau, 2), p, sigma2, noise)
     gains = scn.est_gains
     est = lmmse_estimate(obs, scn, los)
     for k, u in enumerate(users):
@@ -136,7 +139,8 @@ def test_estimate_variance_is_gain_scaled():
     sigma2 = q * tau * p
     scn, los = make_scenario((user,), m=1, q=q), los_matrix(layout, (user,), 0.1)
     h = sample_channel(los, scn, rng, trials=n)
-    obs = observe_pilots(h, make_pilots(tau, 1), p, sigma2, rng)
+    noise = complex_normal(rng, (n, 1, tau))
+    obs = observe_pilots(h, make_pilots(tau, 1), p, sigma2, noise)
     gains = scn.est_gains
     est = lmmse_estimate(obs, scn, los)
     dev = est[:, 0, 0] - est[:, 0, 0].mean()
@@ -150,9 +154,10 @@ def test_estimation_leaves_its_arguments_alone():
     h = complex_normal(rng, (5, 4, 2))
     los = complex_normal(rng, (4, 2))
     pilots = make_pilots(3, 2)
-    args = [h, los, pilots]
+    noise = complex_normal(rng, (5, 4, 3))
+    args = [h, los, pilots, noise]
     kept = [a.copy() for a in args]
-    obs = observe_pilots(h, pilots, 1.0, 1e-3, rng)
+    obs = observe_pilots(h, pilots, 1.0, 1e-3, noise)
     kept_obs = obs.copy()
     lmmse_estimate(obs, make_scenario(users, m=1, q=1e-3 / 3), los)
     for arg, before in zip(args + [obs], kept + [kept_obs]):

@@ -452,6 +452,41 @@ def test_random_feasible_layout_crowded_box(table1_k3):
         opt_grad.random_feasible_layout(crowded, np.random.default_rng(9))
 
 
+def _prefix_checked_layout(scn, rng):
+    """Reference `random_feasible_layout`: each draw checked with every placed pair."""
+    half = scn.region_size / 2.0
+    for slack in (opt_grad.INIT_SLACK, 1.0):
+        placed = np.empty((2, scn.m_antennas))
+        count = 0
+        for _ in range(opt_grad.SAMPLE_ATTEMPTS * scn.m_antennas):
+            if count == scn.m_antennas:
+                break
+            placed[:, count] = rng.uniform(-half, half, size=2)
+            if scenario.violation_counts(placed[:, : count + 1], slack * scn.d_min) == 0:
+                count += 1
+        if count == scn.m_antennas:
+            return placed
+    return None
+
+
+@pytest.mark.parametrize("region", [0.6, 0.12])
+def test_random_feasible_layout_matches_prefix_check(table1_k5, region):
+    # checking a draw against the placed antennas only draws, accepts and
+    # fails alike, and leaves the stream where it was; in the 0.12 m box
+    # every start fails
+    scn = dataclasses.replace(table1_k5, region_size=region)
+    for seed in range(20):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = _prefix_checked_layout(scn, ref_rng)
+        try:
+            got = opt_grad.random_feasible_layout(scn, rng)
+        except ScenarioError:
+            got = None
+        assert (got is None) == (want is None)
+        assert want is None or got.tobytes() == want.tobytes()
+        assert rng.random() == ref_rng.random()
+
+
 def test_run_multistart_guards_and_traces(table1_k3):
     with pytest.raises(ValueError, match="restarts must be >= 1"):
         opt_grad.run_multistart(table1_k3, seed=0, restarts=0)

@@ -6,6 +6,7 @@ import hashlib
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fas_optim import channel, rate
-from fas_optim.scenario import UserModel, derive_user, upa_layout
+from fas_optim.scenario import UserModel, derive_user, grid_layout, upa_layout
 from conftest import Q, fd_gradient, make_scenario, users_at
 
 
@@ -447,6 +448,43 @@ def test_simulation_bits_do_not_depend_on_thread_count(table1_k3, monkeypatch):
         sys.setswitchinterval(switch)
     assert runs[1] == runs[0]
     assert runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_simulation_bits_do_not_depend_on_block_size(table1_k3, monkeypatch, threads):
+    # blocks of one trial, of 7 (every batch ends on a short block) and of a
+    # whole batch give the default block's bits, over a short last batch;
+    # five pilots for three users give the noise its own shape
+    monkeypatch.setenv("FAS_OPTIM_THREADS", threads)
+    scn = dataclasses.replace(table1_k3, pilot_len=5)
+    layout = upa_layout(9, 0.05, 0.6)
+
+    def bits(block, trials):
+        monkeypatch.setattr(rate, "MC_BLOCK", block)
+        return _mc_bits(rate.mc_uatf_sinr(layout, scn, trials, seed=6))
+
+    few, many, default = 300, rate.MC_BATCH + 300, rate.MC_BLOCK
+    assert bits(1, few) == bits(default, few)
+    want = bits(default, many)
+    assert bits(7, many) == want
+    assert bits(rate.MC_BATCH, many) == want
+
+
+def test_batch_holds_little_beyond_its_channel(table1_k5, monkeypatch):
+    # the stream order forces a batch to hold its channel and the real parts
+    # of its pilot noise, 1.5 channels here, and the rest lives in blocks;
+    # estimating the whole batch at once peaks at 3.5 channels
+    monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
+    layout = grid_layout(table1_k5)
+    rate.mc_uatf_sinr(layout, table1_k5, 16, seed=1)  # warm every cache first
+    tracemalloc.start()
+    try:
+        rate.mc_uatf_sinr(layout, table1_k5, rate.MC_BATCH, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    channel_bytes = rate.MC_BATCH * table1_k5.m_antennas * table1_k5.k_users * 16
+    assert peak <= 2.5 * channel_bytes
 
 
 MULTI_BLOCK = 2 * rate.MC_BATCH + 123
