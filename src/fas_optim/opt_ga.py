@@ -3,9 +3,9 @@
 Individuals are full layouts.  Fitness is the smallest per-user rate
 (`rate.rates_from_steering`) minus a penalty per pair of antennas closer
 than `d_min` (`scenario.violation_counts`); mutated children are clamped
-back into the box with `scenario.project`.  The penalty
-exceeds the interference-free rate bound (`rate.ClosedFormContext`) by
-1, so every layout with a violating pair ranks below every feasible
+back into the box with `scenario.project`.  The penalty per violating
+pair is 1 above the largest per-user ceiling (`rate.ClosedFormContext`),
+so every layout with a violating pair ranks below every feasible
 layout, whatever the scenario.  Selection is 3-way tournament,
 crossover swaps whole antennas between parents, and mutation jitters
 coordinates with wavelength/10 noise.  One elite survives unchanged per
@@ -43,13 +43,13 @@ CONVERGE_TOL = 1e-3
 def _score(layouts: np.ndarray, steer: np.ndarray, ctx, d_min: float) -> np.ndarray:
     """Penalized fitness of layouts, from LoS responses `steer` and evaluator `ctx`.
 
-    The penalty per violating pair lies 1 above any achievable rate, so
-    fewer violations always rank higher, and a change in the count
-    moves the best fitness by more than `CONVERGE_TOL`.
+    The penalty per violating pair, the largest ceiling plus 1, lies at least
+    1 above any achievable min rate, so fewer violations always rank higher,
+    and a change in the count moves the best fitness by more than `CONVERGE_TOL`.
     """
     counts = violation_counts(layouts, d_min)
     min_rates = rate.rates_from_steering(ctx, steer).min(axis=-1)
-    return min_rates - (ctx.rate_bound + 1.0) * counts
+    return min_rates - (ctx.ceilings.max() + 1.0) * counts
 
 
 @dataclass

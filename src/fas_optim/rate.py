@@ -21,9 +21,9 @@ through a, by a (c + q) = c.  Then
     SINR_k = p desired_k / (p D_kk + p sum_{i != k} I_ki
                             + noise_power * noise_k)
 
-The achievable rate is ``prelog * log2(1 + SINR_k)`` (`achievable_rate`).
-Every I_ki is nonnegative, so dropping them bounds every layout's rate
-from above; `ClosedFormContext.rate_bound` is that bound for the best user.
+The achievable rate is ``prelog * log2(1 + SINR_k)`` (`achievable_rate`).  Each
+I_ki is D_ki plus a nonnegative term, so no layout lifts user k above its
+ceiling, its rate at interference sum_{i != k} D_ki (`ClosedFormContext.ceilings`).
 `terms_at` gives the four expectations at a batch of layouts as a
 `Terms` record, whose `Terms.sinr` is the one place the ratio is
 written.  `sinr_for` evaluates it; `sinr_gradients` gives it together
@@ -168,7 +168,7 @@ class ClosedFormContext:
     e_leak: np.ndarray      # (K,)
     i_const: np.ndarray     # (K, K) layout-free interference, zero diagonal
     i_coupling: np.ndarray  # (K, K) weight on |hbar_k^H hbar_i|^2, zero diagonal
-    rate_bound: float       # interference-free rate of the best user; no layout reaches above
+    ceilings: np.ndarray    # (K,) rate under i_const alone: each user's cap at any layout
 
 
 @functools.lru_cache(maxsize=8)
@@ -197,15 +197,15 @@ def closed_form_context(scn: Scenario) -> ClosedFormContext:
         i_const=d * off,
         i_coupling=ck * c * ek * eps * off,
     )
+    free = Terms(e_signal, e_leak, np.sum(arrays["i_const"], axis=-1), e_noise)
+    arrays["ceilings"] = achievable_rate(scn.prelog, free.sinr(scn.tx_power, scn.noise_power))
     for arr in arrays.values():
         arr.flags.writeable = False
-    free_sinr = Terms(e_signal, e_leak, 0.0, e_noise).sinr(scn.tx_power, scn.noise_power)
     return ClosedFormContext(
         wavelength=scn.wavelength,
         tx_power=scn.tx_power,
         noise_power=scn.noise_power,
         prelog=scn.prelog,
-        rate_bound=float(achievable_rate(scn.prelog, free_sinr.max())),
         **arrays,
     )
 

@@ -132,6 +132,13 @@ def pin_note(monkeypatch):
     return kernel_fingerprint.pin_note()
 
 
+@pytest.fixture
+def one_worker_ini(tmp_path, monkeypatch):
+    """`write_ini` at 4 antennas and 2 users in `tmp_path`, run on one worker."""
+    monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
+    return write_ini(tmp_path, m_antennas=4, k_users=2)
+
+
 @pytest.fixture(scope="session")
 def table1_k3():
     return load_scenario(SCENARIO_DIR / "table1_k3.ini")

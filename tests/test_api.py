@@ -102,7 +102,7 @@ def test_closed_form_context_is_memoised(table1_k5):
     ctx = rate.closed_form_context(table1_k5)
     assert rate.closed_form_context(table1_k5) is ctx
     arrays = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 6
+    assert len(arrays) == 7
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):

@@ -11,12 +11,10 @@ from fas_optim import cli, harness, rate
 from conftest import SCENARIO_DIR, explicit_users, write_ini
 
 
-def test_run_baseline(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
-    ini = write_ini(tmp_path, m_antennas=4, k_users=2)
+def test_run_baseline(one_worker_ini, tmp_path, capsys):
     out = tmp_path / "out"
     code = cli.main(
-        ["run", "--scenario", str(ini), "--algos", "fpa", "--out", str(out)]
+        ["run", "--scenario", str(one_worker_ini), "--algos", "fpa", "--out", str(out)]
     )
     assert code == 0
     assert f"wrote 1 rows to {out}" in capsys.readouterr().out
@@ -24,26 +22,11 @@ def test_run_baseline(tmp_path, capsys, monkeypatch):
     assert (out / "sweep_none.svg").exists()
 
 
-def test_run_sweep(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
-    ini = write_ini(tmp_path, m_antennas=4, k_users=2)
+def test_run_sweep(one_worker_ini, tmp_path, capsys):
     out = tmp_path / "out"
     code = cli.main(
-        [
-            "run",
-            "--scenario",
-            str(ini),
-            "--sweep",
-            "m_antennas=4,6",
-            "--repeats",
-            "2",
-            "--algos",
-            "fpa",
-            "--seed",
-            "3",
-            "--out",
-            str(out),
-        ]
+        ["run", "--scenario", str(one_worker_ini), "--sweep", "m_antennas=4,6",
+         "--repeats", "2", "--algos", "fpa", "--seed", "3", "--out", str(out)]
     )
     assert code == 0
     assert "wrote 4 rows" in capsys.readouterr().out
@@ -58,24 +41,20 @@ def test_run_missing_scenario(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_run_listed_users_sweep_antennas(tmp_path, capsys, monkeypatch):
+def test_run_listed_users_sweep_antennas(one_worker_ini, tmp_path, capsys):
     # an axis that leaves the user recipe alone keeps the listed users
-    monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
-    ini = write_ini(tmp_path, m_antennas=4, k_users=2)
-    ini.write_text(explicit_users(ini.read_text(), 2))
+    one_worker_ini.write_text(explicit_users(one_worker_ini.read_text(), 2))
     out = tmp_path / "out"
     code = cli.main(
-        ["run", "--scenario", str(ini), "--sweep", "m_antennas=4,5", "--algos", "fpa",
-         "--out", str(out)]
+        ["run", "--scenario", str(one_worker_ini), "--sweep", "m_antennas=4,5",
+         "--algos", "fpa", "--out", str(out)]
     )
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert f"wrote 2 rows to {out}" in captured.out
 
 
-def test_run_bad_sweeps(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
-    ini = write_ini(tmp_path, m_antennas=4, k_users=2)
+def test_run_bad_sweeps(one_worker_ini, tmp_path, capsys):
     # the error names the swept axis, not the scenario field derived from it
     named = {
         # the scenario's own rule, prefixed with the point
@@ -90,7 +69,8 @@ def test_run_bad_sweeps(tmp_path, capsys, monkeypatch):
         "region_over_lambda=1e308", "none=1,2",
     ):
         code = cli.main(
-            ["run", "--scenario", str(ini), "--sweep", sweep, "--out", str(tmp_path / "o")]
+            ["run", "--scenario", str(one_worker_ini), "--sweep", sweep,
+             "--out", str(tmp_path / "o")]
         )
         assert code == 2, sweep
         err = capsys.readouterr().err
@@ -99,11 +79,9 @@ def test_run_bad_sweeps(tmp_path, capsys, monkeypatch):
         assert not (tmp_path / "o").exists(), sweep  # rejected before any output
 
 
-def test_run_rejects_fractional_antenna_count(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
-    ini = write_ini(tmp_path, m_antennas=4, k_users=2)
+def test_run_rejects_fractional_antenna_count(one_worker_ini, tmp_path, capsys):
     code = cli.main(
-        ["run", "--scenario", str(ini), "--sweep", "m_antennas=4.5",
+        ["run", "--scenario", str(one_worker_ini), "--sweep", "m_antennas=4.5",
          "--out", str(tmp_path / "o")]
     )
     assert code == 2
@@ -111,12 +89,11 @@ def test_run_rejects_fractional_antenna_count(tmp_path, capsys, monkeypatch):
     assert "m_antennas sweep values must be positive integers" in err
 
 
-def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
-    ini = write_ini(tmp_path, m_antennas=4, k_users=2)
-    ini.write_text(ini.read_text().replace("mu = 100", "mu = inf"))
+def test_run_rejects_infinite_hyper(one_worker_ini, tmp_path, capsys):
+    one_worker_ini.write_text(one_worker_ini.read_text().replace("mu = 100", "mu = inf"))
     code = cli.main(
-        ["run", "--scenario", str(ini), "--algos", "grad", "--out", str(tmp_path / "o")]
+        ["run", "--scenario", str(one_worker_ini), "--algos", "grad",
+         "--out", str(tmp_path / "o")]
     )
     assert code == 2
     assert "mu must be finite" in capsys.readouterr().err
@@ -278,16 +255,14 @@ def test_run_rejects_infinite_hyper(tmp_path, capsys, monkeypatch):
     ],
 )
 def test_run_rejects_bad_input(
-    tmp_path, capsys, monkeypatch, old, new, argv, needle
+    one_worker_ini, tmp_path, capsys, old, new, argv, needle
 ):
-    monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
-    ini = write_ini(tmp_path, m_antennas=4, k_users=2)
-    text = ini.read_text().replace(old, new, 1)
-    ini.write_bytes(text.encode("utf-8", "surrogateescape"))
+    text = one_worker_ini.read_text().replace(old, new, 1)
+    one_worker_ini.write_bytes(text.encode("utf-8", "surrogateescape"))
     with warnings.catch_warnings(record=True) as caught:  # a CLI run prints them
         warnings.simplefilter("always")
         code = cli.main(
-            ["run", "--scenario", str(ini), "--algos", "fpa", *argv,
+            ["run", "--scenario", str(one_worker_ini), "--algos", "fpa", *argv,
              "--out", str(tmp_path / "o")]
         )
     assert code == 2
@@ -295,21 +270,20 @@ def test_run_rejects_bad_input(
     assert [str(w.message) for w in caught] == []
 
 
-def test_run_rejects_vanishing_gain_variances(tmp_path, capsys, monkeypatch):
+def test_run_rejects_vanishing_gain_variances(one_worker_ini, tmp_path, capsys):
     # the diffuse and the pilot noise variance both round to 0, so the
     # LMMSE gain c / (c + q) would be 0/0
-    monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
-    ini = write_ini(tmp_path, m_antennas=4, k_users=2)
-    text = ini.read_text()
+    text = one_worker_ini.read_text()
     for old, new in [
         ("tx_power_dbm = 30", "tx_power_dbm = 3000"),
         ("noise_power_dbm = -104", "noise_power_dbm = -3200"),
         ("path_loss_ref_db = -40", "path_loss_ref_db = -4000"),
     ]:
         text = text.replace(old, new, 1)
-    ini.write_text(text)
+    one_worker_ini.write_text(text)
     code = cli.main(
-        ["run", "--scenario", str(ini), "--algos", "fpa", "--out", str(tmp_path / "o")]
+        ["run", "--scenario", str(one_worker_ini), "--algos", "fpa",
+         "--out", str(tmp_path / "o")]
     )
     assert code == 2
     assert (
@@ -320,12 +294,10 @@ def test_run_rejects_vanishing_gain_variances(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("value", ["-1", "1"])
-def test_run_rejects_bad_mc_trials_up_front(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
-    ini = write_ini(tmp_path, m_antennas=4, k_users=2)
+def test_run_rejects_bad_mc_trials_up_front(one_worker_ini, tmp_path, capsys, value):
     out = tmp_path / "o"
     code = cli.main(
-        ["run", "--scenario", str(ini), "--algos", "fpa", "--mc-trials", value,
+        ["run", "--scenario", str(one_worker_ini), "--algos", "fpa", "--mc-trials", value,
          "--out", str(out)]
     )
     assert code == 2
@@ -335,9 +307,10 @@ def test_run_rejects_bad_mc_trials_up_front(tmp_path, capsys, monkeypatch, value
 
 
 @pytest.mark.parametrize("below", ["", "sub"], ids=["out-is-file", "out-under-file"])
-def test_run_rejects_out_in_a_file_up_front(tmp_path, capsys, monkeypatch, below):
+def test_run_rejects_out_in_a_file_up_front(
+    one_worker_ini, tmp_path, capsys, monkeypatch, below
+):
     # a file where --out or one of its parents should be a directory
-    monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
     ran, run_task = [], harness._run_task
 
     def spy(*task):
@@ -345,11 +318,11 @@ def test_run_rejects_out_in_a_file_up_front(tmp_path, capsys, monkeypatch, below
         return run_task(*task)
 
     monkeypatch.setattr(harness, "_run_task", spy)
-    ini = write_ini(tmp_path, m_antennas=4, k_users=2)
     taken = tmp_path / "taken"
     taken.write_text("")
     code = cli.main(
-        ["run", "--scenario", str(ini), "--algos", "fpa", "--out", str(taken / below)]
+        ["run", "--scenario", str(one_worker_ini), "--algos", "fpa",
+         "--out", str(taken / below)]
     )
     assert code == 2
     assert capsys.readouterr().err == (
@@ -425,24 +398,21 @@ def test_run_grad_on_crowded_boxes(tmp_path, capsys, monkeypatch):
         assert rates[value, "grad"] >= rates[value, "fpa"]
 
 
-def test_run_rejects_repeated_algorithms(tmp_path, capsys, monkeypatch):
+def test_run_rejects_repeated_algorithms(one_worker_ini, tmp_path, capsys):
     # a repeated algorithm would list every point twice in summary.csv
-    monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
-    ini = write_ini(tmp_path, m_antennas=4, k_users=2)
     code = cli.main(
-        ["run", "--scenario", str(ini), "--sweep", "m_antennas=4,5", "--repeats", "2",
-         "--algos", "fpa,fpa", "--out", str(tmp_path / "o")]
+        ["run", "--scenario", str(one_worker_ini), "--sweep", "m_antennas=4,5",
+         "--repeats", "2", "--algos", "fpa,fpa", "--out", str(tmp_path / "o")]
     )
     assert code == 2
     assert "algorithms must be distinct, got ('fpa', 'fpa')" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
-def test_run_bad_algorithm(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
-    ini = write_ini(tmp_path, m_antennas=4, k_users=2)
+def test_run_bad_algorithm(one_worker_ini, tmp_path, capsys):
     code = cli.main(
-        ["run", "--scenario", str(ini), "--algos", "sa", "--out", str(tmp_path / "o")]
+        ["run", "--scenario", str(one_worker_ini), "--algos", "sa",
+         "--out", str(tmp_path / "o")]
     )
     assert code == 2
     assert "unknown algorithm" in capsys.readouterr().err

@@ -234,17 +234,15 @@ def test_run_experiment_baseline_row(table1_k3, tmp_path, monkeypatch):
     assert table[1][8] == ""  # no simulation column without a budget
 
 
-def test_run_experiment_row_order_ignores_algorithm_order(tmp_path, monkeypatch):
+def test_run_experiment_row_order_ignores_algorithm_order(one_worker_ini, tmp_path):
     # results.csv rows come in (value, repeat, ga/grad/fpa) order whatever
     # the order of the algorithms; summary.csv follows the given order
-    monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
-    ini = write_ini(tmp_path, m_antennas=4, k_users=2)
     wall = harness.RESULT_FIELDS.index("wall_ms")
     results, summaries = set(), set()
     for algos in itertools.permutations(harness.ALGORITHMS):
         sweep = harness.SweepSpec("m_antennas", (4, 5), repeats=2, algorithms=algos)
         out = tmp_path / "-".join(algos)
-        harness.run_experiment(ini, sweep, out, seed=3)
+        harness.run_experiment(one_worker_ini, sweep, out, seed=3)
         table = read_csv(out / "results.csv")[1:]
         assert [(r[1], r[2], r[3]) for r in table] == [
             (value, repeat, algo)
@@ -260,11 +258,9 @@ def test_run_experiment_row_order_ignores_algorithm_order(tmp_path, monkeypatch)
     assert len(summaries) == 1
 
 
-def test_run_experiment_accepts_path(tmp_path, monkeypatch):
-    monkeypatch.setenv("FAS_OPTIM_THREADS", "1")
-    ini = write_ini(tmp_path, m_antennas=4, k_users=2)
+def test_run_experiment_accepts_path(one_worker_ini, tmp_path):
     sweep = harness.SweepSpec(axis="none", values=(0.0,), algorithms=("fpa",))
-    rows = harness.run_experiment(ini, sweep, tmp_path / "out")
+    rows = harness.run_experiment(one_worker_ini, sweep, tmp_path / "out")
     assert len(rows) == 1
 
 

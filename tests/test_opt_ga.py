@@ -66,7 +66,7 @@ def test_fitness_penalty_per_pair(table1_k3):
     layout = upa_layout(9, 0.05, 0.6).copy()
     layout[:, 1] = layout[:, 0] + [0.01, 0.0]  # one violating pair
     clean = rate.min_rate(layout, table1_k3)
-    penalty = rate.closed_form_context(table1_k3).rate_bound + 1.0
+    penalty = rate.closed_form_context(table1_k3).ceilings.max() + 1.0
     assert fitness(layout, table1_k3) == pytest.approx(
         clean - penalty, rel=1e-9
     )
@@ -152,6 +152,8 @@ def test_run_ga_returns_final_best_feasible_layout(problem):
     assert opt_ga.violation_set(layout, scn.d_min) == []
     grid_rate = rate.min_rate(grid_layout(scn), scn)
     assert rate.min_rate(layout, scn) >= grid_rate * (1.0 - 1e-12)
+    ceiling = rate.closed_form_context(scn).ceilings.min()
+    assert rate.min_rate(layout, scn) <= ceiling * (1.0 + 1e-12)
 
 
 def test_init_population_seeds_grid(table1_k3):

@@ -570,6 +570,8 @@ def test_run_multistart_feasible_and_never_below_fpa(k, m, mu, seed, data):
     assert np.all(np.abs(layout) <= scn.region_size / 2.0)
     assert opt_ga.violation_set(layout, scn.d_min) == []
     assert rate.min_rate(layout, scn) >= rate.min_rate(grid_layout(scn), scn)
+    ceiling = rate.closed_form_context(scn).ceilings.min()
+    assert rate.min_rate(layout, scn) <= ceiling * (1.0 + 1e-12)
 
 
 ANGLE = st.floats(0.2, 2.9)

@@ -208,6 +208,29 @@ def test_sinr_decreases_with_extra_interference():
     np.testing.assert_allclose(other[1:], base[1:], rtol=1e-12)
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    angles=st.lists(st.tuples(*[st.floats(0.2, 2.9)] * 2), min_size=1, max_size=6),
+    m=st.integers(1, 9),
+    rician=st.one_of(st.just(0.0), st.floats(1e-3, 1e4)),
+    distances=st.lists(st.floats(20.0, 200.0), min_size=6, max_size=6),
+    noise_scale=st.floats(-4.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_no_layout_lifts_a_user_above_its_ceiling(
+    angles, m, rician, distances, noise_scale, seed
+):
+    # each I_ki is D_ki plus a nonnegative coupling term, so the rate under
+    # sum_{i != k} D_ki alone caps user k at every layout; 1e-12 allows for
+    # log2's rounding on other CPUs
+    k = len(angles)
+    users = users_at(angles, distances[:k], rician)
+    scn = make_scenario(users, m=m, noise_power=Q * k * 10.0**noise_scale)
+    ctx = rate.closed_form_context(scn)
+    layouts = np.random.default_rng(seed).uniform(-0.3, 0.3, (64, 2, m))
+    assert np.all(rate.rates_for(ctx, layouts) <= ctx.ceilings * (1.0 + 1e-12))
+
+
 def test_vanishing_power_kills_sinr():
     users = users_at([(0.4, 0.9), (1.3, 2.2)])
     quiet = dataclasses.replace(make_scenario(users), tx_power=1e-30)
