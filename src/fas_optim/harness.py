@@ -17,14 +17,11 @@ byte-identical for identical invocations.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import io
 import math
 import os
-import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -208,6 +205,9 @@ def run_experiment(
     workers, measured = worker_count(), []
     try:  # results arrive in plan order, so the first failure is plan[len(measured)]
         if workers > 1 and len(tasks) > 1:
+            # imported on first use: multiprocessing would add ~5 ms to every import
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(workers, initializer=_simulate_on_one_thread) as pool:
                 for values in pool.map(_run_task, *zip(*tasks)):
                     measured.append(values)
@@ -228,6 +228,8 @@ def run_experiment(
 
 
 def write_results(path, rows: list[ResultRow]) -> None:
+    import csv  # imported on first use, not by every import of harness
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULT_FIELDS)
@@ -240,6 +242,8 @@ def write_results(path, rows: list[ResultRow]) -> None:
 
 def summarize(rows: list[ResultRow], sweep: SweepSpec) -> list[dict]:
     """Mean and standard error of min_rate per (axis value, algorithm)."""
+    import statistics  # imported on first use: ~1 ms that an import need not pay
+
     summary = []
     for value in sweep.values:
         for algo in sweep.algorithms:
@@ -264,6 +268,8 @@ def summarize(rows: list[ResultRow], sweep: SweepSpec) -> list[dict]:
 
 
 def write_summary(path, summary: list[dict]) -> None:
+    import csv  # imported on first use, not by every import of harness
+
     fields = ("axis", "axis_value", "algorithm", "n", "mean_min_rate", "se_min_rate")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -57,7 +57,6 @@ from __future__ import annotations
 import functools
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +93,9 @@ def _batch_results(
         for stream, size in batches:
             yield simulate(stream, size)
         return
+    # imported on first use: concurrent.futures and logging would add ~2 ms to every import
+    from concurrent.futures import Future, ThreadPoolExecutor
+
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
         ahead: deque[Future] = deque()

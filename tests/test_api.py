@@ -7,6 +7,8 @@ import doctest
 import importlib
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +62,26 @@ def test_benchmark_names_and_micro_cases(monkeypatch):
     samples = micro.run_cases(SCENARIO_DIR / "table1_k5.ini", repeats=1)
     assert samples and all(len(v) == 1 and v[0] > 0.0 for v in samples.values())
 
+
+def test_import_and_load_leave_pools_and_writers_unloaded():
+    # start-up pays only for what loading a scenario runs: the pools, the
+    # summary statistics and the CSV writer load where they are first used
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from fas_optim import harness, scenario\n"
+        "scenario.load_scenario(sys.argv[2])\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    src = Path(fas_optim.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(src), str(SCENARIO_DIR / "table1_k5.ini")],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    loaded = set(done.stdout.split())
+    assert "fas_optim.harness" in loaded
+    deferred = {"multiprocessing", "concurrent.futures", "statistics", "csv"}
+    assert not deferred & loaded
 
 def test_module_layering():
     # each solver depends on scenario, rate and channel, not on the other;

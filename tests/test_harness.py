@@ -1,5 +1,6 @@
 """Sweep harness: seeding, sweep points, CSV/SVG artifacts, validation."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import hashlib
@@ -202,7 +203,7 @@ def test_pool_workers_simulate_on_one_thread(table1_k3, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a pool worker started simulation threads")
 
-    monkeypatch.setattr(rate, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
     monkeypatch.setenv("FAS_OPTIM_THREADS", "2")
     sweep = harness.SweepSpec(axis="k_users", values=(2, 3), algorithms=("fpa",))
     rows = harness.run_experiment(table1_k3, sweep, tmp_path, mc_trials=rate.MC_BATCH + 1)

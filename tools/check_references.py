@@ -1,6 +1,6 @@
 """Rerun the reference sweeps and compare their output md5s with the pinned ones.
 
-Usage:  python tools/check_references.py
+Usage:  python tools/check_references.py [KEEP_DIR]
 
 Each sweep runs `scenarios/table1_k5.ini` with 2 repeats through
 `harness.run_experiment` of this checkout's `src/`, the same as
@@ -13,7 +13,8 @@ it writes.  A change meant to keep results bit-identical must leave
 every md5 as pinned.  Prints the kernel fingerprint
 (`tools/kernel_fingerprint.py`), then one line per md5, and exits 1 on any
 mismatch.  Runs `FAS_OPTIM_THREADS` workers, 2 when it is unset;
-summary.csv does not depend on the worker count.
+summary.csv does not depend on the worker count.  With KEEP_DIR, the
+files of the i-th sweep printed are kept in KEEP_DIR/i (from 0) instead.
 """
 
 from __future__ import annotations
@@ -59,13 +60,14 @@ def output_md5s(axis: str, values: tuple, algos: str, seed: int, out: Path) -> t
     return tuple(hashlib.md5(f.read_bytes()).hexdigest() for f in files)
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
     os.environ.setdefault("FAS_OPTIM_THREADS", "2")
     print(pin_note())
     mismatches = 0
     with tempfile.TemporaryDirectory() as tmp:
+        out = Path(argv[0]) if argv else Path(tmp)
         for i, (axis, values, algos, seed, pinned) in enumerate(REFERENCES):
-            got = output_md5s(axis, values, algos, seed, Path(tmp) / str(i))
+            got = output_md5s(axis, values, algos, seed, out / str(i))
             sweep = f"{axis}={','.join(map(str, values))} {algos} seed {seed}"
             for name, md5, want in zip(("summary", "svg"), got, pinned):
                 ok = md5 == want
@@ -75,4 +77,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
