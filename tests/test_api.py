@@ -83,6 +83,7 @@ def test_import_and_load_leave_pools_and_writers_unloaded():
     deferred = {"multiprocessing", "concurrent.futures", "statistics", "csv"}
     assert not deferred & loaded
 
+
 def test_module_layering():
     # each solver depends on scenario, rate and channel, not on the other;
     # rate's private names stay in rate; the feasible set has one home
