@@ -1,5 +1,6 @@
 """Shared fixtures: reference scenarios, an INI writer for variants, a scenario
-builder, finite differences and a spacing check."""
+builder and a hypothesis strategy of small ones, finite differences, and a
+feasibility audit."""
 
 import itertools
 import math
@@ -8,8 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from fas_optim.scenario import Scenario, UserModel, derive_user, load_scenario
+from fas_optim.scenario import HyperParams, Scenario, UserModel, derive_user, load_scenario
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO / "scenarios"
@@ -112,15 +114,56 @@ def fd_gradient(fun, layout, h=1e-6):
     return np.moveaxis(diff, 0, -1).reshape(*diff.shape[1:], *layout.shape)
 
 
-def min_spacing(layout):
-    """Smallest distance between two antennas of `layout` (2, M), pair by pair.
+ANGLE = st.floats(0.2, 2.9)
 
-    It shares no code with `scenario.violation_set`, the check it audits.
+
+@st.composite
+def small_scenarios(draw, k_users=(1, 4), m_antennas=(2, 6), roomy=False):
+    """A small `make_scenario` and a seed for its solver.
+
+    Between `k_users` users 50-70 m away at random arrivals, `m_antennas`
+    antennas, -104 dBm of noise, mu from 1e-2 to 1e2, a 20-layout,
+    40-generation GA and at most 100 ascent iterations.  Half the draws are
+    strong LoS (Rician 33-40 dB) at 10-1000 W, half Rician 0-20 dB at
+    1 mW-1 W.  The box runs from the smallest that holds the grid at pitch
+    d_min up to 0.6 m, or is 0.6 m when `roomy`, where random starts can
+    always be drawn.
     """
+    k, m = draw(st.integers(*k_users)), draw(st.integers(*m_antennas))
+    angles = [(draw(ANGLE), draw(ANGLE)) for _ in range(k)]
+    distances = [draw(st.floats(50.0, 70.0)) for _ in range(k)]
+    strong = draw(st.booleans())
+    rician_db = draw(st.floats(33.0, 40.0) if strong else st.floats(0.0, 20.0))
+    tx_power = 10.0 ** draw(st.floats(1.0, 3.0) if strong else st.floats(-3.0, 0.0))
+    smallest = math.isqrt(m - 1) * 0.05  # the grid's span at pitch d_min
+    mu = 10.0 ** draw(st.floats(-2.0, 2.0))
+    scn = make_scenario(
+        users_at(angles, distances, 10.0 ** (rician_db / 10.0)),
+        m=m,
+        region_size=0.6 if roomy else draw(st.floats(smallest, 0.6)),
+        tx_power=tx_power,
+        noise_power=10.0 ** (-13.4),  # -104 dBm
+        hyper=HyperParams(mu=mu, ga_pop=20, ga_max_iter=40, grad_max_iter=100),
+    )
+    return scn, draw(st.integers(0, 2**32 - 1))
+
+
+def min_spacing(layout):
+    """Smallest distance between two antennas of `layout` (2, M), pair by pair."""
     points = np.asarray(layout, dtype=float).T
     return min(
         (math.dist(a, b) for a, b in itertools.combinations(points, 2)), default=math.inf
     )
+
+
+def feasible(layout, scn):
+    """Whether `layout` (2, M) lies in `scn`'s box with no two antennas closer than d_min.
+
+    Built on `min_spacing` and a box check, it shares no code with
+    `scenario`'s feasible set, which the solvers use and which it audits.
+    """
+    inside = np.all(np.abs(layout) <= scn.region_size / 2.0)
+    return bool(inside) and min_spacing(layout) >= scn.d_min - 1e-12
 
 
 @pytest.fixture

@@ -5,7 +5,6 @@ Run with ``pytest -v tests/test_acceptance.py`` to get a scorecard: each
 tests print their measured numbers, which pytest shows on failure.
 """
 
-import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
 
@@ -14,7 +13,7 @@ import pytest
 
 from fas_optim import channel, estimation, harness, opt_ga, opt_grad, rate
 from fas_optim.scenario import UserModel, random_users, redraw_users, worker_count
-from conftest import fd_gradient, make_scenario, min_spacing
+from conftest import fd_gradient, feasible, make_scenario
 
 MASTER = 7      # master seed for the trend sweeps
 Z = 1.645       # one-sided threshold of every paired trend test, in SEs
@@ -275,12 +274,7 @@ def test_criterion_08_returned_layouts_feasible(geometry_runs):
         grad_layout, _ = opt_grad.run_multistart(scn, seed=700 + i, restarts=2)
         layouts.append((ga_layout, scn))
         layouts.append((grad_layout, scn))
-    bad = 0
-    for layout, scn in layouts:
-        if min_spacing(layout) < scn.d_min - 1e-12:
-            bad += 1
-        elif not np.all(np.abs(layout) <= scn.region_size / 2.0 + 1e-12):
-            bad += 1
+    bad = sum(not feasible(layout, scn) for layout, scn in layouts)
     ok = len(layouts) >= 100 and bad == 0
     _verdict(8, ok, f"{bad} infeasible layouts out of {len(layouts)} optimizer runs")
 

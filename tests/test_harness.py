@@ -11,7 +11,7 @@ import statistics
 import numpy as np
 import pytest
 
-from fas_optim import harness, opt_ga, rate, svgplot
+from fas_optim import harness, rate, svgplot
 from fas_optim.scenario import (
     ScenarioError,
     db_to_linear,
@@ -19,7 +19,7 @@ from fas_optim.scenario import (
     upa_layout,
     worker_count,
 )
-from conftest import SCENARIO_DIR, write_ini
+from conftest import SCENARIO_DIR, feasible, write_ini
 
 
 def read_csv(path):
@@ -177,7 +177,7 @@ def test_fpa_layout_meets_spacing_limit(table1_k3):
     # with d_min above half a wavelength the grid widens to pitch d_min
     wide = dataclasses.replace(table1_k3, d_min=0.06)
     layout = harness.fpa_layout(wide)
-    assert opt_ga.violation_set(layout, wide.d_min) == []
+    assert feasible(layout, wide)
     np.testing.assert_array_equal(layout, upa_layout(9, 0.06, 0.6))
 
 

@@ -1,24 +1,23 @@
-"""Genetic position search: penalty fitness, operators, convergence."""
+"""Genetic position search: penalty fitness, operators, convergence; and the
+invariants it shares with the multistart gradient search."""
+
+import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fas_optim import channel, opt_ga, rate
+from fas_optim import channel, opt_ga, opt_grad, rate
 from fas_optim.scenario import (
     HyperParams,
     UserModel,
-    db_to_linear,
     dbm_to_watt,
     grid_layout,
     random_users,
-    redraw_users,
     upa_layout,
-    violation_counts,
-    violation_set,
 )
-from conftest import make_scenario
+from conftest import feasible, make_scenario, small_scenarios, users_at
 
 
 def fitness(layouts, scn):
@@ -26,33 +25,6 @@ def fitness(layouts, scn):
     ctx = rate.closed_form_context(scn)
     steer = channel.steering(ctx.dirs, layouts, scn.wavelength)
     return opt_ga._score(layouts, steer, ctx, scn.d_min)
-
-
-def test_violation_set_grid_at_pitch_is_clean():
-    layout = upa_layout(9, 0.05, 0.6)
-    assert violation_set(layout, 0.05) == []
-
-
-def test_violation_set_collocated_counts_all_pairs():
-    layout = np.zeros((2, 9))
-    pairs = violation_set(layout, 0.05)
-    assert len(pairs) == 36
-    assert (0, 1) in pairs and (7, 8) in pairs
-
-
-def test_violation_set_single_close_pair():
-    layout = upa_layout(4, 0.2, 0.6)
-    layout = layout.copy()
-    layout[:, 1] = layout[:, 0] + [0.0499, 0.0]
-    assert violation_set(layout, 0.05) == [(0, 1)]
-
-
-def test_violation_counts_matches_pairs():
-    rng = np.random.default_rng(0)
-    layouts = rng.uniform(-0.3, 0.3, (40, 2, 6))
-    counts = violation_counts(layouts, 0.08)
-    for b in range(40):
-        assert counts[b] == len(violation_set(layouts[b], 0.08))
 
 
 def test_fitness_is_min_rate_when_feasible(table1_k3):
@@ -84,26 +56,6 @@ def test_penalty_dominates_any_feasible_rate(table1_k3):
         assert fitness(bad, table1_k3) < 0.0 < feasible_fit
 
 
-@st.composite
-def ga_scenarios(draw):
-    """A small scenario (K 1-4, M 2-6); strong-LoS draws bound the rate above 10 bit/s/Hz."""
-    strong = draw(st.booleans())
-    k, m = draw(st.integers(2, 3) if strong else st.integers(1, 4)), draw(st.integers(2, 6))
-    rician_db = draw(st.floats(33.0, 40.0) if strong else st.floats(0.0, 20.0))
-    tx_power = 10.0 ** draw(st.floats(1.0, 3.0) if strong else st.floats(-3.0, 0.0))
-    model = UserModel(rician=db_to_linear(rician_db))
-    scn = make_scenario(
-        random_users(model, k, 0),
-        m=m,
-        region_size=draw(st.floats(0.15, 0.6)),
-        tx_power=tx_power,
-        noise_power=dbm_to_watt(-104.0),
-        hyper=HyperParams(ga_pop=20, ga_max_iter=40),
-        user_model=model,
-    )
-    return redraw_users(scn, draw(st.integers(0, 2**16))), draw(st.integers(0, 2**16))
-
-
 def _phase_layouts(scn):
     """Extreme layouts for the first two users, in direction space.
 
@@ -127,7 +79,7 @@ def _phase_layouts(scn):
 
 
 @settings(max_examples=100, deadline=None, database=None)
-@given(ga_scenarios())
+@given(small_scenarios())
 def test_every_violation_ranks_below_every_feasible_layout(problem):
     scn, seed = problem
     half = scn.region_size / 2.0
@@ -142,20 +94,6 @@ def test_every_violation_ranks_below_every_feasible_layout(problem):
     assert fits[counts > 0].max() < fits[counts == 0].min()
 
 
-@settings(max_examples=50, deadline=None, database=None)
-@given(ga_scenarios())
-def test_run_ga_returns_final_best_feasible_layout(problem):
-    scn, seed = problem
-    layout, history = opt_ga.run_ga(scn, seed=seed)
-    # the returned layout holds the final population's best fitness
-    assert fitness(layout, scn) == pytest.approx(history[-1], rel=1e-12)
-    assert opt_ga.violation_set(layout, scn.d_min) == []
-    grid_rate = rate.min_rate(grid_layout(scn), scn)
-    assert rate.min_rate(layout, scn) >= grid_rate * (1.0 - 1e-12)
-    ceiling = rate.closed_form_context(scn).ceilings.min()
-    assert rate.min_rate(layout, scn) <= ceiling * (1.0 + 1e-12)
-
-
 def test_init_population_seeds_grid(table1_k3):
     rng = np.random.default_rng(2)
     state = opt_ga.init_population(table1_k3, rng)
@@ -164,12 +102,11 @@ def test_init_population_seeds_grid(table1_k3):
     grid = upa_layout(9, 0.05, 0.6)
     for i in range(n_seeded):
         np.testing.assert_array_equal(state.layouts[i], grid)
-        assert opt_ga.violation_counts(state.layouts[i], table1_k3.d_min) == 0
+        assert feasible(state.layouts[i], table1_k3)
         assert state.fits[i] > 0.0
     half = table1_k3.region_size / 2.0
     assert np.all(np.abs(state.layouts) <= half + 1e-12)
-    best = state.layouts[np.argmax(state.fits)]
-    assert opt_ga.violation_counts(best, table1_k3.d_min) == 0
+    assert feasible(state.layouts[np.argmax(state.fits)], table1_k3)
     assert state.history == [state.fits.max()]
 
 
@@ -217,22 +154,46 @@ def test_population_responses_and_fitness_match_a_fresh_evaluation(k, m, region,
         assert np.array_equal(state.fits, fitness(state.layouts, scn))
 
 
-def test_run_ga_feasible_and_beats_grid(table1_k5):
-    layout, history = opt_ga.run_ga(table1_k5, seed=0)
-    assert opt_ga.violation_set(layout, table1_k5.d_min) == []
-    assert np.all(np.abs(layout) <= table1_k5.region_size / 2.0 + 1e-12)
-    grid_rate = rate.min_rate(upa_layout(9, 0.05, 0.6), table1_k5)
-    assert rate.min_rate(layout, table1_k5) >= grid_rate
-    assert len(history) - 1 <= table1_k5.hyper.ga_max_iter
-
-
 def test_run_ga_converges_quickly(table1_k5):
-    _, history = opt_ga.run_ga(table1_k5, seed=0)
-    assert len(history) - 1 <= 200
+    layout, history = opt_ga.run_ga(table1_k5, seed=0)
+    # the returned layout holds the final population's best fitness
+    assert fitness(layout, table1_k5) == pytest.approx(history[-1], rel=1e-12)
+    assert len(history) - 1 <= min(table1_k5.hyper.ga_max_iter, 200)
 
 
-def test_run_ga_deterministic(table1_k3):
-    a, hist_a = opt_ga.run_ga(table1_k3, seed=5)
-    b, hist_b = opt_ga.run_ga(table1_k3, seed=5)
-    np.testing.assert_array_equal(a, b)
-    assert hist_a == hist_b
+# ------------------------------------------------------------- both solvers
+
+MULTISTART = functools.partial(opt_grad.run_multistart, restarts=2)
+
+
+@pytest.mark.parametrize("solve", [opt_ga.run_ga, MULTISTART], ids=["ga", "grad"])
+@settings(max_examples=50, deadline=None, database=None)
+@given(small_scenarios())
+@example((make_scenario(users_at([(0.5, 1.0), (1.5, 2.0)]), m=9, region_size=0.1), 0))
+def test_solvers_return_feasible_layouts_between_grid_and_ceiling(solve, problem):
+    # a small mu makes the soft-min favour the mean rate, so the best soft-min
+    # start can have a lower min rate than the fixed grid; in a crowded box a
+    # random start that cannot be drawn is skipped; in the example only the
+    # grid fits
+    scn, seed = problem
+    layout, _ = solve(scn, seed=seed)
+    assert feasible(layout, scn)
+    value = rate.min_rate(layout, scn)
+    assert value >= rate.min_rate(grid_layout(scn), scn)
+    assert value <= rate.closed_form_context(scn).ceilings.min() * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "solve, seeded",
+    [(opt_ga.run_ga, True), (MULTISTART, True), (opt_grad.run_gradient, False)],
+    ids=["ga", "grad", "gradient"],
+)
+def test_solvers_repeat_a_seed_and_default_to_hyper_seed(table1_k3, solve, seeded):
+    # run_gradient draws nothing, so it takes no seed
+    seed = table1_k3.hyper.seed
+    layout, trace = solve(table1_k3)
+    again, again_trace = solve(table1_k3, **({"seed": seed} if seeded else {}))
+    np.testing.assert_array_equal(again, layout)
+    assert again_trace == trace
+    if seeded:
+        assert solve(table1_k3, seed=seed + 1)[1] != trace

@@ -6,10 +6,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fas_optim import channel, opt_ga, opt_grad, rate, scenario
+from fas_optim import channel, opt_grad, rate, scenario
 from fas_optim.harness import seed_for
 from fas_optim.opt_grad import ZETA_MIN_FACTOR
 from fas_optim.scenario import (
@@ -19,7 +19,7 @@ from fas_optim.scenario import (
     redraw_users,
     upa_layout,
 )
-from conftest import make_scenario, min_spacing, users_at
+from conftest import feasible, make_scenario, min_spacing, small_scenarios, users_at
 
 
 # ----------------------------------------------------------------- soft-min
@@ -110,15 +110,6 @@ def test_sharp_gradient_follows_worst_user():
 # ------------------------------------------------------- projection / steps
 
 
-def test_project_examples():
-    inside = np.array([[0.1, -0.2], [0.0, 0.29]])
-    np.testing.assert_array_equal(scenario.project(inside, 0.6), inside)
-    outside = np.array([[0.4, -0.7], [0.31, 0.0]])
-    np.testing.assert_allclose(
-        scenario.project(outside, 0.6), [[0.3, -0.3], [0.3, 0.0]]
-    )
-
-
 def test_next_momentum_sequence():
     l = 0.5
     assert opt_grad.next_momentum(l) == pytest.approx((1.0 + math.sqrt(2.0)) / 2.0)
@@ -148,9 +139,7 @@ def _reference_search(point, grad, scn):
     g0 = opt_grad.smoothed_objective(point, scn)
     g_trials = np.array([opt_grad.smoothed_objective(t, scn) for t in trials])
     grew = g_trials >= g0 + hyp.varpi * zetas * float(np.sum(grad**2))
-    feas = np.array(
-        [len(opt_ga.violation_set(t, scn.d_min)) == 0 for t in trials]
-    )
+    feas = scenario.violation_counts(trials, scn.d_min) == 0
     return zetas, grew, feas
 
 
@@ -324,25 +313,18 @@ def test_run_gradient_single_user_stops_immediately():
     np.testing.assert_allclose(layout, init, atol=1e-12)
 
 
-def test_run_gradient_improves_and_stays_feasible(table1_k3):
-    init = opt_grad.default_init(table1_k3)
-    g_init = opt_grad.smoothed_objective(init, table1_k3)
-    layout, history = opt_grad.run_gradient(table1_k3)
-    assert opt_ga.violation_set(layout, table1_k3.d_min) == []
-    assert np.all(np.abs(layout) <= table1_k3.region_size / 2.0 + 1e-12)
-    g_fin = opt_grad.smoothed_objective(layout, table1_k3)
-    assert g_fin >= g_init
-    assert g_fin >= max(history) - 1e-9  # best feasible point is returned
-    assert history[0] == pytest.approx(g_init)
-
-
-def test_run_gradient_plain_variant(table1_k5):
-    init = opt_grad.default_init(table1_k5)
-    g_init = opt_grad.smoothed_objective(init, table1_k5)
-    layout, history = opt_grad.run_gradient(table1_k5, accelerated=False)
-    assert opt_ga.violation_set(layout, table1_k5.d_min) == []
-    assert opt_grad.smoothed_objective(layout, table1_k5) >= g_init
-    assert len(history) - 1 <= table1_k5.hyper.grad_max_iter
+def test_run_gradient_improves_and_stays_feasible(table1_k5):
+    # a redraw where both variants end against the spacing limit
+    scn = redraw_users(table1_k5, 2)
+    g_init = opt_grad.smoothed_objective(opt_grad.default_init(scn), scn)
+    for accelerated in (True, False):
+        layout, history = opt_grad.run_gradient(scn, accelerated=accelerated)
+        assert feasible(layout, scn)
+        g_fin = opt_grad.smoothed_objective(layout, scn)
+        assert g_fin >= g_init
+        assert g_fin >= max(history) - 1e-9  # best feasible point is returned
+        assert history[0] == pytest.approx(g_init)
+        assert len(history) - 1 <= scn.hyper.grad_max_iter
 
 
 def test_run_gradient_evaluates_each_iterate_once(table1_k5, monkeypatch):
@@ -421,13 +403,6 @@ def test_run_gradient_falls_back_to_fpa(table1_k3):
     np.testing.assert_array_equal(layout, grid)
 
 
-def test_run_gradient_deterministic(table1_k3):
-    a, hist_a = opt_grad.run_gradient(table1_k3)
-    b, hist_b = opt_grad.run_gradient(table1_k3)
-    np.testing.assert_array_equal(a, b)
-    assert hist_a == hist_b
-
-
 # ------------------------------------------------------------- multistart
 
 
@@ -492,7 +467,6 @@ def test_run_multistart_guards_and_traces(table1_k3):
         opt_grad.run_multistart(table1_k3, seed=0, restarts=0)
     layout, histories = opt_grad.run_multistart(table1_k3, seed=0, restarts=3)
     assert len(histories) == 3
-    assert opt_ga.violation_set(layout, table1_k3.d_min) == []
     single, _ = opt_grad.run_gradient(table1_k3)
     g_best = opt_grad.smoothed_objective(layout, table1_k3)
     assert g_best >= opt_grad.smoothed_objective(single, table1_k3) - 1e-12
@@ -511,19 +485,8 @@ def test_run_multistart_rejects_non_finite_objective(table1_k3, monkeypatch):
         opt_grad.run_multistart(table1_k3, seed=0, restarts=3)
 
 
-@st.composite
-def small_problems(draw):
-    """A random small scenario and a seed for the random starts."""
-    k = draw(st.integers(2, 4))
-    angle = st.floats(0.2, 2.9)
-    angles = [(draw(angle), draw(angle)) for _ in range(k)]
-    distances = [draw(st.floats(50.0, 70.0)) for _ in range(k)]
-    scn = make_scenario(users_at(angles, distances), m=draw(st.integers(3, 6)))
-    return scn, draw(st.integers(0, 2**32 - 1))
-
-
 @settings(max_examples=12, deadline=None, database=None)
-@given(small_problems(), st.booleans())
+@given(small_scenarios(k_users=(2, 4), m_antennas=(3, 6), roomy=True), st.booleans())
 def test_batched_starts_match_single_runs(problem, accelerated):
     # advancing starts side by side must not change any start's trajectory
     scn, seed = problem
@@ -551,48 +514,6 @@ def test_batched_starts_match_single_runs(problem, accelerated):
     np.testing.assert_array_equal(best, cands[top])
 
 
-@settings(max_examples=60, deadline=None, database=None)
-@given(
-    st.integers(1, 3),
-    st.integers(2, 4),
-    st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
-    st.integers(0, 2**32 - 1),
-    st.data(),
-)
-def test_run_multistart_feasible_and_never_below_fpa(k, m, mu, seed, data):
-    # a small mu makes the soft-min favour the mean rate, so the best soft-min
-    # start can have a lower min rate than the fixed grid
-    angle, distance = st.floats(0.2, 2.9), st.floats(50.0, 70.0)
-    angles = [(data.draw(angle), data.draw(angle)) for _ in range(k)]
-    distances = [data.draw(distance) for _ in range(k)]
-    scn = make_scenario(users_at(angles, distances), m=m, hyper=HyperParams(mu=mu))
-    layout, _ = opt_grad.run_multistart(scn, seed, restarts=2)
-    assert np.all(np.abs(layout) <= scn.region_size / 2.0)
-    assert opt_ga.violation_set(layout, scn.d_min) == []
-    assert rate.min_rate(layout, scn) >= rate.min_rate(grid_layout(scn), scn)
-    ceiling = rate.closed_form_context(scn).ceilings.min()
-    assert rate.min_rate(layout, scn) <= ceiling * (1.0 + 1e-12)
-
-
-ANGLE = st.floats(0.2, 2.9)
-ANGLE_PAIRS = st.lists(st.tuples(ANGLE, ANGLE), min_size=1, max_size=3)
-
-
-@settings(max_examples=15, deadline=None, database=None)
-@given(st.integers(2, 9), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1), ANGLE_PAIRS)
-@example(9, 0.0, 0, [(0.5, 1.0), (1.5, 2.0)])  # only the grid fits
-def test_run_multistart_on_crowded_boxes(m, fill, seed, angles):
-    # from the smallest box that fits the grid up to two wavelengths, a
-    # random start that cannot be drawn is skipped and the grid still runs
-    scn = make_scenario(users_at(angles), m=m)
-    smallest = math.isqrt(m - 1) * scn.d_min  # the grid's span at pitch d_min
-    scn = dataclasses.replace(scn, region_size=smallest + fill * (0.2 - smallest))
-    layout, _ = opt_grad.run_multistart(scn, seed, restarts=3)
-    assert np.all(np.abs(layout) <= scn.region_size / 2.0)
-    assert opt_ga.violation_set(layout, scn.d_min) == []
-    assert rate.min_rate(layout, scn) >= rate.min_rate(grid_layout(scn), scn)
-
-
 def test_run_multistart_falls_back_to_fpa():
     # at mu = 0.3 the start with the best soft-min ends on a min rate of 0.599,
     # below the grid's 0.716, and the grid start on 0.718: the returned
@@ -615,18 +536,3 @@ def test_run_multistart_single_restart_is_default_run(table1_k3):
     single, hist = opt_grad.run_gradient(table1_k3)
     np.testing.assert_array_equal(layout, single)
     assert histories == [hist]
-
-
-def test_run_multistart_deterministic(table1_k3):
-    a, hist_a = opt_grad.run_multistart(table1_k3, seed=2, restarts=3)
-    b, hist_b = opt_grad.run_multistart(table1_k3, seed=2, restarts=3)
-    np.testing.assert_array_equal(a, b)
-    assert hist_a == hist_b
-
-
-def test_run_multistart_seeds_from_hyper_by_default(table1_k3):
-    # without a seed the random starts come from hyper.seed, as run_ga's do
-    a, hist_a = opt_grad.run_multistart(table1_k3, restarts=3)
-    b, hist_b = opt_grad.run_multistart(table1_k3, seed=table1_k3.hyper.seed, restarts=3)
-    np.testing.assert_array_equal(a, b)
-    assert hist_a == hist_b

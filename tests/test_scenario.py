@@ -18,9 +18,12 @@ from fas_optim.scenario import (
     derive_user,
     grid_layout,
     load_scenario,
+    project,
     random_users,
     redraw_users,
     upa_layout,
+    violation_counts,
+    violation_set,
 )
 from conftest import SCENARIO_DIR, explicit_users, make_scenario, min_spacing, write_ini
 
@@ -358,6 +361,42 @@ def test_upa_layout_partial_row_keeps_spacing():
 def test_upa_layout_rejects_overflow():
     with pytest.raises(ScenarioError, match="layout does not fit region"):
         upa_layout(9, 0.7, 0.6)
+
+
+def test_violation_set_grid_at_pitch_is_clean():
+    layout = upa_layout(9, 0.05, 0.6)
+    assert violation_set(layout, 0.05) == []
+
+
+def test_violation_set_collocated_counts_all_pairs():
+    layout = np.zeros((2, 9))
+    pairs = violation_set(layout, 0.05)
+    assert len(pairs) == 36
+    assert (0, 1) in pairs and (7, 8) in pairs
+
+
+def test_violation_set_single_close_pair():
+    layout = upa_layout(4, 0.2, 0.6)
+    layout = layout.copy()
+    layout[:, 1] = layout[:, 0] + [0.0499, 0.0]
+    assert violation_set(layout, 0.05) == [(0, 1)]
+
+
+def test_violation_counts_matches_pairs():
+    rng = np.random.default_rng(0)
+    layouts = rng.uniform(-0.3, 0.3, (40, 2, 6))
+    counts = violation_counts(layouts, 0.08)
+    for b in range(40):
+        assert counts[b] == len(violation_set(layouts[b], 0.08))
+
+
+def test_project_examples():
+    inside = np.array([[0.1, -0.2], [0.0, 0.29]])
+    np.testing.assert_array_equal(project(inside, 0.6), inside)
+    outside = np.array([[0.4, -0.7], [0.31, 0.0]])
+    np.testing.assert_allclose(
+        project(outside, 0.6), [[0.3, -0.3], [0.3, 0.0]]
+    )
 
 
 def test_load_rejects_unknown_section(tmp_path):
