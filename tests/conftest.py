@@ -1,6 +1,6 @@
 """Shared fixtures: reference scenarios, an INI writer for variants, a scenario
-builder and a hypothesis strategy of small ones, finite differences, and a
-feasibility audit."""
+builder and a hypothesis strategy of small ones, finite differences, a
+feasibility audit, and the property both solvers' outputs meet."""
 
 import itertools
 import math
@@ -9,9 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fas_optim import rate
 from fas_optim.scenario import HyperParams, Scenario, UserModel, derive_user, load_scenario
+from fas_optim.scenario import grid_layout
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO / "scenarios"
@@ -164,6 +167,31 @@ def feasible(layout, scn):
     """
     inside = np.all(np.abs(layout) <= scn.region_size / 2.0)
     return bool(inside) and min_spacing(layout) >= scn.d_min - 1e-12
+
+
+# nine antennas in a box the grid spans at pitch d_min: no other layout fits
+ONLY_THE_GRID_FITS = make_scenario(users_at([(0.5, 1.0), (1.5, 2.0)]), m=9, region_size=0.1)
+
+
+def solver_property(test):
+    """Run `test(problem)` on 50 `small_scenarios()` draws and on `ONLY_THE_GRID_FITS`."""
+    test = example((ONLY_THE_GRID_FITS, 0))(test)
+    return settings(max_examples=50, deadline=None, database=None)(given(small_scenarios())(test))
+
+
+def between_grid_and_ceiling(solve, problem):
+    """`solve(scn, seed=seed)` on `problem`, once its layout passes the audit and its
+    min rate lies between the grid's and the lowest per-user ceiling."""
+    # a small mu makes the soft-min favour the mean rate, so the best soft-min
+    # start can have a lower min rate than the fixed grid; in a crowded box a
+    # random start that cannot be drawn is skipped
+    scn, seed = problem
+    layout, trace = solve(scn, seed=seed)
+    assert feasible(layout, scn)
+    value = rate.min_rate(layout, scn)
+    assert value >= rate.min_rate(grid_layout(scn), scn)
+    assert value <= rate.closed_form_context(scn).ceilings.min() * (1.0 + 1e-12)
+    return layout, trace
 
 
 @pytest.fixture

@@ -1,11 +1,9 @@
-"""Genetic position search: penalty fitness, operators, convergence; and the
-invariants it shares with the multistart gradient search."""
-
-import functools
+"""Genetic position search: penalty fitness, operators, convergence and the
+output property it shares with the multistart gradient search."""
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fas_optim import channel, opt_ga, opt_grad, rate
@@ -17,7 +15,8 @@ from fas_optim.scenario import (
     random_users,
     upa_layout,
 )
-from conftest import feasible, make_scenario, small_scenarios, users_at
+from conftest import between_grid_and_ceiling, solver_property
+from conftest import feasible, make_scenario, small_scenarios
 
 
 def fitness(layouts, scn):
@@ -154,42 +153,38 @@ def test_population_responses_and_fitness_match_a_fresh_evaluation(k, m, region,
         assert np.array_equal(state.fits, fitness(state.layouts, scn))
 
 
-def test_run_ga_converges_quickly(table1_k5):
-    layout, history = opt_ga.run_ga(table1_k5, seed=0)
+@solver_property
+def test_run_ga_returns_final_best_feasible_layout(problem):
+    layout, history = between_grid_and_ceiling(opt_ga.run_ga, problem)
     # the returned layout holds the final population's best fitness
-    assert fitness(layout, table1_k5) == pytest.approx(history[-1], rel=1e-12)
+    assert fitness(layout, problem[0]) == pytest.approx(history[-1], rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def ga_on_table1_k5(table1_k5):
+    """The one `run_ga` on `table1_k5` at seed 0 that the next two tests share."""
+    return opt_ga.run_ga(table1_k5, seed=0)
+
+
+def test_run_ga_feasible_and_beats_grid(table1_k5, ga_on_table1_k5):
+    layout, _ = ga_on_table1_k5
+    assert feasible(layout, table1_k5)
+    assert rate.min_rate(layout, table1_k5) >= rate.min_rate(grid_layout(table1_k5), table1_k5)
+
+
+def test_run_ga_converges_quickly(table1_k5, ga_on_table1_k5):
+    _, history = ga_on_table1_k5
     assert len(history) - 1 <= min(table1_k5.hyper.ga_max_iter, 200)
-
-
-# ------------------------------------------------------------- both solvers
-
-MULTISTART = functools.partial(opt_grad.run_multistart, restarts=2)
-
-
-@pytest.mark.parametrize("solve", [opt_ga.run_ga, MULTISTART], ids=["ga", "grad"])
-@settings(max_examples=50, deadline=None, database=None)
-@given(small_scenarios())
-@example((make_scenario(users_at([(0.5, 1.0), (1.5, 2.0)]), m=9, region_size=0.1), 0))
-def test_solvers_return_feasible_layouts_between_grid_and_ceiling(solve, problem):
-    # a small mu makes the soft-min favour the mean rate, so the best soft-min
-    # start can have a lower min rate than the fixed grid; in a crowded box a
-    # random start that cannot be drawn is skipped; in the example only the
-    # grid fits
-    scn, seed = problem
-    layout, _ = solve(scn, seed=seed)
-    assert feasible(layout, scn)
-    value = rate.min_rate(layout, scn)
-    assert value >= rate.min_rate(grid_layout(scn), scn)
-    assert value <= rate.closed_form_context(scn).ceilings.min() * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize(
     "solve, seeded",
-    [(opt_ga.run_ga, True), (MULTISTART, True), (opt_grad.run_gradient, False)],
-    ids=["ga", "grad", "gradient"],
+    [(opt_ga.run_ga, True), (opt_grad.run_gradient, False)],
+    ids=["ga", "gradient"],
 )
 def test_solvers_repeat_a_seed_and_default_to_hyper_seed(table1_k3, solve, seeded):
-    # run_gradient draws nothing, so it takes no seed
+    # run_gradient draws nothing, so it takes no seed; the multistart's seeding
+    # is tested beside it
     seed = table1_k3.hyper.seed
     layout, trace = solve(table1_k3)
     again, again_trace = solve(table1_k3, **({"seed": seed} if seeded else {}))

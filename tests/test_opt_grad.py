@@ -1,6 +1,7 @@
 """Smoothed max-min ascent: soft-min, gradients, line search, momentum."""
 
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -19,6 +20,7 @@ from fas_optim.scenario import (
     redraw_users,
     upa_layout,
 )
+from conftest import ONLY_THE_GRID_FITS, between_grid_and_ceiling, solver_property
 from conftest import feasible, make_scenario, min_spacing, small_scenarios, users_at
 
 
@@ -313,18 +315,25 @@ def test_run_gradient_single_user_stops_immediately():
     np.testing.assert_allclose(layout, init, atol=1e-12)
 
 
-def test_run_gradient_improves_and_stays_feasible(table1_k5):
+def assert_best_feasible_run(table1_k5, accelerated):
     # a redraw where both variants end against the spacing limit
     scn = redraw_users(table1_k5, 2)
     g_init = opt_grad.smoothed_objective(opt_grad.default_init(scn), scn)
-    for accelerated in (True, False):
-        layout, history = opt_grad.run_gradient(scn, accelerated=accelerated)
-        assert feasible(layout, scn)
-        g_fin = opt_grad.smoothed_objective(layout, scn)
-        assert g_fin >= g_init
-        assert g_fin >= max(history) - 1e-9  # best feasible point is returned
-        assert history[0] == pytest.approx(g_init)
-        assert len(history) - 1 <= scn.hyper.grad_max_iter
+    layout, history = opt_grad.run_gradient(scn, accelerated=accelerated)
+    assert feasible(layout, scn)
+    g_fin = opt_grad.smoothed_objective(layout, scn)
+    assert g_fin >= g_init
+    assert g_fin >= max(history) - 1e-9  # best feasible point is returned
+    assert history[0] == pytest.approx(g_init)
+    assert len(history) - 1 <= scn.hyper.grad_max_iter
+
+
+def test_run_gradient_improves_and_stays_feasible(table1_k5):
+    assert_best_feasible_run(table1_k5, accelerated=True)
+
+
+def test_run_gradient_plain_variant(table1_k5):
+    assert_best_feasible_run(table1_k5, accelerated=False)
 
 
 def test_run_gradient_evaluates_each_iterate_once(table1_k5, monkeypatch):
@@ -514,6 +523,18 @@ def test_batched_starts_match_single_runs(problem, accelerated):
     np.testing.assert_array_equal(best, cands[top])
 
 
+@solver_property
+def test_run_multistart_feasible_and_never_below_fpa(problem):
+    between_grid_and_ceiling(functools.partial(opt_grad.run_multistart, restarts=2), problem)
+
+
+def test_run_multistart_on_crowded_boxes():
+    # both random starts are skipped and the grid start runs alone
+    layout, histories = opt_grad.run_multistart(ONLY_THE_GRID_FITS, seed=0, restarts=3)
+    assert len(histories) == 1
+    np.testing.assert_array_equal(layout, grid_layout(ONLY_THE_GRID_FITS))
+
+
 def test_run_multistart_falls_back_to_fpa():
     # at mu = 0.3 the start with the best soft-min ends on a min rate of 0.599,
     # below the grid's 0.716, and the grid start on 0.718: the returned
@@ -536,3 +557,18 @@ def test_run_multistart_single_restart_is_default_run(table1_k3):
     single, hist = opt_grad.run_gradient(table1_k3)
     np.testing.assert_array_equal(layout, single)
     assert histories == [hist]
+
+
+def test_run_multistart_deterministic(table1_k3):
+    a, hist_a = opt_grad.run_multistart(table1_k3, seed=2, restarts=3)
+    b, hist_b = opt_grad.run_multistart(table1_k3, seed=2, restarts=3)
+    np.testing.assert_array_equal(a, b)
+    assert hist_a == hist_b
+
+
+def test_run_multistart_seeds_from_hyper_by_default(table1_k3):
+    # without a seed the random starts come from hyper.seed, as run_ga's do
+    a, hist_a = opt_grad.run_multistart(table1_k3, restarts=3)
+    b, hist_b = opt_grad.run_multistart(table1_k3, seed=table1_k3.hyper.seed, restarts=3)
+    np.testing.assert_array_equal(a, b)
+    assert hist_a == hist_b
